@@ -9,14 +9,14 @@ harness.
 
 from .agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                      ExactBestResponseKernel, GaussianEnv, IidGaussianKernel,
-                     KernelOutput, LogisticUtility, QuadraticUtility)
+                     LogisticUtility, QuadraticUtility)
 from .core import (ConstantSchedule, InverseSchedule, ProblemConstants, RngStream,
                    check_schedule, step_at)
 from .data import SyntheticDataset, generate_synthetic, load_csv
 from .harness import ExperimentSpec, run_experiment
 from .losses import LogisticLoss, QuadraticLoss, Sample, logistic_constants, mean_grad
 from .oracle import RateFit, fit_rate, theta_ps_fixed_point, theta_ps_gaussian
-from .solver import (DivergenceError, RunConfig, RunTrace, lazy_run,
-                     one_step_contraction_probe, rrm_run, sa_run)
+from .solver import (DivergenceError, RunConfig, RunTrace, one_step_contraction_probe,
+                     rrm_run, sa_run)
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ Three sampling regimes are covered:
 Every kernel exposes the same two-phase interface: ``advance(theta, rng)``
 performs one Markov transition of the agent state, ``emit(theta, rng, n)``
 produces the sample(s) handed to the learner from the current state.
-``step`` composes one advance with one emission.
 """
 from __future__ import annotations
 
@@ -28,7 +27,6 @@ __all__ = [
     "LogisticUtility",
     "Utility",
     "AgentPool",
-    "KernelOutput",
     "IidGaussianKernel",
     "ArGaussianKernel",
     "ExactBestResponseKernel",
@@ -104,13 +102,8 @@ class QuadraticUtility:
     def grad(self, xp, base_x, y, theta):
         return theta - (np.asarray(xp) - np.asarray(base_x)) / self.epsilon
 
-    def best_response(self, base_x, y, theta, tol: float = BR_TOL,
-                      max_inner: int = BR_MAX_INNER):
+    def best_response(self, base_x, y, theta, tol: float = BR_TOL):
         return np.asarray(base_x, dtype=float) + self.epsilon * theta
-
-    def best_response_batch(self, base_X, y, theta, tol: float = BR_TOL,
-                            max_inner: int = BR_MAX_INNER):
-        return np.asarray(base_X, dtype=float) + self.epsilon * theta
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,9 @@ class LogisticUtility:
     The argmax has no closed form; ``best_response`` runs gradient ascent
     with fixed step ``epsilon / 2``, which contracts because the utility is
     (1/epsilon)-strongly concave with (1/epsilon + ||theta||^2/4)-Lipschitz
-    gradient.
+    gradient. It takes one agent (``base_x`` of shape (d,)) or a stack of
+    agents (shape (m, d), with ``y`` of shape (m,)) and stops once every
+    agent's gradient norm is at most ``tol``.
     """
 
     epsilon: float
@@ -136,30 +131,18 @@ class LogisticUtility:
 
     def grad(self, xp, base_x, y, theta):
         u = xp @ theta
-        coef = np.expand_dims(np.asarray(y - sigmoid(u)), -1)
+        coef = np.asarray(y - sigmoid(u))[..., None]
         return coef * theta - (np.asarray(xp) - np.asarray(base_x)) / self.epsilon
 
-    def best_response(self, base_x, y, theta, tol: float = BR_TOL,
-                      max_inner: int = BR_MAX_INNER):
-        x = np.asarray(base_x, dtype=float).copy()
+    def best_response(self, base_x, y, theta, tol: float = BR_TOL):
+        x = np.array(base_x, dtype=float)
         step = self.epsilon / 2.0
-        for _ in range(max_inner):
+        for _ in range(BR_MAX_INNER):
             g = self.grad(x, base_x, y, theta)
-            if float(np.sqrt(g @ g)) <= tol:
+            if (g * g).sum(axis=-1).max() <= tol * tol:
                 return x
             x += step * g
-        raise BestResponseError(f"no convergence to tol={tol} in {max_inner} ascent steps")
-
-    def best_response_batch(self, base_X, y, theta, tol: float = BR_TOL,
-                            max_inner: int = BR_MAX_INNER):
-        X = np.asarray(base_X, dtype=float).copy()
-        step = self.epsilon / 2.0
-        for _ in range(max_inner):
-            g = self.grad(X, base_X, y, theta)
-            if float(np.max(np.sum(g * g, axis=-1))) <= tol * tol:
-                return X
-            X += step * g
-        raise BestResponseError(f"no convergence to tol={tol} in {max_inner} ascent steps")
+        raise BestResponseError(f"no convergence to tol={tol} in {BR_MAX_INNER} ascent steps")
 
 
 Utility = Union[QuadraticUtility, LogisticUtility]
@@ -208,17 +191,9 @@ class AgentPool:
 
     def response_dataset(self, theta: np.ndarray, tol: float = 1e-10) -> list:
         """Exact best-response dataset induced by ``theta`` (labels fixed)."""
-        X = self.utility.best_response_batch(self.base_features, self.labels, theta, tol=tol)
+        X = self.utility.best_response(self.base_features, self.labels, theta, tol=tol)
         return [Sample(features=X[i].copy(), label=int(self.labels[i]))
                 for i in range(self.size)]
-
-
-@dataclass
-class KernelOutput:
-    """Result of one kernel step: post-transition state and emitted sample."""
-
-    next_state: object
-    emitted: Sample
 
 
 class IidGaussianKernel:
@@ -240,9 +215,6 @@ class IidGaussianKernel:
             return [Sample(scalar=mean + self.env.sigma * rng.standard_normal())]
         draws = mean + self.env.sigma * rng.standard_normal(n)
         return [Sample(scalar=float(z)) for z in draws]
-
-    def step(self, theta, rng) -> KernelOutput:
-        return KernelOutput(None, self.emit(theta, rng)[0])
 
 
 class ArGaussianKernel:
@@ -269,18 +241,12 @@ class ArGaussianKernel:
     def emit(self, theta, rng, n: int = 1):
         return [Sample(scalar=self.z) for _ in range(n)]
 
-    def step(self, theta, rng) -> KernelOutput:
-        self.advance(theta, rng)
-        return KernelOutput(self.z, self.emit(theta, rng)[0])
-
 
 class ExactBestResponseKernel:
     """Memoryless pool sampling where every reply is an exact best response."""
 
-    def __init__(self, pool: AgentPool, tol: float = BR_TOL, max_inner: int = BR_MAX_INNER):
+    def __init__(self, pool: AgentPool):
         self.pool = pool
-        self.tol = tol
-        self.max_inner = max_inner
 
     @property
     def state(self):
@@ -297,13 +263,9 @@ class ExactBestResponseKernel:
             idx = rng.choice(pool.size, size=n, replace=False)
         out = []
         for i in idx:
-            x = pool.utility.best_response(pool.base_features[i], float(pool.labels[i]),
-                                           theta, tol=self.tol, max_inner=self.max_inner)
+            x = pool.utility.best_response(pool.base_features[i], float(pool.labels[i]), theta)
             out.append(Sample(features=np.asarray(x, dtype=float), label=int(pool.labels[i])))
         return out
-
-    def step(self, theta, rng) -> KernelOutput:
-        return KernelOutput(None, self.emit(theta, rng)[0])
 
 
 class AdaptedBestResponseKernel:
@@ -341,10 +303,6 @@ class AdaptedBestResponseKernel:
             idx = rng.choice(pool.size, size=n, replace=False)
         return [Sample(features=self.features[i].copy(), label=int(pool.labels[i]))
                 for i in idx]
-
-    def step(self, theta, rng) -> KernelOutput:
-        self.advance(theta, rng)
-        return KernelOutput(self.features.copy(), self.emit(theta, rng)[0])
 
 
 Kernel = Union[IidGaussianKernel, ArGaussianKernel,

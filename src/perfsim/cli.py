@@ -71,7 +71,7 @@ def main(argv=None) -> int:
         for point in summary["points"]:
             for d in point["diverged"]:
                 print(f"warning: trial {d['trial']} of {point['label'] or '(base)'} "
-                      f"diverged at iteration {d['iteration']}", file=sys.stderr)
+                      f"diverged at iteration {d['iteration']} ({d['kind']})", file=sys.stderr)
         print(f"wrote {spec.out}/trace.csv and {spec.out}/summary.json")
         if all_dead:
             print(f"error: all trials diverged for: {', '.join(all_dead)}", file=sys.stderr)

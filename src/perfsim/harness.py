@@ -29,7 +29,7 @@ from .core import ConstantSchedule, InverseSchedule, ProblemConstants, as_param
 from .data import generate_synthetic
 from .losses import LogisticLoss, QuadraticLoss, logistic_constants
 from .oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
-from .solver import DivergenceError, RunConfig, lazy_run, sa_run
+from .solver import DivergenceError, RunConfig, sa_run
 
 __all__ = [
     "ConfigError",
@@ -187,7 +187,6 @@ class ResolvedPoint:
     kernel_factory: Callable
     config: RunConfig
     theta_ps: np.ndarray
-    use_lazy: bool
     schedule_desc: dict
     problem_desc: dict
 
@@ -226,7 +225,6 @@ def _resolve_gaussian(params: dict, spec: ExperimentSpec, run_fields: dict) -> R
     desc.update(mu=constants.mu, lipschitz=constants.lipschitz, mu_tilde=mu_tilde)
     return ResolvedPoint(label="", overrides={}, loss=loss, kernel_factory=kernel_factory,
                          config=config, theta_ps=theta_ps,
-                         use_lazy=config.learner_iters_per_agent_round > 1,
                          schedule_desc=schedule.describe(), problem_desc=desc)
 
 
@@ -270,7 +268,6 @@ def _resolve_pool(params: dict, spec: ExperimentSpec, run_fields: dict,
             "lipschitz_est": lipschitz, "mu_tilde_est": mu_tilde}
     return ResolvedPoint(label="", overrides={}, loss=loss, kernel_factory=kernel_factory,
                          config=config, theta_ps=theta_ps,
-                         use_lazy=config.learner_iters_per_agent_round > 1,
                          schedule_desc=schedule.describe(), problem_desc=desc)
 
 
@@ -283,21 +280,19 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict) -> ResolvedPoint:
             run_fields[key] = value
         else:
             params[key] = value
-    trials = run_fields.pop("trials")
 
     if spec.preset == "gaussian_ar":
-        point = _resolve_gaussian(params, spec, dict(run_fields, trials=trials))
+        point = _resolve_gaussian(params, spec, run_fields)
     elif spec.preset == "strat_class_linear":
-        point = _resolve_pool(params, spec, dict(run_fields, trials=trials), "quadratic")
+        point = _resolve_pool(params, spec, run_fields, "quadratic")
     elif spec.preset == "strat_class_logistic":
-        point = _resolve_pool(params, spec, dict(run_fields, trials=trials), "logistic")
+        point = _resolve_pool(params, spec, run_fields, "logistic")
     elif spec.preset == "custom":
         family = params.get("family")
         if family == "gaussian":
-            point = _resolve_gaussian(params, spec, dict(run_fields, trials=trials))
+            point = _resolve_gaussian(params, spec, run_fields)
         elif family == "pool":
-            point = _resolve_pool(params, spec, dict(run_fields, trials=trials),
-                                  params.get("utility", "quadratic"))
+            point = _resolve_pool(params, spec, run_fields, params.get("utility", "quadratic"))
         else:
             raise ConfigError("custom preset requires problem.family of 'gaussian' or 'pool'")
     else:  # pragma: no cover - guarded by validate()
@@ -336,17 +331,13 @@ def record_grid(horizon: int) -> np.ndarray:
 
 
 def _run_point_trial(args):
-    loss, kernel_factory, config, theta_ps, use_lazy, grid, trial = args
-    kernel = kernel_factory()
-    runner = lazy_run if use_lazy else sa_run
+    loss, kernel_factory, config, theta_ps, grid, trial = args
     try:
-        trace = runner(loss, kernel, config, theta_ps, trial=trial)
-    except DivergenceError as exc:
-        return {"trial": trial, "diverged_at": exc.iteration}
-    except (AgentDivergenceError, BestResponseError):
-        # agent-side failures happen when the learner iterate blows up;
+        trace = sa_run(loss, kernel_factory(), config, theta_ps, trial=trial)
+    except (DivergenceError, AgentDivergenceError, BestResponseError) as exc:
+        # agent-side failures happen when the learner iterate blows up too;
         # record the trial as divergent rather than aborting the experiment
-        return {"trial": trial, "diverged_at": None}
+        return {"trial": trial, "iteration": exc.iteration, "kind": type(exc).__name__}
     return {
         "trial": trial,
         "errors": trace.errors[grid],
@@ -357,8 +348,8 @@ def _run_point_trial(args):
 
 
 def _execute_trials(point: ResolvedPoint, grid: np.ndarray, workers: int) -> list:
-    jobs = [(point.loss, point.kernel_factory, point.config, point.theta_ps,
-             point.use_lazy, grid, trial) for trial in range(point.config.trials)]
+    jobs = [(point.loss, point.kernel_factory, point.config, point.theta_ps, grid, trial)
+            for trial in range(point.config.trials)]
     if workers <= 1 or len(jobs) == 1:
         return [_run_point_trial(job) for job in jobs]
     import multiprocessing
@@ -390,8 +381,7 @@ def run_experiment(spec: ExperimentSpec):
     for point in points:
         results = _execute_trials(point, grid, workers)
         ok = [r for r in results if "errors" in r]
-        diverged = [{"trial": r["trial"], "iteration": r["diverged_at"]}
-                    for r in results if "diverged_at" in r]
+        diverged = [r for r in results if "errors" not in r]
         sfx = f"[{point.label}]" if point.label else ""
         if ok:
             errs = np.vstack([r["errors"] for r in ok])
@@ -429,7 +419,7 @@ def run_experiment(spec: ExperimentSpec):
             "theta_ps": [float(v) for v in point.theta_ps],
             "theta0": [float(v) for v in point.config.theta0],
             "trials": point.config.trials,
-            "algorithm": "lazy" if point.use_lazy else "sa",
+            "algorithm": "lazy" if point.config.learner_iters_per_agent_round > 1 else "sa",
             "batch": point.config.batch,
             "br_per_iter": point.config.br_per_iter,
             "learner_iters_per_agent_round": point.config.learner_iters_per_agent_round,

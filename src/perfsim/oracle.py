@@ -14,9 +14,8 @@ from typing import Tuple
 import numpy as np
 
 from .agents import GaussianEnv
-from .core import as_param
 from .losses import LossModel, mean_grad
-from .solver import ConvergenceError, minimize_empirical_risk
+from .solver import ConvergenceError, NonContractionError, rrm_run
 
 __all__ = [
     "NonContractionError",
@@ -25,10 +24,6 @@ __all__ = [
     "RateFit",
     "fit_rate",
 ]
-
-
-class NonContractionError(RuntimeError):
-    """Fixed-point iteration expanded repeatedly; sensitivity looks too large."""
 
 
 def theta_ps_gaussian(env: GaussianEnv) -> float:
@@ -59,33 +54,17 @@ def theta_ps_fixed_point(loss: LossModel, problem, theta0=None,
     five consecutive steps, which signals the contraction condition fails.
     """
     if theta0 is None:
-        theta = np.zeros(_problem_dim(problem))
-    else:
-        theta = as_param(theta0).copy()
-    prev_move = np.inf
-    expansions = 0
-    for _ in range(max_outer):
-        dataset = problem.response_dataset(theta)
-        theta_next = minimize_empirical_risk(loss, dataset, theta, tol=inner_tol)
-        move = float(np.linalg.norm(theta_next - theta))
-        theta = theta_next
-        if move <= outer_tol:
-            residual = float(np.linalg.norm(
-                mean_grad(loss, theta, problem.response_dataset(theta))))
-            if residual > 10.0 * inner_tol:
-                raise ConvergenceError(
-                    f"self-consistency residual {residual:.3e} exceeds {10 * inner_tol:.1e}")
-            return theta
-        if move > prev_move:
-            expansions += 1
-            if expansions >= 5:
-                raise NonContractionError(
-                    "outer movement grew for 5 consecutive steps; "
-                    "the problem appears outside the contraction regime")
-        else:
-            expansions = 0
-        prev_move = move
-    raise ConvergenceError(f"no fixed point within {max_outer} outer iterations")
+        theta0 = np.zeros(_problem_dim(problem))
+    path = rrm_run(loss, problem.response_dataset, theta0, max_outer,
+                   inner_tol=inner_tol, stop_tol=outer_tol)
+    theta = path[-1]
+    if len(path) == 1 or not float(np.linalg.norm(theta - path[-2])) <= outer_tol:
+        raise ConvergenceError(f"no fixed point within {max_outer} outer iterations")
+    residual = float(np.linalg.norm(mean_grad(loss, theta, problem.response_dataset(theta))))
+    if residual > 10.0 * inner_tol:
+        raise ConvergenceError(
+            f"self-consistency residual {residual:.3e} exceeds {10 * inner_tol:.1e}")
+    return theta
 
 
 @dataclass(frozen=True)

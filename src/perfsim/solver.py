@@ -1,9 +1,10 @@
 """Optimization loops: state-dependent stochastic approximation and baselines.
 
-``sa_run`` is the main loop: per iteration the agent chain advances under the
-currently deployed model, the learner draws the emitted sample(s) and takes
-one stochastic gradient step, and the new model is deployed. ``lazy_run``
-performs several learner updates per agent round; ``rrm_run`` is the
+``sa_run`` is the learner: per iteration the learner draws the emitted
+sample(s) from the agent chain and takes one stochastic gradient step, and
+the new model is deployed. Its config selects greedy deployment (one agent
+transition per update), several transitions per update, minibatches, or lazy
+deployment (several learner updates per agent round). ``rrm_run`` is the
 repeated-risk-minimization baseline operating on exact best-response data.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
+from .agents import AgentDivergenceError, BestResponseError
 from .core import RngStream, StepSchedule, as_param
 from .losses import LossModel, Sample, mean_grad, mean_smoothness
 
@@ -21,8 +23,8 @@ __all__ = [
     "RunTrace",
     "DivergenceError",
     "ConvergenceError",
+    "NonContractionError",
     "sa_run",
-    "lazy_run",
     "rrm_run",
     "minimize_empirical_risk",
     "ProbeResult",
@@ -51,6 +53,10 @@ class ConvergenceError(RuntimeError):
     """An inner minimization failed to reach its tolerance."""
 
 
+class NonContractionError(RuntimeError):
+    """Fixed-point iteration expanded repeatedly; sensitivity looks too large."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one stochastic-approximation experiment.
@@ -58,7 +64,8 @@ class RunConfig:
     ``br_per_iter`` repeats the agent transition per learner update;
     ``learner_iters_per_agent_round`` repeats learner updates per agent
     round (lazy deployment). They are opposing experiments, so at most one
-    of them may exceed 1.
+    of them may exceed 1. Lazy deployment draws one sample per learner
+    update, so it excludes minibatches.
     """
 
     theta0: np.ndarray
@@ -80,6 +87,9 @@ class RunConfig:
             raise ValueError("batch, br_per_iter and learner_iters_per_agent_round must be >= 1")
         if self.br_per_iter > 1 and self.learner_iters_per_agent_round > 1:
             raise ValueError("br_per_iter and learner_iters_per_agent_round cannot both exceed 1")
+        if self.batch > 1 and self.learner_iters_per_agent_round > 1:
+            raise ValueError("lazy runs draw one sample per learner update; "
+                             "batch and learner_iters_per_agent_round cannot both exceed 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -105,15 +115,19 @@ def _trial_rngs(config: RunConfig, trial: int):
 
 
 def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trial: int = 0) -> RunTrace:
-    """Run state-dependent stochastic approximation for ``config.horizon`` steps.
+    """Run state-dependent stochastic approximation for ``config.horizon`` updates.
 
-    Per iteration k: the kernel advances ``br_per_iter`` times under the
-    deployed model, ``batch`` samples are emitted, and the model moves
-    against the averaged gradient with step gamma_{k+1}. Errors are recorded
-    as squared distance to ``theta_ps``. Deterministic given
-    ``(config.seed, trial)`` and the kernel's initial state.
+    At the start of every agent round (each ``learner_iters_per_agent_round``
+    updates) the kernel advances ``br_per_iter`` times under the deployed
+    model. Per update, ``batch`` samples are emitted from the current agent
+    state and the model moves against the averaged gradient with step
+    gamma_{k+1}. Errors are recorded as squared distance to ``theta_ps``.
+    Deterministic given ``(config.seed, trial)`` and the kernel's initial
+    state.
 
     Raises :class:`DivergenceError` if the iterate leaves the finite range.
+    An agent-side :class:`AgentDivergenceError` or :class:`BestResponseError`
+    propagates with its ``iteration`` attribute set to the failing update.
     """
     K = config.horizon
     theta = config.theta0.copy()
@@ -127,80 +141,35 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trial: int = 0)
 
     br = config.br_per_iter
     batch = config.batch
+    inner = config.learner_iters_per_agent_round
     advance = kernel.advance
     emit = kernel.emit
     grad = loss.grad
-    for k in range(K):
-        for _ in range(br):
-            advance(theta, agent_rng)
-        samples = emit(theta, sample_rng, batch)
-        g = grad(theta, samples[0])
-        if batch > 1:
-            for s in samples[1:]:
-                g = g + grad(theta, s)
-            g = g / batch
-        theta = theta - gam[k] * g
-        diff = theta - target
-        err = float(diff @ diff)
-        if not err <= DIVERGENCE_CAP:
-            raise DivergenceError(k + 1, err)
-        errors[k + 1] = err
-
-    counts = np.arange(K + 1, dtype=np.int64)
-    return RunTrace(iterations=counts.copy(), errors=errors,
-                    samples_drawn=batch * counts, agent_updates=br * counts,
-                    final_theta=theta)
-
-
-def lazy_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trial: int = 0) -> RunTrace:
-    """Lazy deployment: several learner updates per agent round.
-
-    Per outer round the kernel advances once; the learner then performs
-    ``learner_iters_per_agent_round`` updates, each drawing a fresh sample
-    from the frozen agent state. ``horizon`` counts learner updates, so with
-    one learner iteration per round this reproduces :func:`sa_run` exactly.
-    """
-    if config.batch != 1:
-        raise ValueError("lazy runs draw one sample per learner update")
-    if config.br_per_iter != 1:
-        raise ValueError("lazy runs advance the agent chain once per round")
-    K = config.horizon
-    inner = config.learner_iters_per_agent_round
-    theta = config.theta0.copy()
-    target = as_param(theta_ps, d=theta.shape[0])
-    gam = np.atleast_1d(np.asarray(config.schedule.gamma(np.arange(1, K + 1)), dtype=float))
-    agent_rng, sample_rng = _trial_rngs(config, trial)
-
-    errors = np.empty(K + 1)
-    agent_updates = np.empty(K + 1, dtype=np.int64)
-    diff = theta - target
-    errors[0] = float(diff @ diff)
-    agent_updates[0] = 0
-
-    grad = loss.grad
-    emit = kernel.emit
-    k = 0
-    rounds = 0
-    while k < K:
-        kernel.advance(theta, agent_rng)
-        rounds += 1
-        for _ in range(inner):
-            if k >= K:
-                break
-            s = emit(theta, sample_rng, 1)[0]
-            theta = theta - gam[k] * grad(theta, s)
-            k += 1
+    try:
+        for k in range(K):
+            if k % inner == 0:
+                for _ in range(br):
+                    advance(theta, agent_rng)
+            samples = emit(theta, sample_rng, batch)
+            g = grad(theta, samples[0])
+            if batch > 1:
+                for s in samples[1:]:
+                    g = g + grad(theta, s)
+                g = g / batch
+            theta = theta - gam[k] * g
             diff = theta - target
             err = float(diff @ diff)
             if not err <= DIVERGENCE_CAP:
-                raise DivergenceError(k, err)
-            errors[k] = err
-            agent_updates[k] = rounds
+                raise DivergenceError(k + 1, err)
+            errors[k + 1] = err
+    except (AgentDivergenceError, BestResponseError) as exc:
+        exc.iteration = k + 1
+        raise
 
     counts = np.arange(K + 1, dtype=np.int64)
-    return RunTrace(iterations=counts, errors=errors,
-                    samples_drawn=counts.copy(), agent_updates=agent_updates,
-                    final_theta=theta)
+    rounds = (counts + inner - 1) // inner
+    return RunTrace(iterations=counts.copy(), errors=errors, samples_drawn=batch * counts,
+                    agent_updates=br * rounds, final_theta=theta)
 
 
 def minimize_empirical_risk(loss: LossModel, dataset: Sequence[Sample], theta0: np.ndarray,
@@ -229,9 +198,14 @@ def rrm_run(loss: LossModel, distribution_oracle: Callable[[np.ndarray], Sequenc
     ``distribution_oracle`` and minimizes the empirical risk over it exactly.
     Returns the iterate path (including the start). Stops early once
     consecutive iterates are within ``stop_tol``.
+
+    Raises :class:`NonContractionError` when the outer movement grows for
+    five consecutive steps, which signals the contraction condition fails.
     """
     theta = as_param(theta0).copy()
     path = [theta.copy()]
+    prev_move = np.inf
+    expansions = 0
     for _ in range(outer_iters):
         dataset = distribution_oracle(theta)
         theta_next = minimize_empirical_risk(loss, dataset, theta, tol=inner_tol)
@@ -240,6 +214,12 @@ def rrm_run(loss: LossModel, distribution_oracle: Callable[[np.ndarray], Sequenc
         theta = theta_next
         if move <= stop_tol:
             break
+        expansions = expansions + 1 if move > prev_move else 0
+        if expansions >= 5:
+            raise NonContractionError(
+                "outer movement grew for 5 consecutive steps; "
+                "the problem appears outside the contraction regime")
+        prev_move = move
     return path
 
 

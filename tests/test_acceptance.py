@@ -21,7 +21,7 @@ from perfsim.harness import (ExperimentSpec, _execute_trials, record_grid,
                              resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss, QuadraticLoss, Sample, mean_grad
 from perfsim.oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
-from perfsim.solver import (RunConfig, lazy_run, one_step_contraction_probe, sa_run)
+from perfsim.solver import RunConfig, one_step_contraction_probe, sa_run
 
 WORKERS = min(os.cpu_count() or 1, 8)
 
@@ -238,8 +238,7 @@ def test_c6_lazy_deploy_ordering():
         cfg = RunConfig(theta0=point.config.theta0, schedule=point.config.schedule,
                         horizon=horizon, seed=spec.seed,
                         learner_iters_per_agent_round=inner)
-        runner = lazy_run if inner > 1 else sa_run
-        traces = [runner(point.loss, point.kernel_factory(), cfg, point.theta_ps, trial=t)
+        traces = [sa_run(point.loss, point.kernel_factory(), cfg, point.theta_ps, trial=t)
                   for t in range(10)]
         mean = np.vstack([t.errors for t in traces]).mean(axis=0)
         return mean, traces[0].agent_updates

@@ -10,6 +10,12 @@ from perfsim.core import RngStream
 from perfsim.data import generate_synthetic
 
 
+def advance_then_emit(kern, theta, rng):
+    """One agent transition followed by one emission, as the learner sees it."""
+    kern.advance(theta, rng)
+    return kern.emit(theta, rng)[0]
+
+
 def small_pool(utility=None, m=20, d=3, alpha=None, participation=4, eps=0.05):
     ds = generate_synthetic(d=d, m=m, seed=5)
     utility = utility or QuadraticUtility(epsilon=eps)
@@ -34,8 +40,8 @@ class TestIidKernels:
     def test_noiseless_emission_is_shifted_mean(self):
         env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=0.0)
         kern = IidGaussianKernel(env)
-        out = kern.step(np.array([1.0]), RngStream(1).generator())
-        assert out.emitted.scalar == pytest.approx(10.1, rel=1e-15)
+        out = advance_then_emit(kern, np.array([1.0]), RngStream(1).generator())
+        assert out.scalar == pytest.approx(10.1, rel=1e-15)
 
     def test_monte_carlo_mean(self):
         env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=2.0)
@@ -50,11 +56,11 @@ class TestIidKernels:
         pool = small_pool()
         kern = ExactBestResponseKernel(pool)
         theta = np.array([1.0, -2.0, 0.5])
-        out = kern.step(theta, RngStream(3).generator())
+        out = advance_then_emit(kern, theta, RngStream(3).generator())
         shifted = pool.base_features + pool.utility.epsilon * theta
-        matches = np.all(np.isclose(shifted, out.emitted.features, rtol=0, atol=1e-15), axis=1)
+        matches = np.all(np.isclose(shifted, out.features, rtol=0, atol=1e-15), axis=1)
         assert matches.any()
-        assert out.emitted.label == pool.labels[np.flatnonzero(matches)[0]]
+        assert out.label == pool.labels[np.flatnonzero(matches)[0]]
 
 
 class TestArKernel:
@@ -67,21 +73,21 @@ class TestArKernel:
         rng_a = RngStream(4).generator()
         rng_b = RngStream(4).generator()
         for _ in range(50):
-            ar_vals.append(ar.step(theta, rng_a).emitted.scalar)
-            iid_vals.append(iid.step(theta, rng_b).emitted.scalar)
+            ar_vals.append(advance_then_emit(ar, theta, rng_a).scalar)
+            iid_vals.append(advance_then_emit(iid, theta, rng_b).scalar)
         assert np.array_equal(ar_vals, iid_vals)
 
     def test_noiseless_midpoint(self):
         env = GaussianEnv(z_bar=4.0, epsilon=0.0, sigma=0.0, rho=0.5)
         kern = ArGaussianKernel(env, z0=0.0)
-        out = kern.step(np.array([0.0]), RngStream(5).generator())
-        assert out.emitted.scalar == 2.0
+        out = advance_then_emit(kern, np.array([0.0]), RngStream(5).generator())
+        assert out.scalar == 2.0
 
     def test_emission_equals_post_advance_state(self):
         env = GaussianEnv(z_bar=1.0, epsilon=0.2, sigma=3.0, rho=0.4)
         kern = ArGaussianKernel(env)
-        out = kern.step(np.array([0.5]), RngStream(6).generator())
-        assert out.emitted.scalar == kern.state == out.next_state
+        out = advance_then_emit(kern, np.array([0.5]), RngStream(6).generator())
+        assert out.scalar == kern.state
 
     def test_noiseless_geometric_mixing(self):
         # Without noise the gap to the shifted mean contracts by exactly
@@ -237,7 +243,7 @@ class TestAdaptedPool:
         rng = RngStream(15).generator()
         theta = np.array([1.0, 2.0, 3.0])
         for _ in range(50):
-            kern.step(theta, rng)
+            advance_then_emit(kern, theta, rng)
         assert np.array_equal(pool.base_features, base_copy)
         assert np.array_equal(pool.labels, labels_copy)
         with pytest.raises(ValueError):
@@ -249,10 +255,10 @@ class TestAdaptedPool:
         theta = np.array([0.5, 0.5, 0.5])
         rng = RngStream(16).generator()
         for _ in range(10):
-            out = kern.step(theta, rng)
-            row = np.all(kern.features == out.emitted.features, axis=1)
+            out = advance_then_emit(kern, theta, rng)
+            row = np.all(kern.features == out.features, axis=1)
             assert row.any()
-            assert out.emitted.label == pool.labels[np.flatnonzero(row)[0]]
+            assert out.label == pool.labels[np.flatnonzero(row)[0]]
 
     def test_determinism(self):
         pool = small_pool()
@@ -262,8 +268,8 @@ class TestAdaptedPool:
             kern = AdaptedBestResponseKernel(pool)
             rng = RngStream(17).generator()
             for _ in range(5):
-                out = kern.step(theta, rng)
-            outs.append((out.emitted.features, kern.features.copy()))
+                out = advance_then_emit(kern, theta, rng)
+            outs.append((out.features, kern.features.copy()))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
 

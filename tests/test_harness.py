@@ -241,6 +241,7 @@ class TestRunExperiment:
         summary = run_experiment(spec)
         point = summary["points"][0]
         assert len(point["diverged"]) == 2
+        assert all(d["kind"] == "DivergenceError" for d in point["diverged"])
         assert point["final_mean_error"] is None
 
     def test_best_response_breakdown_recorded_as_divergence(self, tmp_path):
@@ -253,7 +254,9 @@ class TestRunExperiment:
             "problem": {"m": 30, "data_seed": 2, "kernel": "iid"},
         })
         summary = run_experiment(spec)
-        assert len(summary["points"][0]["diverged"]) == 1
+        (failure,) = summary["points"][0]["diverged"]
+        assert failure["kind"] == "BestResponseError"
+        assert isinstance(failure["iteration"], int) and 1 <= failure["iteration"] <= 30
 
 
 class TestConfigValidation:
@@ -325,10 +328,23 @@ class TestCli:
         p.write_text("{not json")
         assert cli_main(["run", "--config", str(p)]) == 1
 
-    def test_all_trials_divergent_exit_code(self, tmp_path):
+    def test_all_trials_divergent_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {
             "preset": "gaussian_ar", "trials": 2, "horizon": 50, "workers": 1,
             "out": str(tmp_path / "res"),
             "problem": {"c0": 1e8, "c1": 0.0, "sigma": 1.0},
         })
         assert cli_main(["run", "--config", cfg]) == 2
+        assert "diverged at iteration 2 (DivergenceError)" in capsys.readouterr().err
+
+    def test_lazy_minibatch_rejected_before_any_trial(self, tmp_path, capsys):
+        out_dir = tmp_path / "res"
+        cfg = self.write_config(tmp_path, {
+            "preset": "gaussian_ar", "trials": 2, "horizon": 50, "workers": 1, "batch": 2,
+            "sweep": [["learner_iters_per_agent_round", [1, 2]]], "out": str(out_dir),
+        })
+        assert cli_main(["oracle", "--config", cfg]) == 1
+        assert capsys.readouterr().out == ""
+        assert cli_main(["run", "--config", cfg]) == 1
+        assert "one sample per learner update" in capsys.readouterr().err
+        assert not out_dir.exists()

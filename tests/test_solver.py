@@ -7,7 +7,7 @@ from perfsim.core import ConstantSchedule, InverseSchedule, ProblemConstants, Rn
 from perfsim.data import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss, Sample
 from perfsim.oracle import theta_ps_gaussian
-from perfsim.solver import (DivergenceError, RunConfig, lazy_run,
+from perfsim.solver import (AGENT_STREAM, SAMPLE_STREAM, DivergenceError, RunConfig,
                             one_step_contraction_probe, rrm_run, sa_run)
 
 
@@ -161,22 +161,33 @@ def pool_setup(m=30, seed=5):
 
 class TestLazyRun:
     def test_single_inner_iteration_equals_sa(self):
+        # one learner update per agent round is greedy SA: per iteration one
+        # transition, one emission and one gradient step, on the trial's streams
         pool, loss = pool_setup()
         sched = InverseSchedule(c0=0.5, c1=50.0)
-        tps = np.zeros(3)
+        cfg = RunConfig(theta0=np.zeros(3), schedule=sched, horizon=60, seed=9,
+                        learner_iters_per_agent_round=1)
+        trace = sa_run(loss, AdaptedBestResponseKernel(pool), cfg, np.zeros(3), trial=2)
 
-        cfg = RunConfig(theta0=np.zeros(3), schedule=sched, horizon=60, seed=9)
-        a = sa_run(loss, AdaptedBestResponseKernel(pool), cfg, tps, trial=2)
-        b = lazy_run(loss, AdaptedBestResponseKernel(pool), cfg, tps, trial=2)
-        assert np.array_equal(a.errors, b.errors)
-        assert np.array_equal(a.final_theta, b.final_theta)
-        assert np.array_equal(a.agent_updates, b.agent_updates)
+        root = RngStream(9).substream(2)
+        agent_rng = root.substream(AGENT_STREAM).generator()
+        sample_rng = root.substream(SAMPLE_STREAM).generator()
+        kernel = AdaptedBestResponseKernel(pool)
+        theta = np.zeros(3)
+        errors = [0.0]
+        for gamma in sched.gamma(np.arange(1, 61)):
+            kernel.advance(theta, agent_rng)
+            theta = theta - gamma * loss.grad(theta, kernel.emit(theta, sample_rng)[0])
+            errors.append(float(theta @ theta))
+        assert np.array_equal(trace.errors, errors)
+        assert np.array_equal(trace.final_theta, theta)
+        assert np.array_equal(trace.agent_updates, np.arange(61))
 
     def test_agent_rounds_counted_per_block(self):
         pool, loss = pool_setup()
         cfg = RunConfig(theta0=np.zeros(3), schedule=ConstantSchedule(0.01), horizon=10,
                         learner_iters_per_agent_round=4, seed=9)
-        trace = lazy_run(loss, AdaptedBestResponseKernel(pool), cfg, np.zeros(3))
+        trace = sa_run(loss, AdaptedBestResponseKernel(pool), cfg, np.zeros(3))
         # 10 learner updates in blocks of 4 -> 3 agent rounds
         assert trace.agent_updates[-1] == 3
         assert np.array_equal(trace.agent_updates[1:5], [1, 1, 1, 1])
@@ -200,14 +211,12 @@ class TestLazyRun:
 
         cfg = RunConfig(theta0=np.zeros(3), schedule=ConstantSchedule(0.01), horizon=40,
                         learner_iters_per_agent_round=5, seed=9)
-        lazy_run(loss, SpyKernel(pool), cfg, np.zeros(3))
+        sa_run(loss, SpyKernel(pool), cfg, np.zeros(3))
 
     def test_rejects_minibatch(self):
-        pool, loss = pool_setup()
-        cfg = RunConfig(theta0=np.zeros(3), schedule=ConstantSchedule(0.01), horizon=10,
-                        batch=2, learner_iters_per_agent_round=2, seed=9)
-        with pytest.raises(ValueError):
-            lazy_run(loss, AdaptedBestResponseKernel(pool), cfg, np.zeros(3))
+        with pytest.raises(ValueError, match="one sample per learner update"):
+            RunConfig(theta0=np.zeros(3), schedule=ConstantSchedule(0.01), horizon=10,
+                      batch=2, learner_iters_per_agent_round=2, seed=9)
 
 
 class TestRrm:
