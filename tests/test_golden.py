@@ -6,7 +6,9 @@ the SHA-256 of its ``trace.csv`` and the exact bits of every ``theta_ps`` in
 the repeated-risk-minimization loops and the best-response routines were
 merged. The cases cover greedy runs with several agent transitions per
 update, lazy deployment with a horizon that is not a multiple of the inner
-count, the adapted agent pool and exact best responses with minibatches.
+count, the adapted agent pool, exact best responses with minibatches, and
+minibatches drawn from the i.i.d. Gaussian kernel and from the adapted pool
+(blocked normal draws and draws of distinct agents).
 
 Regenerate the pins only for a deliberate, documented output change::
 
@@ -42,6 +44,15 @@ CASES = {
         "problem": {"kernel": "iid", "m": 50},
         "sweep": [["batch", [1, 4]]],
     },
+    "gaussian_iid_batch": {
+        "preset": "gaussian_ar", "seed": 16, "trials": 2, "horizon": 3000,
+        "problem": {"kernel": "iid"},
+        "sweep": [["batch", [1, 4]]],
+    },
+    "pool_linear_batch": {
+        "preset": "strat_class_linear", "seed": 17, "trials": 2, "horizon": 1500,
+        "sweep": [["batch", [1, 3]]],
+    },
 }
 
 # name -> (SHA-256 of trace.csv, float.hex of every theta_ps entry per point)
@@ -71,12 +82,23 @@ GOLDEN = {
             ["0x1.638e38e38e38ep+3"],
         ],
     ),
+    "gaussian_iid_batch": (
+        "b787de69eb79cc34efa0f54ec93244b053b4d393e8e32aeb1f69129f593726f2",
+        [["0x1.638e38e38e38ep+3"], ["0x1.638e38e38e38ep+3"]],
+    ),
     "gaussian_lazy_inner": (
         "d92cd092db9a7c071dedf8a3080f9c20e205a29d6bb2d097e1dd10abed87f1e1",
         [
             ["0x1.638e38e38e38ep+3"],
             ["0x1.638e38e38e38ep+3"],
             ["0x1.638e38e38e38ep+3"],
+        ],
+    ),
+    "pool_linear_batch": (
+        "71ee94182bbf615f3a7064b93153915b8a14eee3998c44ca716f6f8c5907bb31",
+        [
+            ["0x1.0e9dc4fc26190p-4", "0x1.1273e2ab83aefp-4", "0x1.162f9758e2087p-4"],
+            ["0x1.0e9dc4fc26190p-4", "0x1.1273e2ab83aefp-4", "0x1.162f9758e2087p-4"],
         ],
     ),
     "pool_logistic_lazy": (
