@@ -8,9 +8,26 @@ Three sampling regimes are covered:
 * a pool of agents that adapt their submitted features by one utility
   gradient-ascent step per round instead of replying with the exact argmax.
 
-Every kernel exposes the same two-phase interface: ``advance(theta, rng)``
-performs one Markov transition of the agent state, ``emit(theta, rng, n)``
-produces the sample(s) handed to the learner from the current state.
+Every kernel advances a block of T trials together, each with its own
+random stream, through the same two-phase interface. ``theta`` has shape
+(T, d) and ``rngs`` holds one generator per trial.
+
+* ``advance(theta, rngs)`` performs one Markov transition of every trial's
+  agent state and returns ``None``, or a boolean mask of the trials whose
+  agents failed (recorded as the kernel's ``failure`` kind).
+* ``emit(theta, rngs, n)`` returns ``(batch, failed)``: ``n`` samples per
+  trial drawn from the current state, in the batch layout the matching loss
+  takes (Gaussian scalars of shape (T, n), or pool features (T, n, d) with
+  labels (T, n)), and ``None`` or a mask of failed trials.
+* ``keep(mask)`` drops the other trials from the kernel state.
+
+A kernel is built for ``trials`` trials, and its state carries the trial
+axis: the AR state ``z`` is (T,) and the adapted pool's ``features`` are
+(T, m, d); the memoryless kernels keep no agent state. Draws whose block equals the
+sequence of single draws (normals, and agent indices one at a time) are
+taken from each stream up to ``BLOCK`` at a time, so a trial's values do not
+depend on how many trials share its block. A stream handed to a kernel must
+be used by that kernel only.
 """
 from __future__ import annotations
 
@@ -19,7 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .losses import Sample, sigmoid, log1pexp
+from .losses import log1pexp, samples, sigmoid
 
 __all__ = [
     "GaussianEnv",
@@ -37,6 +54,8 @@ __all__ = [
 
 BR_TOL = 1e-8
 BR_MAX_INNER = 10_000
+# Most draws taken from one stream at a time.
+BLOCK = 1024
 
 
 class BestResponseError(RuntimeError):
@@ -44,7 +63,8 @@ class BestResponseError(RuntimeError):
 
 
 class AgentDivergenceError(RuntimeError):
-    """Agent features became non-finite (response rate too large)."""
+    """Failure kind of a trial whose agent features became non-finite
+    (response rate too large)."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +102,7 @@ class GaussianEnv:
         For the quadratic loss only the mean matters, so the point mass at
         the shifted mean minimizes the same risk as the full Gaussian.
         """
-        return [Sample(scalar=self.shifted_mean(theta))]
+        return samples(scalars=[self.shifted_mean(theta)])
 
 
 @dataclass(frozen=True)
@@ -130,7 +150,8 @@ class LogisticUtility:
         return y * u - log1pexp(u) - np.sum(move * move, axis=-1) / (2.0 * self.epsilon)
 
     def grad(self, xp, base_x, y, theta):
-        u = xp @ theta
+        # theta is (d,), or (T, 1, d) for a trial batch of agents (T, p, d)
+        u = xp @ theta if theta.ndim == 1 else (xp @ np.swapaxes(theta, -1, -2))[..., 0]
         coef = np.asarray(y - sigmoid(u))[..., None]
         return coef * theta - (np.asarray(xp) - np.asarray(base_x)) / self.epsilon
 
@@ -192,29 +213,62 @@ class AgentPool:
     def response_dataset(self, theta: np.ndarray, tol: float = 1e-10) -> list:
         """Exact best-response dataset induced by ``theta`` (labels fixed)."""
         X = self.utility.best_response(self.base_features, self.labels, theta, tol=tol)
-        return [Sample(features=X[i].copy(), label=int(self.labels[i]))
-                for i in range(self.size)]
+        return samples(features=X, labels=self.labels)
+
+
+class _BlockDraws:
+    """Per-trial draws taken from each trial's stream up to ``BLOCK`` at a time.
+
+    ``draw(rng, size)`` must return the values of ``size`` single draws in
+    order, so that blocking leaves every trial's sequence unchanged.
+    """
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.buf = None
+        self.pos = 0
+
+    def take(self, rngs, count: int) -> np.ndarray:
+        """The next ``count`` draws of every trial, shape (count, T)."""
+        if self.buf is None or self.pos + count > self.buf.shape[0]:
+            fresh = np.array([self.draw(rng, max(BLOCK, count)) for rng in rngs]).T
+            if self.buf is not None:
+                fresh = np.concatenate([self.buf[self.pos:], fresh])
+            self.buf, self.pos = np.ascontiguousarray(fresh), 0
+        self.pos += count
+        return self.buf[self.pos - count:self.pos]
+
+    def keep(self, mask):
+        if self.buf is not None:
+            self.buf = self.buf[:, mask]
+
+
+def _noise(env: GaussianEnv) -> _BlockDraws:
+    """The chain's scaled noise ``sigma * N(0, 1)``, drawn in blocks."""
+    return _BlockDraws(lambda rng, size: env.sigma * rng.standard_normal(size))
 
 
 class IidGaussianKernel:
     """Memoryless sampling from the shifted Gaussian law (greedy deploy)."""
 
-    def __init__(self, env: GaussianEnv):
+    def __init__(self, env: GaussianEnv, trials: int = 1):
         self.env = env
+        self._noise = _noise(env)
 
     @property
     def state(self):
         return None
 
-    def advance(self, theta, rng):
-        pass
+    def advance(self, theta, rngs):
+        return None
 
-    def emit(self, theta, rng, n: int = 1):
-        mean = self.env.shifted_mean(theta)
-        if n == 1:
-            return [Sample(scalar=mean + self.env.sigma * rng.standard_normal())]
-        draws = mean + self.env.sigma * rng.standard_normal(n)
-        return [Sample(scalar=float(z)) for z in draws]
+    def emit(self, theta, rngs, n: int = 1):
+        env = self.env
+        mean = env.z_bar + env.epsilon * theta[:, :1]
+        return mean + self._noise.take(rngs, n).T, None
+
+    def keep(self, mask):
+        self._noise.keep(mask)
 
 
 class ArGaussianKernel:
@@ -225,84 +279,116 @@ class ArGaussianKernel:
     exactly the i.i.d. kernel.
     """
 
-    def __init__(self, env: GaussianEnv, z0: Optional[float] = None):
+    def __init__(self, env: GaussianEnv, z0: Optional[float] = None, trials: int = 1):
         self.env = env
-        self.z = env.z_bar if z0 is None else float(z0)
+        self.z = np.full(trials, env.z_bar if z0 is None else float(z0))
+        self._noise = _noise(env)
 
     @property
-    def state(self) -> float:
+    def state(self) -> np.ndarray:
         return self.z
 
-    def advance(self, theta, rng):
+    def advance(self, theta, rngs):
         env = self.env
-        target = env.shifted_mean(theta) + env.sigma * rng.standard_normal()
+        target = (env.z_bar + env.epsilon * theta[:, 0]) + self._noise.take(rngs, 1)[0]
         self.z = (1.0 - env.rho) * self.z + env.rho * target
+        return None
 
-    def emit(self, theta, rng, n: int = 1):
-        return [Sample(scalar=self.z) for _ in range(n)]
+    def emit(self, theta, rngs, n: int = 1):
+        return self.z[:, None].repeat(n, axis=1), None
+
+    def keep(self, mask):
+        self.z = self.z[mask]
+        self._noise.keep(mask)
 
 
-class ExactBestResponseKernel:
+class _PoolKernel:
+    """Agent draws shared by both pool kernels.
+
+    Emitted agents are drawn uniformly: one index per stream draw for
+    n = 1, ``n`` distinct agents per ``choice`` call otherwise.
+    """
+
+    def __init__(self, pool: AgentPool, trials: int = 1):
+        self.pool = pool
+        self._labels = pool.labels.astype(float)
+        self._agents = _BlockDraws(lambda rng, size: rng.integers(pool.size, size=size))
+
+    def draw_agents(self, rngs, n: int) -> np.ndarray:
+        if n == 1:
+            return self._agents.take(rngs, 1).T
+        return np.array([rng.choice(self.pool.size, size=n, replace=False) for rng in rngs])
+
+    def keep(self, mask):
+        self._agents.keep(mask)
+
+
+class ExactBestResponseKernel(_PoolKernel):
     """Memoryless pool sampling where every reply is an exact best response."""
 
-    def __init__(self, pool: AgentPool):
-        self.pool = pool
+    failure = BestResponseError
 
     @property
     def state(self):
         return None
 
-    def advance(self, theta, rng):
-        pass
+    def advance(self, theta, rngs):
+        return None
 
-    def emit(self, theta, rng, n: int = 1):
+    def emit(self, theta, rngs, n: int = 1):
         pool = self.pool
-        if n == 1:
-            idx = [int(rng.integers(pool.size))]
-        else:
-            idx = rng.choice(pool.size, size=n, replace=False)
-        out = []
-        for i in idx:
-            x = pool.utility.best_response(pool.base_features[i], float(pool.labels[i]), theta)
-            out.append(Sample(features=np.asarray(x, dtype=float), label=int(pool.labels[i])))
-        return out
+        idx = self.draw_agents(rngs, n)
+        X = np.empty(idx.shape + (pool.dim,))
+        failed = np.zeros(idx.shape[0], dtype=bool)
+        for t, agents in enumerate(idx):
+            try:
+                for j, i in enumerate(agents):
+                    X[t, j] = pool.utility.best_response(pool.base_features[i], self._labels[i],
+                                                         theta[t])
+            except BestResponseError:
+                failed[t] = True
+        return (X, self._labels[idx]), (failed if failed.any() else None)
 
 
-class AdaptedBestResponseKernel:
+class AdaptedBestResponseKernel(_PoolKernel):
     """Stateful pool: selected agents take one utility ascent step per round.
 
     One transition selects ``participation`` distinct agents uniformly and
     moves their submitted features by ``alpha`` times the utility gradient
     evaluated at their current features; emission then draws agents uniformly
-    from the post-update pool.
+    from the post-update pool. A trial fails when its moved features are not
+    finite.
     """
 
-    def __init__(self, pool: AgentPool):
-        self.pool = pool
-        self.features = pool.base_features.copy()
+    failure = AgentDivergenceError
+
+    def __init__(self, pool: AgentPool, trials: int = 1):
+        super().__init__(pool)
+        self.features = np.tile(pool.base_features, (trials, 1, 1))
 
     @property
     def state(self) -> np.ndarray:
         return self.features
 
-    def advance(self, theta, rng):
+    def advance(self, theta, rngs):
         pool = self.pool
-        idx = rng.choice(pool.size, size=pool.participation, replace=False)
-        g = pool.utility.grad(self.features[idx], pool.base_features[idx],
-                              pool.labels[idx].astype(float), theta)
-        updated = self.features[idx] + pool.alpha * g
-        if not np.all(np.isfinite(updated)):
-            raise AgentDivergenceError("agent features diverged; lower the response rate alpha")
-        self.features[idx] = updated
+        idx = np.array([rng.choice(pool.size, size=pool.participation, replace=False)
+                        for rng in rngs])
+        rows = np.arange(idx.shape[0])[:, None]
+        xp = self.features[rows, idx]
+        g = pool.utility.grad(xp, pool.base_features[idx], self._labels[idx], theta[:, None, :])
+        updated = xp + pool.alpha * g
+        self.features[rows, idx] = updated
+        failed = ~np.isfinite(updated).all(axis=(1, 2))
+        return failed if failed.any() else None
 
-    def emit(self, theta, rng, n: int = 1):
-        pool = self.pool
-        if n == 1:
-            idx = [int(rng.integers(pool.size))]
-        else:
-            idx = rng.choice(pool.size, size=n, replace=False)
-        return [Sample(features=self.features[i].copy(), label=int(pool.labels[i]))
-                for i in idx]
+    def emit(self, theta, rngs, n: int = 1):
+        idx = self.draw_agents(rngs, n)
+        return (self.features[np.arange(idx.shape[0])[:, None], idx], self._labels[idx]), None
+
+    def keep(self, mask):
+        super().keep(mask)
+        self.features = self.features[mask]
 
 
 Kernel = Union[IidGaussianKernel, ArGaussianKernel,

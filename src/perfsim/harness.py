@@ -2,10 +2,11 @@
 
 An experiment is described by an :class:`ExperimentSpec` (usually loaded from
 a JSON config). For every sweep point the harness resolves the stable point
-via the oracle, executes the configured runs across trials (optionally on a
-process pool), aggregates mean and 5th/95th percentile error per recorded
-iteration, and writes plot-ready ``trace.csv`` plus a ``summary.json`` that
-makes the figures reproducible from the file alone.
+via the oracle, splits the trials into contiguous blocks (one per worker of
+a fork process pool, or a single in-process block), runs each block as one
+trial-batched ``sa_run``, aggregates mean and 5th/95th percentile error per
+recorded iteration, and writes plot-ready ``trace.csv`` plus a
+``summary.json`` that makes the figures reproducible from the file alone.
 """
 from __future__ import annotations
 
@@ -22,14 +23,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .agents import (AdaptedBestResponseKernel, AgentDivergenceError, AgentPool,
-                     ArGaussianKernel, BestResponseError, ExactBestResponseKernel,
-                     GaussianEnv, IidGaussianKernel, LogisticUtility, QuadraticUtility)
+from .agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
+                     ExactBestResponseKernel, GaussianEnv, IidGaussianKernel,
+                     LogisticUtility, QuadraticUtility)
 from .core import ConstantSchedule, InverseSchedule, ProblemConstants, as_param
 from .data import generate_synthetic
 from .losses import LogisticLoss, QuadraticLoss, logistic_constants
 from .oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
-from .solver import DivergenceError, RunConfig, sa_run
+from .solver import RunConfig, sa_run
 
 __all__ = [
     "ConfigError",
@@ -330,36 +331,39 @@ def record_grid(horizon: int) -> np.ndarray:
     return np.array(sorted(ks), dtype=np.int64)
 
 
-def _run_point_trial(args):
-    loss, kernel_factory, config, theta_ps, grid, trial = args
-    try:
-        trace = sa_run(loss, kernel_factory(), config, theta_ps, trial=trial)
-    except (DivergenceError, AgentDivergenceError, BestResponseError) as exc:
-        # agent-side failures happen when the learner iterate blows up too;
-        # record the trial as divergent rather than aborting the experiment
-        return {"trial": trial, "iteration": exc.iteration, "kind": type(exc).__name__}
-    return {
+def _run_block(args):
+    """Run a contiguous block of trials; one result dict per trial, in order."""
+    loss, kernel_factory, config, theta_ps, grid, trials = args
+    trace = sa_run(loss, kernel_factory(trials=len(trials)), config, theta_ps,
+                   trials=trials, record=grid)
+    # agent-side failures happen when the learner iterate blows up too; the
+    # trial is recorded as divergent rather than aborting the experiment
+    failed = {f["trial"]: f for f in trace.failures}
+    return [failed.get(trial) or {
         "trial": trial,
-        "errors": trace.errors[grid],
-        "samples": trace.samples_drawn[grid],
-        "agents": trace.agent_updates[grid],
-        "final_theta": trace.final_theta,
-    }
+        "errors": trace.errors[i],
+        "samples": trace.samples_drawn,
+        "agents": trace.agent_updates,
+        "final_theta": trace.final_theta[i],
+    } for i, trial in enumerate(trials)]
 
 
 def _execute_trials(point: ResolvedPoint, grid: np.ndarray, workers: int) -> list:
-    jobs = [(point.loss, point.kernel_factory, point.config, point.theta_ps, grid, trial)
-            for trial in range(point.config.trials)]
-    if workers <= 1 or len(jobs) == 1:
-        return [_run_point_trial(job) for job in jobs]
+    n = point.config.trials
+    blocks = max(1, min(workers, n))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    jobs = [(point.loss, point.kernel_factory, point.config, point.theta_ps, grid, range(lo, hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if len(jobs) == 1:
+        return _run_block(jobs[0])
     import multiprocessing
 
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-posix fallback
         ctx = multiprocessing.get_context()
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), mp_context=ctx) as pool:
-        return list(pool.map(_run_point_trial, jobs))
+    with ProcessPoolExecutor(max_workers=len(jobs), mp_context=ctx) as pool:
+        return [r for block in pool.map(_run_block, jobs) for r in block]
 
 
 def run_experiment(spec: ExperimentSpec):
@@ -401,16 +405,20 @@ def run_experiment(spec: ExperimentSpec):
             (f"err_p95{sfx}", err_p95),
         ])
 
-        rate = None
-        if ok and spec.horizon >= 2:
+        rate = rate_error = None
+        if not ok:
+            rate_error = "no trial survived"
+        elif spec.horizon < 2:
+            rate_error = "horizon is below 2"
+        else:
             k_lo, k_hi = (spec.rate_window if spec.rate_window is not None
                           else (max(1, spec.horizon // 100), spec.horizon))
             try:
                 fit = fit_rate(grid, err_mean, k_lo, k_hi)
                 rate = {"slope": fit.slope, "intercept": fit.intercept,
                         "r2": fit.r2, "k_lo": fit.k_range[0], "k_hi": fit.k_range[1]}
-            except ValueError:
-                rate = None
+            except ValueError as exc:
+                rate_error = str(exc)
         summary_points.append({
             "label": point.label,
             "overrides": point.overrides,
@@ -425,6 +433,7 @@ def run_experiment(spec: ExperimentSpec):
             "learner_iters_per_agent_round": point.config.learner_iters_per_agent_round,
             "diverged": diverged,
             "rate_fit": rate,
+            "rate_fit_error": rate_error,
             "final_mean_error": float(err_mean[-1]) if ok else None,
         })
 

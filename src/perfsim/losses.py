@@ -3,16 +3,28 @@
 Two losses are provided: a scalar quadratic loss for mean estimation and an
 L2-regularized logistic loss for linear classification. Both expose the
 constants needed by step-size selection and by the convergence diagnostics.
+
+``grad`` works on a trial batch: ``theta`` has shape (T, d), one model per
+trial, and the samples carry a leading (T, n) axis pair, n samples per
+trial. The quadratic loss takes the scalars as a (T, n) array; the logistic
+loss takes a ``(features, labels)`` pair of shapes (T, n, d) and (T, n). It
+returns each trial's minibatch gradient, shape (T, d): the per-sample
+gradients summed left to right and divided by n. Dot products go through
+``matmul`` one sample at a time, which gives the same bits as a 1-D dot.
+:class:`Sample` lists are the stable-point oracle's datasets; ``as_batch``
+turns one into a one-trial batch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "Sample",
+    "samples",
+    "as_batch",
     "QuadraticLoss",
     "LogisticLoss",
     "LossModel",
@@ -24,7 +36,7 @@ __all__ = [
 
 @dataclass(slots=True)
 class Sample:
-    """One observation handed to the learner.
+    """One observation of a dataset handed to the stable-point oracle.
 
     Classification samples carry ``features`` (length-d vector) and a 0/1
     ``label``; scalar mean-estimation samples carry ``scalar`` and leave the
@@ -34,6 +46,33 @@ class Sample:
     features: Optional[np.ndarray] = None
     label: Optional[int] = None
     scalar: Optional[float] = None
+
+
+def samples(features=None, labels=None, scalars=None) -> List[Sample]:
+    """Dataset of the rows of ``features`` with their ``labels``, or of ``scalars``."""
+    if scalars is not None:
+        return [Sample(scalar=float(z)) for z in scalars]
+    return [Sample(features=x, label=int(y)) for x, y in zip(features, labels)]
+
+
+def as_batch(dataset: Sequence[Sample]):
+    """One-trial batch of ``dataset``: scalars of shape (1, n), or features and labels."""
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    if dataset[0].scalar is not None:
+        return np.array([[s.scalar for s in dataset]], dtype=float)
+    if any(s.features is None or s.label is None for s in dataset):
+        raise ValueError("samples need a scalar, or features and a label")
+    return (np.array([[s.features for s in dataset]], dtype=float),
+            np.array([[s.label for s in dataset]], dtype=float))
+
+
+def _batch_mean(g: np.ndarray) -> np.ndarray:
+    """Mean over the sample axis of per-sample gradients (T, n, d), summed left to right."""
+    n = g.shape[1]
+    if n == 1:
+        return g[:, 0]
+    return np.add.accumulate(g, axis=1)[:, -1] / n
 
 
 def sigmoid(u):
@@ -59,8 +98,8 @@ class QuadraticLoss:
         r = z - theta[0]
         return 0.5 * r * r
 
-    def grad(self, theta: np.ndarray, sample: Sample) -> np.ndarray:
-        return theta - self._scalar(sample)
+    def grad(self, theta: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+        return _batch_mean(theta[:, None, :] - scalars[:, :, None])
 
     @staticmethod
     def _scalar(sample: Sample) -> float:
@@ -98,15 +137,15 @@ class LogisticLoss:
         u = float(theta @ x)
         return 0.5 * self.beta * float(theta @ theta) + float(log1pexp(u)) - y * u
 
-    def grad(self, theta: np.ndarray, sample: Sample) -> np.ndarray:
-        x, y = self._features(theta, sample)
-        u = float(theta @ x)
-        return self.beta * theta + (float(sigmoid(u)) - y) * x
+    def grad(self, theta: np.ndarray, batch) -> np.ndarray:
+        x, y = batch
+        u = (x[..., None, :] @ theta[:, None, :, None])[..., 0, 0]
+        return _batch_mean(self.beta * theta[:, None, :] + (sigmoid(u) - y)[..., None] * x)
 
     @staticmethod
     def _features(theta, sample: Sample):
         if sample.features is None or sample.label is None:
-            raise ValueError("logistic loss expects feature/label samples")
+            raise ValueError("samples need a scalar, or features and a label")
         x = sample.features
         if x.shape != theta.shape:
             raise ValueError(f"feature shape {x.shape} does not match theta shape {theta.shape}")
@@ -125,12 +164,7 @@ LossModel = Union[QuadraticLoss, LogisticLoss]
 
 def mean_grad(model: LossModel, theta: np.ndarray, dataset: Sequence[Sample]) -> np.ndarray:
     """Arithmetic mean of the per-sample gradient over ``dataset``."""
-    if len(dataset) == 0:
-        raise ValueError("mean_grad requires a non-empty dataset")
-    total = model.grad(theta, dataset[0]).copy()
-    for sample in dataset[1:]:
-        total += model.grad(theta, sample)
-    return total / len(dataset)
+    return model.grad(theta[None], as_batch(dataset))[0]
 
 
 def mean_loss(model: LossModel, theta: np.ndarray, dataset: Sequence[Sample]) -> float:

@@ -4,8 +4,11 @@
 sample(s) from the agent chain and takes one stochastic gradient step, and
 the new model is deployed. Its config selects greedy deployment (one agent
 transition per update), several transitions per update, minibatches, or lazy
-deployment (several learner updates per agent round). ``rrm_run`` is the
-repeated-risk-minimization baseline operating on exact best-response data.
+deployment (several learner updates per agent round). It advances a block
+of trials together as arrays with a leading trial axis; each trial keeps
+its own random streams, so its trace does not depend on the block it runs
+in. ``rrm_run`` is the repeated-risk-minimization baseline operating on
+exact best-response data.
 """
 from __future__ import annotations
 
@@ -14,9 +17,8 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .agents import AgentDivergenceError, BestResponseError
 from .core import RngStream, StepSchedule, as_param
-from .losses import LossModel, Sample, mean_grad, mean_smoothness
+from .losses import LossModel, Sample, as_batch, mean_smoothness
 
 __all__ = [
     "RunConfig",
@@ -41,12 +43,8 @@ DIVERGENCE_CAP = 1e24
 
 
 class DivergenceError(RuntimeError):
-    """Iterates left the finite range; the step size is too aggressive."""
-
-    def __init__(self, iteration: int, error: float):
-        super().__init__(f"run diverged at iteration {iteration} (squared error {error:.3e})")
-        self.iteration = iteration
-        self.error = error
+    """Failure kind of a trial whose iterate left the finite range; the step
+    size is too aggressive."""
 
 
 class ConvergenceError(RuntimeError):
@@ -96,13 +94,22 @@ class RunConfig:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of one run, including the k = 0 starting point."""
+    """Recorded iterations of a block of trials run together.
 
+    ``errors[i, j]`` is the squared distance to the stable point of trial
+    ``trials[i]`` after ``iterations[j]`` updates. A failed trial leaves the
+    block at its failing iteration: its later errors and its ``final_theta``
+    row are NaN, and ``failures`` holds one ``{"trial", "iteration",
+    "kind"}`` record per failed trial, in the order they failed.
+    """
+
+    trials: np.ndarray
     iterations: np.ndarray
     errors: np.ndarray
     samples_drawn: np.ndarray
     agent_updates: np.ndarray
     final_theta: np.ndarray
+    failures: list
 
     def __len__(self):
         return self.iterations.shape[0]
@@ -114,31 +121,78 @@ def _trial_rngs(config: RunConfig, trial: int):
             root.substream(SAMPLE_STREAM).generator())
 
 
-def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trial: int = 0) -> RunTrace:
+def _map_batch(fn, batch):
+    """Apply ``fn`` to the array, or to each array of the tuple, ``batch``."""
+    return tuple(fn(a) for a in batch) if isinstance(batch, tuple) else fn(batch)
+
+
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared norm of every row, by the same dot product as a 1-D ``diff @ diff``."""
+    return (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+
+
+class _BlockEmpty(Exception):
+    """Every trial of the block has failed."""
+
+
+def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
+           record=None) -> RunTrace:
     """Run state-dependent stochastic approximation for ``config.horizon`` updates.
 
-    At the start of every agent round (each ``learner_iters_per_agent_round``
-    updates) the kernel advances ``br_per_iter`` times under the deployed
-    model. Per update, ``batch`` samples are emitted from the current agent
-    state and the model moves against the averaged gradient with step
-    gamma_{k+1}. Errors are recorded as squared distance to ``theta_ps``.
-    Deterministic given ``(config.seed, trial)`` and the kernel's initial
-    state.
+    Advances the trials ``trials`` (default: all ``config.trials``) together;
+    ``kernel`` must be built for that many trials. At the start of every
+    agent round (each ``learner_iters_per_agent_round`` updates) the kernel
+    advances ``br_per_iter`` times under the deployed models. Per update,
+    ``batch`` samples per trial are emitted from the current agent state and
+    each model moves against its averaged gradient with step gamma_{k+1}.
+    Squared distances to ``theta_ps`` are recorded at the increasing
+    iterations ``record`` (default: 0 to the horizon). Each trial is
+    deterministic given ``(config.seed, trial)`` and the kernel's initial
+    state, whatever else runs in its block.
 
-    Raises :class:`DivergenceError` if the iterate leaves the finite range.
-    An agent-side :class:`AgentDivergenceError` or :class:`BestResponseError`
-    propagates with its ``iteration`` attribute set to the failing update.
+    A trial fails when its squared error exceeds ``DIVERGENCE_CAP`` or is
+    not a number (kind :class:`DivergenceError`), or when the kernel reports
+    its agents failed (the kernel's ``failure`` kind). It leaves the block
+    at that iteration; the other trials go on unchanged.
     """
     K = config.horizon
-    theta = config.theta0.copy()
-    target = as_param(theta_ps, d=theta.shape[0])
+    trials = np.arange(config.trials) if trials is None else np.asarray(trials, dtype=np.int64)
+    record = np.arange(K + 1) if record is None else np.asarray(record, dtype=np.int64)
+    if record.size and (record[0] < 0 or record[-1] > K or np.any(np.diff(record) <= 0)):
+        raise ValueError("record must list increasing iterations in [0, horizon]")
+    d = config.theta0.shape[0]
+    target = as_param(theta_ps, d=d)
     gam = np.atleast_1d(np.asarray(config.schedule.gamma(np.arange(1, K + 1)), dtype=float))
-    agent_rng, sample_rng = _trial_rngs(config, trial)
+    gam = gam.tolist()  # Python floats index faster than array elements
+    streams = [_trial_rngs(config, int(t)) for t in trials]
+    agent_rngs = [agent for agent, _ in streams]
+    sample_rngs = [sample for _, sample in streams]
 
-    errors = np.empty(K + 1)
-    diff = theta - target
-    errors[0] = float(diff @ diff)
+    theta = np.tile(config.theta0, (trials.shape[0], 1))
+    rows = np.arange(trials.shape[0])      # output row of each trial in the block
+    errors = np.full((rows.shape[0], record.shape[0]), np.nan)
+    final_theta = np.full(theta.shape, np.nan)
+    failures = []
 
+    def drop(failed, iteration, kind):
+        # remove the failed trials from every per-trial array and stream list
+        nonlocal theta, rows, agent_rngs, sample_rngs
+        failures.extend({"trial": int(trials[r]), "iteration": iteration, "kind": kind.__name__}
+                        for r in rows[failed])
+        keep = ~failed
+        theta, rows = theta[keep], rows[keep]
+        agent_rngs = [rng for rng, kept in zip(agent_rngs, keep) if kept]
+        sample_rngs = [rng for rng, kept in zip(sample_rngs, keep) if kept]
+        kernel.keep(keep)
+        if not rows.shape[0]:
+            raise _BlockEmpty
+        return keep
+
+    slots = record.tolist() + [-1]
+    slot = 0
+    if slots[0] == 0:
+        errors[:, 0] = _sq_norms(theta - target)
+        slot = 1
     br = config.br_per_iter
     batch = config.batch
     inner = config.learner_iters_per_agent_round
@@ -149,27 +203,29 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trial: int = 0)
         for k in range(K):
             if k % inner == 0:
                 for _ in range(br):
-                    advance(theta, agent_rng)
-            samples = emit(theta, sample_rng, batch)
-            g = grad(theta, samples[0])
-            if batch > 1:
-                for s in samples[1:]:
-                    g = g + grad(theta, s)
-                g = g / batch
-            theta = theta - gam[k] * g
-            diff = theta - target
-            err = float(diff @ diff)
-            if not err <= DIVERGENCE_CAP:
-                raise DivergenceError(k + 1, err)
-            errors[k + 1] = err
-    except (AgentDivergenceError, BestResponseError) as exc:
-        exc.iteration = k + 1
-        raise
+                    failed = advance(theta, agent_rngs)
+                    if failed is not None:
+                        drop(failed, k + 1, kernel.failure)
+            samples, failed = emit(theta, sample_rngs, batch)
+            if failed is not None:
+                keep = drop(failed, k + 1, kernel.failure)
+                samples = _map_batch(lambda a: a[keep], samples)
+            theta = theta - gam[k] * grad(theta, samples)
+            err = _sq_norms(theta - target)
+            if not err.max() <= DIVERGENCE_CAP:
+                keep = drop(~(err <= DIVERGENCE_CAP), k + 1, DivergenceError)
+                err = err[keep]
+            if k + 1 == slots[slot]:
+                errors[rows, slot] = err
+                slot += 1
+        final_theta[rows] = theta
+    except _BlockEmpty:
+        pass
 
-    counts = np.arange(K + 1, dtype=np.int64)
-    rounds = (counts + inner - 1) // inner
-    return RunTrace(iterations=counts.copy(), errors=errors, samples_drawn=batch * counts,
-                    agent_updates=br * rounds, final_theta=theta)
+    rounds = (record + inner - 1) // inner
+    return RunTrace(trials=trials, iterations=record, errors=errors,
+                    samples_drawn=batch * record, agent_updates=br * rounds,
+                    final_theta=final_theta, failures=failures)
 
 
 def minimize_empirical_risk(loss: LossModel, dataset: Sequence[Sample], theta0: np.ndarray,
@@ -181,8 +237,9 @@ def minimize_empirical_risk(loss: LossModel, dataset: Sequence[Sample], theta0: 
     """
     theta = as_param(theta0).copy()
     step = 1.0 / mean_smoothness(loss, dataset)
+    batch = as_batch(dataset)
     for _ in range(max_iters):
-        g = mean_grad(loss, theta, dataset)
+        g = loss.grad(theta[None], batch)[0]
         if float(np.sqrt(g @ g)) <= tol:
             return theta
         theta -= step * g
@@ -237,7 +294,7 @@ def one_step_contraction_probe(loss: LossModel, kernel, constants, theta, theta_
     """Estimate the expected post-step squared error and its one-step bound.
 
     Requires a memoryless (i.i.d.) kernel so the stochastic gradient is
-    conditionally unbiased. Returns the Monte Carlo estimate of
+    conditionally unbiased; the ``n_mc`` samples are one emission from it. Returns the Monte Carlo estimate of
     E||theta' - theta_ps||^2 over ``n_mc`` fresh samples (``lhs``), the bound
     ``(1 - 2 gamma mu_tilde + 2 L^2 gamma^2) ||theta - theta_ps||^2
     + 2 sigma^2 gamma^2`` (``rhs``), and the Monte Carlo standard error for
@@ -245,12 +302,11 @@ def one_step_contraction_probe(loss: LossModel, kernel, constants, theta, theta_
     """
     theta = as_param(theta)
     target = as_param(theta_ps, d=theta.shape[0])
-    sq = np.empty(n_mc)
-    for i in range(n_mc):
-        s = kernel.emit(theta, rng, 1)[0]
-        theta_next = theta - gamma * loss.grad(theta, s)
-        d = theta_next - target
-        sq[i] = d @ d
+    samples, _ = kernel.emit(theta[None], [rng], n_mc)
+    # one single-sample step from theta per draw: the draws become n_mc trials
+    one_each = _map_batch(lambda a: a.swapaxes(0, 1), samples)
+    g = loss.grad(np.tile(theta, (n_mc, 1)), one_each)
+    sq = _sq_norms(theta - gamma * g - target)
     lhs = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     mu_tilde = constants.require_contraction()

@@ -123,20 +123,20 @@ def test_c2_rho_ordering(gaussian_study):
 # --------------------------------------------------------------------------
 
 def test_c3_ar_stationary_law():
-    theta = np.array([5.0])
+    theta = np.array([[5.0]])
     start = perf_counter()
     checks = []
     for rho in (0.25, 0.5, 1.0):
         env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=2.0, rho=rho)
         kernel = ArGaussianKernel(env)
-        rng = RngStream(42).substream(int(rho * 100)).generator()
+        rngs = [RngStream(42).substream(int(rho * 100)).generator()]
         for _ in range(10_000):
-            kernel.advance(theta, rng)
+            kernel.advance(theta, rngs)
         zs = np.empty(100_000)
         for i in range(zs.shape[0]):
-            kernel.advance(theta, rng)
-            zs[i] = kernel.state
-        mean_err = abs(zs.mean() - env.shifted_mean(theta)) / abs(env.shifted_mean(theta))
+            kernel.advance(theta, rngs)
+            zs[i] = kernel.state[0]
+        mean_err = abs(zs.mean() - env.shifted_mean(theta[0])) / abs(env.shifted_mean(theta[0]))
         var_err = abs(zs.var() - env.stationary_variance()) / env.stationary_variance()
         checks.append((rho, mean_err, var_err))
     elapsed = perf_counter() - start
@@ -237,11 +237,9 @@ def test_c6_lazy_deploy_ordering():
         horizon = budget * inner
         cfg = RunConfig(theta0=point.config.theta0, schedule=point.config.schedule,
                         horizon=horizon, seed=spec.seed,
-                        learner_iters_per_agent_round=inner)
-        traces = [sa_run(point.loss, point.kernel_factory(), cfg, point.theta_ps, trial=t)
-                  for t in range(10)]
-        mean = np.vstack([t.errors for t in traces]).mean(axis=0)
-        return mean, traces[0].agent_updates
+                        learner_iters_per_agent_round=inner, trials=10)
+        trace = sa_run(point.loss, point.kernel_factory(trials=10), cfg, point.theta_ps)
+        return trace.errors.mean(axis=0), trace.agent_updates
 
     err_1, agents_1 = mean_curve(1)
     err_4, agents_4 = mean_curve(4)
@@ -306,10 +304,10 @@ def test_c8_closed_form_best_response():
     max_dev = 0.0
     for _ in range(3000):
         counts[rng_clone.choice(pool.size, size=pool.participation, replace=False)] += 1
-        kernel.advance(theta, rng)
+        kernel.advance(theta[None], [rng])
         predicted = target + (factor ** counts)[:, None] * (pool.base_features - target)
-        max_dev = max(max_dev, float(np.max(np.abs(kernel.features - predicted))))
-    final_gap = float(np.max(np.abs(kernel.features - target)))
+        max_dev = max(max_dev, float(np.max(np.abs(kernel.features[0] - predicted))))
+    final_gap = float(np.max(np.abs(kernel.features[0] - target)))
     ok = max_dev <= 1e-10 and final_gap <= 1e-10
     report("8 closed-form best response", ok,
            f"max per-step deviation={max_dev:.2e} (<=1e-10), final gap to "
@@ -335,7 +333,7 @@ def test_c9_property_suites(tmp_path):
         x = rng.normal(size=3)
         y = int(rng.integers(2))
         s = Sample(features=x, label=y)
-        g = loss.grad(theta, s)
+        g = mean_grad(loss, theta, [s])
         fd = np.array([
             (loss.loss(theta + h, s) - loss.loss(theta - h, s)) / 2e-6
             for h in (1e-6 * np.eye(3))[:]
@@ -356,7 +354,7 @@ def test_c9_property_suites(tmp_path):
     for _ in range(20):
         s = Sample(features=rng.normal(size=3), label=int(rng.integers(2)))
         t1, t2 = rng.normal(size=3), rng.normal(size=3)
-        lower = (loss.loss(t2, s) + loss.grad(t2, s) @ (t1 - t2)
+        lower = (loss.loss(t2, s) + mean_grad(loss, t2, [s]) @ (t1 - t2)
                  + 0.5 * loss.mu * float((t1 - t2) @ (t1 - t2)))
         convex_ok &= loss.loss(t1, s) >= lower - 1e-9
     notes.append(f"strong convexity {'ok' if convex_ok else 'BAD'}")

@@ -8,12 +8,19 @@ from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, AgentDivergenc
                             IidGaussianKernel, LogisticUtility, QuadraticUtility)
 from perfsim.core import RngStream
 from perfsim.data import generate_synthetic
+from perfsim.losses import Sample
 
 
 def advance_then_emit(kern, theta, rng):
-    """One agent transition followed by one emission, as the learner sees it."""
-    kern.advance(theta, rng)
-    return kern.emit(theta, rng)[0]
+    """One agent transition followed by one emission, as the learner sees it,
+    for a one-trial block; returns the trial's sample."""
+    kern.advance(theta[None], [rng])
+    samples, failed = kern.emit(theta[None], [rng])
+    assert failed is None
+    if isinstance(samples, tuple):
+        features, labels = samples
+        return Sample(features=features[0, 0], label=int(labels[0, 0]))
+    return Sample(scalar=float(samples[0, 0]))
 
 
 def small_pool(utility=None, m=20, d=3, alpha=None, participation=4, eps=0.05):
@@ -49,7 +56,7 @@ class TestIidKernels:
         rng = RngStream(2).generator()
         theta = np.array([4.0])
         n = 100_000
-        zs = np.array([s.scalar for s in kern.emit(theta, rng, n)])
+        zs = kern.emit(theta[None], [rng], n)[0][0]
         assert abs(zs.mean() - env.shifted_mean(theta)) <= 3.0 * env.sigma / math.sqrt(n)
 
     def test_exact_best_response_emission(self):
@@ -87,7 +94,7 @@ class TestArKernel:
         env = GaussianEnv(z_bar=1.0, epsilon=0.2, sigma=3.0, rho=0.4)
         kern = ArGaussianKernel(env)
         out = advance_then_emit(kern, np.array([0.5]), RngStream(6).generator())
-        assert out.scalar == kern.state
+        assert out.scalar == kern.state[0]
 
     def test_noiseless_geometric_mixing(self):
         # Without noise the gap to the shifted mean contracts by exactly
@@ -99,9 +106,9 @@ class TestArKernel:
         rng = RngStream(7).generator()
         gap = 0.0 - target
         for _ in range(30):
-            kern.advance(theta, rng)
+            kern.advance(theta[None], [rng])
             gap *= (1.0 - env.rho)
-            assert kern.state - target == pytest.approx(gap, rel=1e-12, abs=1e-12)
+            assert kern.state[0] - target == pytest.approx(gap, rel=1e-12, abs=1e-12)
 
     def test_monte_carlo_mean_approach(self):
         # |E[z_k] - shifted mean| halves every ceil(log 2 / rho) transitions.
@@ -110,14 +117,14 @@ class TestArKernel:
         target = env.shifted_mean(theta)
         half_steps = math.ceil(math.log(2.0) / env.rho)
         n_chains, z0 = 4000, -10.0
-        rng = RngStream(8).generator()
-        kernels = [ArGaussianKernel(env, z0=z0) for _ in range(n_chains)]
+        rngs = [RngStream(8).substream(i).generator() for i in range(n_chains)]
+        kern = ArGaussianKernel(env, z0=z0, trials=n_chains)
+        thetas = np.tile(theta, (n_chains, 1))
         gap0 = abs(z0 - target)
         for stage in range(1, 4):
-            for kern in kernels:
-                for _ in range(half_steps):
-                    kern.advance(theta, rng)
-            mean_gap = abs(np.mean([k.state for k in kernels]) - target)
+            for _ in range(half_steps):
+                kern.advance(thetas, rngs)
+            mean_gap = abs(np.mean(kern.state) - target)
             predicted = gap0 * (1.0 - env.rho) ** (stage * half_steps)
             stderr = math.sqrt(env.stationary_variance() / n_chains)
             assert mean_gap <= predicted + 3.0 * stderr
@@ -128,11 +135,11 @@ class TestArKernel:
         kern = ArGaussianKernel(env)
         rng = RngStream(9).generator()
         for _ in range(2000):
-            kern.advance(theta, rng)
+            kern.advance(theta[None], [rng])
         zs = np.empty(20_000)
         for i in range(zs.shape[0]):
-            kern.advance(theta, rng)
-            zs[i] = kern.state
+            kern.advance(theta[None], [rng])
+            zs[i] = kern.state[0]
         assert zs.mean() == pytest.approx(env.shifted_mean(theta), rel=0.02)
         assert zs.var() == pytest.approx(env.stationary_variance(), rel=0.10)
 
@@ -194,11 +201,11 @@ class TestAdaptedPool:
         rng = RngStream(12).generator()
         rng_clone = RngStream(12).generator()
         expected_idx = rng_clone.choice(pool.size, size=pool.participation, replace=False)
-        kern.advance(theta, rng)
-        moved = np.flatnonzero(np.any(kern.features != pool.base_features, axis=1))
+        kern.advance(theta[None], [rng])
+        moved = np.flatnonzero(np.any(kern.features[0] != pool.base_features, axis=1))
         assert np.array_equal(np.sort(expected_idx), moved)
         # one ascent step from the base lands at base + alpha * theta
-        assert np.allclose(kern.features[moved],
+        assert np.allclose(kern.features[0, moved],
                            pool.base_features[moved] + pool.alpha * theta,
                            rtol=0, atol=1e-15)
 
@@ -214,10 +221,10 @@ class TestAdaptedPool:
         rng_clone = RngStream(13).generator()
         for _ in range(200):
             idx = rng_clone.choice(pool.size, size=pool.participation, replace=False)
-            kern.advance(theta, rng)
+            kern.advance(theta[None], [rng])
             counts[idx] += 1
             predicted = target + (factor ** counts)[:, None] * (pool.base_features - target)
-            assert np.max(np.abs(kern.features - predicted)) <= 1e-12
+            assert np.max(np.abs(kern.features[0] - predicted)) <= 1e-12
 
     def test_stationarity_under_fixed_theta(self):
         pool = small_pool(participation=5)
@@ -231,8 +238,8 @@ class TestAdaptedPool:
         counts = np.zeros(pool.size, dtype=int)
         while counts.min() < needed:
             counts[rng_clone.choice(pool.size, size=pool.participation, replace=False)] += 1
-            kern.advance(theta, rng)
-        gaps = np.linalg.norm(kern.features - (pool.base_features + eps * theta), axis=1)
+            kern.advance(theta[None], [rng])
+        gaps = np.linalg.norm(kern.features[0] - (pool.base_features + eps * theta), axis=1)
         assert gaps.max() <= tol
 
     def test_base_data_never_mutated(self):
@@ -256,7 +263,7 @@ class TestAdaptedPool:
         rng = RngStream(16).generator()
         for _ in range(10):
             out = advance_then_emit(kern, theta, rng)
-            row = np.all(kern.features == out.features, axis=1)
+            row = np.all(kern.features[0] == out.features, axis=1)
             assert row.any()
             assert out.label == pool.labels[np.flatnonzero(row)[0]]
 
@@ -269,15 +276,15 @@ class TestAdaptedPool:
             rng = RngStream(17).generator()
             for _ in range(5):
                 out = advance_then_emit(kern, theta, rng)
-            outs.append((out.features, kern.features.copy()))
+            outs.append((out.features, kern.features[0].copy()))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
 
     def test_minibatch_emission_distinct(self):
         pool = small_pool()
         kern = AdaptedBestResponseKernel(pool)
-        samples = kern.emit(np.zeros(3), RngStream(18).generator(), n=pool.size)
-        rows = [np.flatnonzero(np.all(kern.features == s.features, axis=1))[0] for s in samples]
+        (features, _), _ = kern.emit(np.zeros((1, 3)), [RngStream(18).generator()], n=pool.size)
+        rows = [np.flatnonzero(np.all(kern.features[0] == x, axis=1))[0] for x in features[0]]
         assert sorted(rows) == list(range(pool.size))
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -285,10 +292,13 @@ class TestAdaptedPool:
         pool = small_pool(alpha=500.0, participation=20)
         kern = AdaptedBestResponseKernel(pool)
         rng = RngStream(19).generator()
-        theta = np.array([1.0, 1.0, 1.0])
-        with pytest.raises(AgentDivergenceError):
-            for _ in range(500):
-                kern.advance(theta, rng)
+        theta = np.array([[1.0, 1.0, 1.0]])
+        for _ in range(500):
+            failed = kern.advance(theta, [rng])
+            if failed is not None:
+                break
+        assert failed is not None and failed[0]
+        assert kern.failure is AgentDivergenceError
 
     def test_pool_validation(self):
         ds = generate_synthetic(d=2, m=10, seed=1)

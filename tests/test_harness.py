@@ -1,15 +1,18 @@
 import csv
+import dataclasses
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
+from perfsim.agents import AdaptedBestResponseKernel
 from perfsim.cli import main as cli_main
 from perfsim.data import generate_synthetic, load_csv
-from perfsim.harness import (ConfigError, ExperimentSpec, record_grid, resolve_points,
-                             run_experiment)
+from perfsim.harness import (ConfigError, ExperimentSpec, _execute_trials, record_grid,
+                             resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss, Sample
-from perfsim.solver import minimize_empirical_risk
+from perfsim.solver import minimize_empirical_risk, sa_run
 
 
 class TestSyntheticData:
@@ -129,12 +132,56 @@ class TestRunExperiment:
         assert float(rows[0]["err_mean"]) == pytest.approx(tps ** 2, rel=1e-15)
 
     def test_byte_identical_reruns_and_worker_invariance(self, tmp_path):
-        outs = []
-        for name, workers in (("a", 1), ("b", 1), ("c", 2)):
-            spec = gaussian_spec(out=str(tmp_path / name), workers=workers)
-            run_experiment(spec)
-            outs.append((tmp_path / name / "trace.csv").read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        # 5 trials split into blocks of 5, 2 + 3 and 1 + 2 + 2, on the AR
+        # chain and on the adapted pool
+        for preset, horizon in (("gaussian_ar", 400), ("strat_class_logistic", 150)):
+            outs = []
+            for name, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 3)):
+                out = tmp_path / preset / name
+                spec = gaussian_spec(preset=preset, trials=5, horizon=horizon,
+                                     out=str(out), workers=workers)
+                run_experiment(spec)
+                outs.append((out / "trace.csv").read_bytes())
+            assert outs[0] == outs[1] == outs[2] == outs[3], preset
+
+    def test_mixed_failure_leaves_other_trials_unchanged(self):
+        class PoisonedPool(AdaptedBestResponseKernel):
+            """Makes the agents of block row 1 non-finite at advance number 120."""
+
+            calls = 0
+
+            def advance(self, theta, rngs):
+                self.calls += 1
+                if self.calls == 120:
+                    self.features[1] = np.nan
+                return super().advance(theta, rngs)
+
+        spec = ExperimentSpec.from_dict({"preset": "strat_class_linear", "seed": 5,
+                                         "trials": 3, "horizon": 300, "out": "unused"})
+        point = resolve_points(spec)[0]
+        poisoned = dataclasses.replace(
+            point, kernel_factory=partial(PoisonedPool, *point.kernel_factory.args))
+        grid = record_grid(spec.horizon)
+        results = _execute_trials(poisoned, grid, workers=1)
+        assert results[1] == {"trial": 1, "iteration": 120, "kind": "AgentDivergenceError"}
+        for trial in (0, 2):
+            alone = sa_run(point.loss, point.kernel_factory(), point.config, point.theta_ps,
+                           trials=[trial], record=grid)
+            assert results[trial]["trial"] == trial
+            assert np.array_equal(results[trial]["errors"], alone.errors[0])
+            assert np.array_equal(results[trial]["final_theta"], alone.final_theta[0])
+
+    def test_missing_rate_fit_is_explained(self, tmp_path):
+        # sigma = epsilon = 0 and a unit step land on theta_ps at k = 1: the
+        # errors are all 0 and no log-log fit exists
+        spec = gaussian_spec(trials=2, horizon=200, out=str(tmp_path),
+                             problem={"gamma": 1.0, "sigma": 0.0, "epsilon": 0.0})
+        point = run_experiment(spec)["points"][0]
+        assert point["final_mean_error"] == 0.0
+        assert point["rate_fit"] is None
+        assert point["rate_fit_error"] == "mean errors must be strictly positive in the fit window"
+        with open(tmp_path / "summary.json") as fh:
+            assert json.load(fh)["points"][0]["rate_fit_error"] == point["rate_fit_error"]
 
     def test_sweep_columns_and_alignment(self, tmp_path):
         spec = gaussian_spec(sweep=[["rho", [0.2, 1.0]]], out=str(tmp_path))
@@ -160,6 +207,7 @@ class TestRunExperiment:
         assert point["schedule"]["c0"] == pytest.approx(500.0 / 0.9)
         assert point["schedule"]["c1"] == pytest.approx(800.0 / 0.81)
         assert point["rate_fit"] is not None
+        assert point["rate_fit_error"] is None
         assert point["diverged"] == []
 
     def test_float_format_round_trips(self, tmp_path):
@@ -167,11 +215,10 @@ class TestRunExperiment:
         run_experiment(spec)
         with open(tmp_path / "trace.csv") as fh:
             rows = list(csv.DictReader(fh))
-        from perfsim.solver import sa_run
         point = resolve_points(spec)[0]
-        trace = sa_run(point.loss, point.kernel_factory(), point.config, point.theta_ps, trial=0)
+        trace = sa_run(point.loss, point.kernel_factory(), point.config, point.theta_ps)
         for i, row in enumerate(rows):
-            assert float(row["err_mean"]) == trace.errors[i]
+            assert float(row["err_mean"]) == trace.errors[0, i]
 
     def test_strat_class_presets_resolve(self, tmp_path):
         # small m makes beta large, so pin a mild constant step for stability
@@ -243,6 +290,7 @@ class TestRunExperiment:
         assert len(point["diverged"]) == 2
         assert all(d["kind"] == "DivergenceError" for d in point["diverged"])
         assert point["final_mean_error"] is None
+        assert point["rate_fit_error"] == "no trial survived"
 
     def test_best_response_breakdown_recorded_as_divergence(self, tmp_path):
         # an unstable schedule drives theta far enough that the fixed-step

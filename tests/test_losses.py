@@ -4,10 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfsim.core import RngStream
-from perfsim.losses import (LogisticLoss, QuadraticLoss, Sample, logistic_constants,
-                            mean_grad, mean_loss, sigmoid)
+from perfsim.losses import (LogisticLoss, QuadraticLoss, Sample, as_batch,
+                            logistic_constants, mean_grad, mean_loss, sigmoid)
 
 finite_floats = st.floats(-20.0, 20.0)
+
+
+def grad1(loss, theta, sample):
+    """Gradient at one sample: a one-trial batch of one sample."""
+    return loss.grad(theta[None], as_batch([sample]))[0]
 
 
 def fd_gradient(fn, theta, h=1e-6):
@@ -25,7 +30,7 @@ class TestQuadratic:
         assert QuadraticLoss().loss(np.array([3.0]), Sample(scalar=3.0)) == 0.0
 
     def test_grad_value(self):
-        g = QuadraticLoss().grad(np.array([1.0]), Sample(scalar=3.0))
+        g = grad1(QuadraticLoss(), np.array([1.0]), Sample(scalar=3.0))
         assert np.array_equal(g, np.array([-2.0]))
 
     def test_rejects_feature_samples(self):
@@ -51,14 +56,14 @@ class TestLogistic:
     def test_grad_at_zero(self):
         loss = LogisticLoss(beta=7.0)
         x = np.array([2.0, -1.0])
-        g = loss.grad(np.zeros(2), Sample(features=x, label=1))
+        g = grad1(loss, np.zeros(2), Sample(features=x, label=1))
         assert np.allclose(g, -x / 2.0, rtol=0, atol=1e-15)
 
     def test_grad_matches_finite_differences(self):
         loss = LogisticLoss(beta=1.0)
         s = Sample(features=np.array([2.0, 1.0]), label=0)
         theta = np.array([0.5, -0.5])
-        g = loss.grad(theta, s)
+        g = grad1(loss, theta, s)
         fd = fd_gradient(lambda t: loss.loss(t, s), theta)
         assert np.max(np.abs(g - fd)) <= 1e-6 * (1.0 + np.max(np.abs(g)))
 
@@ -68,14 +73,14 @@ class TestLogistic:
         theta = np.full(3, 10.0)  # inner product 3000
         for y in (0, 1):
             v = loss.loss(theta, Sample(features=x, label=y))
-            g = loss.grad(theta, Sample(features=x, label=y))
+            g = grad1(loss, theta, Sample(features=x, label=y))
             assert np.isfinite(v)
             assert np.all(np.isfinite(g))
 
     def test_dimension_mismatch(self):
         loss = LogisticLoss(beta=1.0)
         with pytest.raises(ValueError):
-            loss.grad(np.zeros(3), Sample(features=np.zeros(2), label=0))
+            grad1(loss, np.zeros(3), Sample(features=np.zeros(2), label=0))
 
 
 class TestGradientProperties:
@@ -85,7 +90,7 @@ class TestGradientProperties:
         for _ in range(25):
             theta = rng.normal(size=4)
             s = Sample(features=rng.normal(size=4), label=int(rng.integers(2)))
-            g = loss.grad(theta, s)
+            g = grad1(loss, theta, s)
             fd = fd_gradient(lambda t: loss.loss(t, s), theta)
             assert np.max(np.abs(g - fd)) <= 1e-5 * (1.0 + np.max(np.abs(g)))
 
@@ -99,7 +104,7 @@ class TestGradientProperties:
             for _ in range(40):
                 s = draw()
                 t1, t2 = rng.normal(size=d), rng.normal(size=d)
-                lower = (loss.loss(t2, s) + loss.grad(t2, s) @ (t1 - t2)
+                lower = (loss.loss(t2, s) + grad1(loss, t2, s) @ (t1 - t2)
                          + 0.5 * mu * float((t1 - t2) @ (t1 - t2)))
                 assert loss.loss(t1, s) >= lower - 1e-9
 
@@ -112,7 +117,7 @@ class TestGradientProperties:
         loss = LogisticLoss(beta=beta)
         s = Sample(features=np.array(x), label=y)
         t1, t2 = np.array(t1), np.array(t2)
-        lower = (loss.loss(t2, s) + loss.grad(t2, s) @ (t1 - t2)
+        lower = (loss.loss(t2, s) + grad1(loss, t2, s) @ (t1 - t2)
                  + 0.5 * beta * float((t1 - t2) @ (t1 - t2)))
         assert loss.loss(t1, s) >= lower - 1e-7 * (1.0 + abs(lower))
 
@@ -123,14 +128,14 @@ class TestGradientProperties:
             x = rng.normal(size=3)
             s = Sample(features=x, label=int(rng.integers(2)))
             t1, t2 = rng.normal(size=3), rng.normal(size=3)
-            lhs = np.linalg.norm(loss.grad(t1, s) - loss.grad(t2, s))
+            lhs = np.linalg.norm(grad1(loss, t1, s) - grad1(loss, t2, s))
             bound = (1.5 + float(x @ x) / 4.0) * np.linalg.norm(t1 - t2)
             assert lhs <= bound * (1.0 + 1e-12)
         quad = QuadraticLoss()
         for _ in range(10):
             s = Sample(scalar=float(rng.normal()))
             t1, t2 = rng.normal(size=1), rng.normal(size=1)
-            lhs = np.linalg.norm(quad.grad(t1, s) - quad.grad(t2, s))
+            lhs = np.linalg.norm(grad1(quad, t1, s) - grad1(quad, t2, s))
             assert lhs <= 1.0 * np.linalg.norm(t1 - t2) * (1.0 + 1e-12)
 
 
@@ -144,8 +149,29 @@ class TestMeanGrad:
         loss = LogisticLoss(beta=1.0)
         s = Sample(features=np.array([1.0, 2.0]), label=1)
         theta = np.array([0.3, -0.3])
-        assert np.allclose(mean_grad(loss, theta, [s, s]), loss.grad(theta, s),
+        assert np.allclose(mean_grad(loss, theta, [s, s]), grad1(loss, theta, s),
                            rtol=0, atol=1e-15)
+
+    def test_trial_batch_matches_single_trials_bit_for_bit(self):
+        # each trial's row of a (T, n) batch is that trial's minibatch mean,
+        # summed left to right: the same bits as the trial on its own
+        rng = RngStream(37).generator()
+        loss = LogisticLoss(beta=0.9)
+        theta = rng.normal(size=(4, 3))
+        features = rng.normal(size=(4, 5, 3))
+        labels = rng.integers(2, size=(4, 5)).astype(float)
+        g = loss.grad(theta, (features, labels))
+        for t in range(4):
+            data = [Sample(features=features[t, j], label=int(labels[t, j])) for j in range(5)]
+            total = grad1(loss, theta[t], data[0]).copy()
+            for sample in data[1:]:
+                total += grad1(loss, theta[t], sample)
+            assert np.array_equal(g[t], total / 5)
+            assert np.array_equal(g[t], mean_grad(loss, theta[t], data))
+        z = rng.normal(size=(4, 3))
+        gq = QuadraticLoss().grad(theta[:, :1], z)
+        assert np.array_equal(gq, ((theta[:, :1] - z[:, :1]) + (theta[:, :1] - z[:, 1:2])
+                                   + (theta[:, :1] - z[:, 2:])) / 3)
 
     def test_matches_average_of_individual_calls(self):
         rng = RngStream(34).generator()
@@ -153,7 +179,7 @@ class TestMeanGrad:
         theta = rng.normal(size=3)
         data = [Sample(features=rng.normal(size=3), label=int(rng.integers(2)))
                 for _ in range(100)]
-        avg = sum(loss.grad(theta, s) for s in data) / len(data)
+        avg = sum(grad1(loss, theta, s) for s in data) / len(data)
         assert np.max(np.abs(mean_grad(loss, theta, data) - avg)) <= 1e-12
 
     def test_mean_loss_matches_average(self):

@@ -89,7 +89,7 @@ class TestKernelAgreement:
             tps = np.array([theta_ps_gaussian(env)])
             kernel = IidGaussianKernel(env) if name == "iid" else ArGaussianKernel(env)
             cfg = RunConfig(theta0=np.zeros(1), schedule=sched, horizon=3000, seed=1)
-            finals[name] = sa_run(QuadraticLoss(), kernel, cfg, tps).errors[-1]
+            finals[name] = sa_run(QuadraticLoss(), kernel, cfg, tps).errors[0, -1]
         assert finals["iid"] <= 1e-12
         assert finals["ar"] <= 1e-12
 

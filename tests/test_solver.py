@@ -5,9 +5,9 @@ from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKern
                             GaussianEnv, IidGaussianKernel, QuadraticUtility)
 from perfsim.core import ConstantSchedule, InverseSchedule, ProblemConstants, RngStream
 from perfsim.data import generate_synthetic
-from perfsim.losses import LogisticLoss, QuadraticLoss, Sample
+from perfsim.losses import LogisticLoss, QuadraticLoss
 from perfsim.oracle import theta_ps_gaussian
-from perfsim.solver import (AGENT_STREAM, SAMPLE_STREAM, DivergenceError, RunConfig,
+from perfsim.solver import (AGENT_STREAM, SAMPLE_STREAM, RunConfig,
                             one_step_contraction_probe, rrm_run, sa_run)
 
 
@@ -25,12 +25,12 @@ class CountingKernel:
         self.advances = 0
         self.emissions = 0
 
-    def advance(self, theta, rng):
+    def advance(self, theta, rngs):
         self.advances += 1
 
-    def emit(self, theta, rng, n=1):
+    def emit(self, theta, rngs, n=1):
         self.emissions += n
-        return [Sample(scalar=0.0) for _ in range(n)]
+        return np.zeros((theta.shape[0], n)), None
 
 
 def gaussian_setup(sigma=50.0, rho=0.5, epsilon=0.1):
@@ -45,8 +45,8 @@ class TestSaRun:
         env = GaussianEnv(z_bar=5.0, epsilon=0.0, sigma=0.0)
         cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(1.0), horizon=3, seed=0)
         trace = sa_run(QuadraticLoss(), IidGaussianKernel(env), cfg, np.array([5.0]))
-        assert trace.errors[0] == 25.0
-        assert np.all(trace.errors[1:] == 0.0)
+        assert trace.errors[0, 0] == 25.0
+        assert np.all(trace.errors[0, 1:] == 0.0)
 
     def test_matches_deterministic_recursion(self):
         # sigma = 0: theta_{k+1} = (1 - gamma_{k+1}) theta_k + gamma_{k+1} z_bar
@@ -58,14 +58,15 @@ class TestSaRun:
         for k in range(20):
             g = sched.gamma(k + 1)
             theta = (1.0 - g) * theta + g * 7.0
-            assert trace.errors[k + 1] == pytest.approx((theta - 7.0) ** 2, rel=1e-12, abs=1e-300)
+            assert trace.errors[0, k + 1] == pytest.approx((theta - 7.0) ** 2, rel=1e-12,
+                                                           abs=1e-300)
 
     def test_zero_steps_reproduce_theta0(self):
         env, tps = gaussian_setup()
         cfg = RunConfig(theta0=np.array([3.0]), schedule=ZeroSchedule(), horizon=10, seed=1)
         trace = sa_run(QuadraticLoss(), ArGaussianKernel(env), cfg, tps)
-        assert np.all(trace.errors == trace.errors[0])
-        assert np.array_equal(trace.final_theta, np.array([3.0]))
+        assert np.all(trace.errors == trace.errors[0, 0])
+        assert np.array_equal(trace.final_theta, np.array([[3.0]]))
 
     def test_kernel_interface_usage_counts(self):
         kern = CountingKernel()
@@ -83,7 +84,7 @@ class TestSaRun:
 
         def run(trial):
             cfg = RunConfig(theta0=np.zeros(1), schedule=sched, horizon=200, seed=42)
-            return sa_run(QuadraticLoss(), ArGaussianKernel(env), cfg, tps, trial=trial)
+            return sa_run(QuadraticLoss(), ArGaussianKernel(env), cfg, tps, trials=[trial])
 
         a, b, c = run(0), run(0), run(1)
         assert np.array_equal(a.errors, b.errors)
@@ -93,9 +94,12 @@ class TestSaRun:
     def test_divergence_detected(self):
         env, tps = gaussian_setup(sigma=1.0)
         cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(50.0), horizon=500, seed=3)
-        with pytest.raises(DivergenceError) as err:
-            sa_run(QuadraticLoss(), IidGaussianKernel(env), cfg, tps)
-        assert err.value.iteration >= 1
+        trace = sa_run(QuadraticLoss(), IidGaussianKernel(env), cfg, tps)
+        (failure,) = trace.failures
+        assert failure["trial"] == 0 and failure["kind"] == "DivergenceError"
+        assert failure["iteration"] >= 1
+        assert np.isnan(trace.errors[0, failure["iteration"]:]).all()
+        assert np.isnan(trace.final_theta).all()
 
     def test_trace_length_and_counters(self):
         env, tps = gaussian_setup()
@@ -110,7 +114,7 @@ class TestSaRun:
         cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(0.1), horizon=0, seed=5)
         trace = sa_run(QuadraticLoss(), ArGaussianKernel(env), cfg, tps)
         assert len(trace) == 1
-        assert trace.errors[0] == pytest.approx(float(tps[0] ** 2))
+        assert trace.errors[0, 0] == pytest.approx(float(tps[0] ** 2))
 
 
 class TestVariants:
@@ -130,13 +134,10 @@ class TestVariants:
         tps = theta_ps_fixed_point(loss, pool)
         floors = {}
         for batch in (1, 8):
-            tails = []
-            for trial in range(6):
-                cfg = RunConfig(theta0=np.zeros(3), schedule=sched, horizon=3000,
-                                seed=1, batch=batch)
-                trace = sa_run(loss, AdaptedBestResponseKernel(pool), cfg, tps, trial=trial)
-                tails.append(trace.errors[300:].mean())
-            floors[batch] = float(np.mean(tails))
+            cfg = RunConfig(theta0=np.zeros(3), schedule=sched, horizon=3000,
+                            seed=1, batch=batch, trials=6)
+            trace = sa_run(loss, AdaptedBestResponseKernel(pool, trials=6), cfg, tps)
+            floors[batch] = float(np.mean(trace.errors[:, 300:].mean(axis=1)))
         assert floors[8] < 0.5 * floors[1]
 
 
@@ -167,19 +168,20 @@ class TestLazyRun:
         sched = InverseSchedule(c0=0.5, c1=50.0)
         cfg = RunConfig(theta0=np.zeros(3), schedule=sched, horizon=60, seed=9,
                         learner_iters_per_agent_round=1)
-        trace = sa_run(loss, AdaptedBestResponseKernel(pool), cfg, np.zeros(3), trial=2)
+        trace = sa_run(loss, AdaptedBestResponseKernel(pool), cfg, np.zeros(3), trials=[2])
 
         root = RngStream(9).substream(2)
         agent_rng = root.substream(AGENT_STREAM).generator()
         sample_rng = root.substream(SAMPLE_STREAM).generator()
         kernel = AdaptedBestResponseKernel(pool)
-        theta = np.zeros(3)
+        theta = np.zeros((1, 3))
         errors = [0.0]
         for gamma in sched.gamma(np.arange(1, 61)):
-            kernel.advance(theta, agent_rng)
-            theta = theta - gamma * loss.grad(theta, kernel.emit(theta, sample_rng)[0])
-            errors.append(float(theta @ theta))
-        assert np.array_equal(trace.errors, errors)
+            kernel.advance(theta, [agent_rng])
+            samples, _ = kernel.emit(theta, [sample_rng])
+            theta = theta - gamma * loss.grad(theta, samples)
+            errors.append(float(theta[0] @ theta[0]))
+        assert np.array_equal(trace.errors[0], errors)
         assert np.array_equal(trace.final_theta, theta)
         assert np.array_equal(trace.agent_updates, np.arange(61))
 
@@ -201,13 +203,14 @@ class TestLazyRun:
                 super().__init__(pool)
                 self.snapshot = None
 
-            def advance(self, theta, rng):
-                super().advance(theta, rng)
+            def advance(self, theta, rngs):
+                failed = super().advance(theta, rngs)
                 self.snapshot = self.features.copy()
+                return failed
 
-            def emit(self, theta, rng, n=1):
+            def emit(self, theta, rngs, n=1):
                 assert np.array_equal(self.features, self.snapshot)
-                return super().emit(theta, rng, n)
+                return super().emit(theta, rngs, n)
 
         cfg = RunConfig(theta0=np.zeros(3), schedule=ConstantSchedule(0.01), horizon=40,
                         learner_iters_per_agent_round=5, seed=9)
@@ -289,12 +292,10 @@ class TestOneStepBoundUnrolled:
         mu_tilde, lipschitz = 0.9, 1.0
         gamma = min(0.3, mu_tilde / (2 * lipschitz ** 2))
         A = 1.0 - 2 * gamma * mu_tilde + 2 * lipschitz ** 2 * gamma ** 2
-        cfg = RunConfig(theta0=tps + 4.0, schedule=ConstantSchedule(gamma), horizon=1000, seed=77)
         trials = 200
-        errs = np.vstack([
-            sa_run(QuadraticLoss(), IidGaussianKernel(env), cfg, tps, trial=t).errors
-            for t in range(trials)
-        ])
+        cfg = RunConfig(theta0=tps + 4.0, schedule=ConstantSchedule(gamma), horizon=1000,
+                        seed=77, trials=trials)
+        errs = sa_run(QuadraticLoss(), IidGaussianKernel(env), cfg, tps).errors
         err0 = errs[0, 0]
         for k in (10, 100, 1000):
             bound = A ** k * err0 + 2 * env.sigma ** 2 * gamma ** 2 * sum(A ** j for j in range(k))
