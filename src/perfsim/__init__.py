@@ -14,7 +14,7 @@ from .core import (ConstantSchedule, InverseSchedule, ProblemConstants, RngStrea
                    check_schedule, step_at)
 from .data import SyntheticDataset, generate_synthetic, load_csv
 from .harness import ExperimentSpec, run_experiment
-from .losses import LogisticLoss, QuadraticLoss, Sample, logistic_constants, mean_grad
+from .losses import LogisticLoss, QuadraticLoss, logistic_constants, mean_grad
 from .oracle import RateFit, fit_rate, theta_ps_fixed_point, theta_ps_gaussian
 from .solver import (DivergenceError, RunConfig, RunTrace, one_step_contraction_probe,
                      rrm_run, sa_run)

@@ -36,7 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .losses import log1pexp, samples, sigmoid
+from .losses import log1pexp, sigmoid
 
 __all__ = [
     "GaussianEnv",
@@ -54,6 +54,8 @@ __all__ = [
 
 BR_TOL = 1e-8
 BR_MAX_INNER = 10_000
+# Best-response tolerance of the stable-point oracle's datasets.
+RESPONSE_TOL = 1e-10
 # Most draws taken from one stream at a time.
 BLOCK = 1024
 
@@ -81,6 +83,8 @@ class GaussianEnv:
     sigma: float
     rho: float = 1.0
 
+    dim = 1  # the model is a scalar, shape (1,)
+
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
@@ -96,13 +100,14 @@ class GaussianEnv:
         """Variance of the chain's stationary law at any fixed model."""
         return self.sigma ** 2 * self.rho / (2.0 - self.rho)
 
-    def response_dataset(self, theta: np.ndarray) -> list:
+    def response_dataset(self, theta: np.ndarray) -> np.ndarray:
         """Exact representation of the induced law for risk minimization.
 
         For the quadratic loss only the mean matters, so the point mass at
-        the shifted mean minimizes the same risk as the full Gaussian.
+        the shifted mean, a one-trial batch of one scalar, minimizes the
+        same risk as the full Gaussian.
         """
-        return samples(scalars=[self.shifted_mean(theta)])
+        return np.array([[self.shifted_mean(theta)]])
 
 
 @dataclass(frozen=True)
@@ -210,10 +215,11 @@ class AgentPool:
     def dim(self) -> int:
         return self.base_features.shape[1]
 
-    def response_dataset(self, theta: np.ndarray, tol: float = 1e-10) -> list:
-        """Exact best-response dataset induced by ``theta`` (labels fixed)."""
-        X = self.utility.best_response(self.base_features, self.labels, theta, tol=tol)
-        return samples(features=X, labels=self.labels)
+    def response_dataset(self, theta: np.ndarray):
+        """Exact best-response dataset induced by ``theta`` (labels fixed), as a
+        one-trial batch of features (1, m, d) and labels (1, m)."""
+        X = self.utility.best_response(self.base_features, self.labels, theta, tol=RESPONSE_TOL)
+        return X[None], self.labels[None].astype(float)
 
 
 class _BlockDraws:
@@ -389,7 +395,3 @@ class AdaptedBestResponseKernel(_PoolKernel):
     def keep(self, mask):
         super().keep(mask)
         self.features = self.features[mask]
-
-
-Kernel = Union[IidGaussianKernel, ArGaussianKernel,
-               ExactBestResponseKernel, AdaptedBestResponseKernel]

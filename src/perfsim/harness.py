@@ -85,6 +85,14 @@ PRESETS = {
 }
 
 _RUN_FIELD_SWEEPS = ("batch", "br_per_iter", "learner_iters_per_agent_round", "trials")
+_INT_FIELDS = ("seed", "trials", "horizon", "batch", "br_per_iter",
+               "learner_iters_per_agent_round", "workers")
+
+
+def _require_int(name: str, value):
+    # bool is an int subclass, but JSON true is not a count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -137,6 +145,10 @@ class ExperimentSpec:
     def validate(self):
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
+        for name in _INT_FIELDS:
+            _require_int(name, getattr(self, name))
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.horizon < 0:
@@ -152,6 +164,9 @@ class ExperimentSpec:
                 raise ConfigError(f"sweep parameter {param!r} does not name a field")
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"sweep values for {param!r} must be a non-empty list")
+            if param in _RUN_FIELD_SWEEPS:
+                for value in values:
+                    _require_int(f"sweep value of {param}", value)
         if self.rate_window is not None:
             if len(self.rate_window) != 2 or not 1 <= self.rate_window[0] < self.rate_window[1]:
                 raise ConfigError("rate_window must be [k_lo, k_hi] with 1 <= k_lo < k_hi")

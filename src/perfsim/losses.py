@@ -4,75 +4,56 @@ Two losses are provided: a scalar quadratic loss for mean estimation and an
 L2-regularized logistic loss for linear classification. Both expose the
 constants needed by step-size selection and by the convergence diagnostics.
 
-``grad`` works on a trial batch: ``theta`` has shape (T, d), one model per
+Every dataset is a trial batch: ``theta`` has shape (T, d), one model per
 trial, and the samples carry a leading (T, n) axis pair, n samples per
 trial. The quadratic loss takes the scalars as a (T, n) array; the logistic
-loss takes a ``(features, labels)`` pair of shapes (T, n, d) and (T, n). It
-returns each trial's minibatch gradient, shape (T, d): the per-sample
-gradients summed left to right and divided by n. Dot products go through
-``matmul`` one sample at a time, which gives the same bits as a 1-D dot.
-:class:`Sample` lists are the stable-point oracle's datasets; ``as_batch``
-turns one into a one-trial batch.
+loss takes a ``(features, labels)`` pair of shapes (T, n, d) and (T, n). The
+stable-point oracle's datasets are one-trial batches (T = 1).
+
+``grad`` returns each trial's minibatch gradient, shape (T, d), and ``loss``
+each trial's mean loss, shape (T,): the per-sample values summed left to
+right and divided by n. ``smoothness`` is the smoothness constant of a
+one-trial dataset's averaged gradient map. Dot products go through
+:func:`dot`, one ``matmul`` row at a time, which gives the same bits as a
+1-D dot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
 __all__ = [
-    "Sample",
-    "samples",
-    "as_batch",
     "QuadraticLoss",
     "LogisticLoss",
     "LossModel",
     "mean_grad",
-    "mean_loss",
     "logistic_constants",
 ]
 
 
-@dataclass(slots=True)
-class Sample:
-    """One observation of a dataset handed to the stable-point oracle.
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, broadcast over the leading axes.
 
-    Classification samples carry ``features`` (length-d vector) and a 0/1
-    ``label``; scalar mean-estimation samples carry ``scalar`` and leave the
-    other fields unset.
+    Each product is a one-row ``matmul``, which gives the same bits as the
+    1-D ``a @ b`` of that row; a batched ``gemv`` does not.
     """
-
-    features: Optional[np.ndarray] = None
-    label: Optional[int] = None
-    scalar: Optional[float] = None
-
-
-def samples(features=None, labels=None, scalars=None) -> List[Sample]:
-    """Dataset of the rows of ``features`` with their ``labels``, or of ``scalars``."""
-    if scalars is not None:
-        return [Sample(scalar=float(z)) for z in scalars]
-    return [Sample(features=x, label=int(y)) for x, y in zip(features, labels)]
-
-
-def as_batch(dataset: Sequence[Sample]):
-    """One-trial batch of ``dataset``: scalars of shape (1, n), or features and labels."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    if dataset[0].scalar is not None:
-        return np.array([[s.scalar for s in dataset]], dtype=float)
-    if any(s.features is None or s.label is None for s in dataset):
-        raise ValueError("samples need a scalar, or features and a label")
-    return (np.array([[s.features for s in dataset]], dtype=float),
-            np.array([[s.label for s in dataset]], dtype=float))
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _batch_mean(g: np.ndarray) -> np.ndarray:
-    """Mean over the sample axis of per-sample gradients (T, n, d), summed left to right."""
+    """Mean over the sample axis 1 of per-sample values, summed left to right."""
     n = g.shape[1]
     if n == 1:
         return g[:, 0]
     return np.add.accumulate(g, axis=1)[:, -1] / n
+
+
+def _require_samples(batch):
+    """Raise ``ValueError`` on a batch with no samples per trial."""
+    per_trial = batch[1] if isinstance(batch, tuple) else batch
+    if per_trial.shape[1] == 0:
+        raise ValueError("empty dataset")
 
 
 def sigmoid(u):
@@ -91,23 +72,18 @@ class QuadraticLoss:
     mu = 1.0
     lipschitz = 1.0
 
-    def loss(self, theta: np.ndarray, sample: Sample) -> float:
-        z = self._scalar(sample)
-        if theta.shape != (1,):
-            raise ValueError(f"quadratic loss expects theta of length 1, got {theta.shape}")
-        r = z - theta[0]
-        return 0.5 * r * r
+    def loss(self, theta: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+        if isinstance(scalars, tuple):
+            raise ValueError("quadratic loss expects scalar samples")
+        _require_samples(scalars)
+        r = scalars - theta[:, :1]
+        return _batch_mean(0.5 * r * r)
 
     def grad(self, theta: np.ndarray, scalars: np.ndarray) -> np.ndarray:
         return _batch_mean(theta[:, None, :] - scalars[:, :, None])
 
-    @staticmethod
-    def _scalar(sample: Sample) -> float:
-        if sample.scalar is None:
-            raise ValueError("quadratic loss expects scalar samples")
-        return sample.scalar
-
-    def sample_smoothness(self, sample: Sample) -> float:
+    def smoothness(self, scalars: np.ndarray) -> float:
+        _require_samples(scalars)
         return 1.0
 
     def __repr__(self):
@@ -132,28 +108,22 @@ class LogisticLoss:
     def mu(self) -> float:
         return self.beta
 
-    def loss(self, theta: np.ndarray, sample: Sample) -> float:
-        x, y = self._features(theta, sample)
-        u = float(theta @ x)
-        return 0.5 * self.beta * float(theta @ theta) + float(log1pexp(u)) - y * u
+    def loss(self, theta: np.ndarray, batch) -> np.ndarray:
+        _require_samples(batch)
+        x, y = batch
+        u = dot(x, theta[:, None, :])
+        reg = 0.5 * self.beta * dot(theta, theta)
+        return _batch_mean(reg[:, None] + log1pexp(u) - y * u)
 
     def grad(self, theta: np.ndarray, batch) -> np.ndarray:
         x, y = batch
-        u = (x[..., None, :] @ theta[:, None, :, None])[..., 0, 0]
+        u = dot(x, theta[:, None, :])
         return _batch_mean(self.beta * theta[:, None, :] + (sigmoid(u) - y)[..., None] * x)
 
-    @staticmethod
-    def _features(theta, sample: Sample):
-        if sample.features is None or sample.label is None:
-            raise ValueError("samples need a scalar, or features and a label")
-        x = sample.features
-        if x.shape != theta.shape:
-            raise ValueError(f"feature shape {x.shape} does not match theta shape {theta.shape}")
-        return x, float(sample.label)
-
-    def sample_smoothness(self, sample: Sample) -> float:
-        x = sample.features
-        return self.beta + float(x @ x) / 4.0
+    def smoothness(self, batch) -> float:
+        _require_samples(batch)
+        x = batch[0]
+        return float(_batch_mean(self.beta + dot(x, x) / 4.0)[0])
 
     def __repr__(self):
         return f"LogisticLoss(beta={self.beta!r})"
@@ -162,23 +132,10 @@ class LogisticLoss:
 LossModel = Union[QuadraticLoss, LogisticLoss]
 
 
-def mean_grad(model: LossModel, theta: np.ndarray, dataset: Sequence[Sample]) -> np.ndarray:
-    """Arithmetic mean of the per-sample gradient over ``dataset``."""
-    return model.grad(theta[None], as_batch(dataset))[0]
-
-
-def mean_loss(model: LossModel, theta: np.ndarray, dataset: Sequence[Sample]) -> float:
-    """Arithmetic mean of the loss over ``dataset``."""
-    if len(dataset) == 0:
-        raise ValueError("mean_loss requires a non-empty dataset")
-    return sum(model.loss(theta, s) for s in dataset) / len(dataset)
-
-
-def mean_smoothness(model: LossModel, dataset: Sequence[Sample]) -> float:
-    """Smoothness constant of the dataset-averaged gradient map."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    return sum(model.sample_smoothness(s) for s in dataset) / len(dataset)
+def mean_grad(model: LossModel, theta: np.ndarray, batch) -> np.ndarray:
+    """Arithmetic mean of the per-sample gradient over the one-trial dataset ``batch``."""
+    _require_samples(batch)
+    return model.grad(theta[None], batch)[0]
 
 
 def logistic_constants(features: np.ndarray, beta: float, epsilon: float):

@@ -4,7 +4,8 @@ The performative stable point is the fixed point at which the model
 minimizes the risk under the very distribution it induces. For the scalar
 Gaussian environment it is closed form; for agent pools it is computed by
 repeated risk minimization against exact best-response data, which contracts
-whenever the sensitivity is below mu / L.
+whenever the sensitivity is below mu / L. The response data are one-trial
+batches, the layout the learner's losses take (see :mod:`perfsim.losses`).
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .agents import GaussianEnv
 from .losses import LossModel, mean_grad
 from .solver import ConvergenceError, NonContractionError, rrm_run
 
@@ -26,17 +26,12 @@ __all__ = [
 ]
 
 
-def theta_ps_gaussian(env: GaussianEnv) -> float:
-    """Closed-form stable point ``z_bar / (1 - epsilon)`` of the Gaussian problem."""
+def theta_ps_gaussian(env) -> float:
+    """Closed-form stable point ``z_bar / (1 - epsilon)`` of the Gaussian
+    environment ``env``."""
     if env.epsilon >= 1.0:
         raise ValueError("stable point requires epsilon < 1")
     return env.z_bar / (1.0 - env.epsilon)
-
-
-def _problem_dim(problem) -> int:
-    if isinstance(problem, GaussianEnv):
-        return 1
-    return problem.dim
 
 
 def theta_ps_fixed_point(loss: LossModel, problem, theta0=None,
@@ -44,7 +39,8 @@ def theta_ps_fixed_point(loss: LossModel, problem, theta0=None,
                          max_outer: int = 500) -> np.ndarray:
     """Stable point via repeated risk minimization on exact response data.
 
-    ``problem`` must expose ``response_dataset(theta)`` materializing the
+    ``problem`` must expose the model dimension ``dim`` and
+    ``response_dataset(theta)``, the one-trial batch that materializes the
     distribution induced by ``theta`` (a :class:`GaussianEnv` or an
     :class:`AgentPool`). Iterates until consecutive models are within
     ``outer_tol``; the result additionally satisfies the self-consistency
@@ -54,7 +50,7 @@ def theta_ps_fixed_point(loss: LossModel, problem, theta0=None,
     five consecutive steps, which signals the contraction condition fails.
     """
     if theta0 is None:
-        theta0 = np.zeros(_problem_dim(problem))
+        theta0 = np.zeros(problem.dim)
     path = rrm_run(loss, problem.response_dataset, theta0, max_outer,
                    inner_tol=inner_tol, stop_tol=outer_tol)
     theta = path[-1]

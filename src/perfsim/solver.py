@@ -8,17 +8,19 @@ deployment (several learner updates per agent round). It advances a block
 of trials together as arrays with a leading trial axis; each trial keeps
 its own random streams, so its trace does not depend on the block it runs
 in. ``rrm_run`` is the repeated-risk-minimization baseline operating on
-exact best-response data.
+exact best-response data: each outer step minimizes the empirical risk of
+the one-trial batch (see :mod:`perfsim.losses`) that the current model
+induces.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
 from .core import RngStream, StepSchedule, as_param
-from .losses import LossModel, Sample, as_batch, mean_smoothness
+from .losses import LossModel, dot
 
 __all__ = [
     "RunConfig",
@@ -126,11 +128,6 @@ def _map_batch(fn, batch):
     return tuple(fn(a) for a in batch) if isinstance(batch, tuple) else fn(batch)
 
 
-def _sq_norms(diff: np.ndarray) -> np.ndarray:
-    """Squared norm of every row, by the same dot product as a 1-D ``diff @ diff``."""
-    return (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-
-
 class _BlockEmpty(Exception):
     """Every trial of the block has failed."""
 
@@ -191,7 +188,8 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     slots = record.tolist() + [-1]
     slot = 0
     if slots[0] == 0:
-        errors[:, 0] = _sq_norms(theta - target)
+        gap = theta - target
+        errors[:, 0] = dot(gap, gap)
         slot = 1
     br = config.br_per_iter
     batch = config.batch
@@ -211,7 +209,8 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
                 keep = drop(failed, k + 1, kernel.failure)
                 samples = _map_batch(lambda a: a[keep], samples)
             theta = theta - gam[k] * grad(theta, samples)
-            err = _sq_norms(theta - target)
+            gap = theta - target
+            err = dot(gap, gap)
             if not err.max() <= DIVERGENCE_CAP:
                 keep = drop(~(err <= DIVERGENCE_CAP), k + 1, DivergenceError)
                 err = err[keep]
@@ -228,25 +227,25 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
                     final_theta=final_theta, failures=failures)
 
 
-def minimize_empirical_risk(loss: LossModel, dataset: Sequence[Sample], theta0: np.ndarray,
+def minimize_empirical_risk(loss: LossModel, dataset, theta0: np.ndarray,
                             tol: float = 1e-10, max_iters: int = 200_000) -> np.ndarray:
-    """Full-batch gradient descent to gradient norm <= tol.
+    """Full-batch gradient descent on the one-trial batch ``dataset`` to
+    gradient norm <= tol.
 
     The step is the inverse of the dataset-averaged smoothness constant, so
     descent is monotone for both loss models.
     """
     theta = as_param(theta0).copy()
-    step = 1.0 / mean_smoothness(loss, dataset)
-    batch = as_batch(dataset)
+    step = 1.0 / loss.smoothness(dataset)
     for _ in range(max_iters):
-        g = loss.grad(theta[None], batch)[0]
+        g = loss.grad(theta[None], dataset)[0]
         if float(np.sqrt(g @ g)) <= tol:
             return theta
         theta -= step * g
     raise ConvergenceError(f"empirical risk minimization did not reach tol={tol}")
 
 
-def rrm_run(loss: LossModel, distribution_oracle: Callable[[np.ndarray], Sequence[Sample]],
+def rrm_run(loss: LossModel, distribution_oracle: Callable[[np.ndarray], object],
             theta0, outer_iters: int, inner_tol: float = 1e-10,
             stop_tol: float = 0.0) -> List[np.ndarray]:
     """Repeated risk minimization against refreshed best-response data.
@@ -306,7 +305,8 @@ def one_step_contraction_probe(loss: LossModel, kernel, constants, theta, theta_
     # one single-sample step from theta per draw: the draws become n_mc trials
     one_each = _map_batch(lambda a: a.swapaxes(0, 1), samples)
     g = loss.grad(np.tile(theta, (n_mc, 1)), one_each)
-    sq = _sq_norms(theta - gamma * g - target)
+    gap = theta - gamma * g - target
+    sq = dot(gap, gap)
     lhs = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     mu_tilde = constants.require_contraction()

@@ -19,7 +19,7 @@ from perfsim.core import (ConstantSchedule, InverseSchedule, ProblemConstants,
 from perfsim.data import generate_synthetic
 from perfsim.harness import (ExperimentSpec, _execute_trials, record_grid,
                              resolve_points, run_experiment)
-from perfsim.losses import LogisticLoss, QuadraticLoss, Sample, mean_grad
+from perfsim.losses import LogisticLoss, QuadraticLoss, mean_grad
 from perfsim.oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
 from perfsim.solver import RunConfig, one_step_contraction_probe, sa_run
 
@@ -327,15 +327,23 @@ def test_c9_property_suites(tmp_path):
     # gradient / finite-difference agreement (loss and utility)
     loss = LogisticLoss(beta=0.8)
     util = LogisticUtility(epsilon=0.05)
+
+    def one(x, y):
+        # one-trial batch of one sample
+        return x[None, None], np.array([[float(y)]])
+
+    def loss1(theta, s):
+        return float(loss.loss(theta[None], s)[0])
+
     fd_ok = True
     for _ in range(10):
         theta = rng.normal(size=3)
         x = rng.normal(size=3)
         y = int(rng.integers(2))
-        s = Sample(features=x, label=y)
-        g = mean_grad(loss, theta, [s])
+        s = one(x, y)
+        g = mean_grad(loss, theta, s)
         fd = np.array([
-            (loss.loss(theta + h, s) - loss.loss(theta - h, s)) / 2e-6
+            (loss1(theta + h, s) - loss1(theta - h, s)) / 2e-6
             for h in (1e-6 * np.eye(3))[:]
         ])
         fd_ok &= np.max(np.abs(g - fd)) <= 1e-5 * (1.0 + np.max(np.abs(g)))
@@ -352,11 +360,11 @@ def test_c9_property_suites(tmp_path):
     # strong convexity witness
     convex_ok = True
     for _ in range(20):
-        s = Sample(features=rng.normal(size=3), label=int(rng.integers(2)))
+        s = one(rng.normal(size=3), int(rng.integers(2)))
         t1, t2 = rng.normal(size=3), rng.normal(size=3)
-        lower = (loss.loss(t2, s) + mean_grad(loss, t2, [s]) @ (t1 - t2)
+        lower = (loss1(t2, s) + mean_grad(loss, t2, s) @ (t1 - t2)
                  + 0.5 * loss.mu * float((t1 - t2) @ (t1 - t2)))
-        convex_ok &= loss.loss(t1, s) >= lower - 1e-9
+        convex_ok &= loss1(t1, s) >= lower - 1e-9
     notes.append(f"strong convexity {'ok' if convex_ok else 'BAD'}")
 
     # full-pipeline seed determinism: byte-identical trace.csv

@@ -8,19 +8,19 @@ from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, AgentDivergenc
                             IidGaussianKernel, LogisticUtility, QuadraticUtility)
 from perfsim.core import RngStream
 from perfsim.data import generate_synthetic
-from perfsim.losses import Sample
 
 
 def advance_then_emit(kern, theta, rng):
     """One agent transition followed by one emission, as the learner sees it,
-    for a one-trial block; returns the trial's sample."""
+    for a one-trial block; returns the trial's sample: its scalar, or its
+    features and label."""
     kern.advance(theta[None], [rng])
     samples, failed = kern.emit(theta[None], [rng])
     assert failed is None
     if isinstance(samples, tuple):
         features, labels = samples
-        return Sample(features=features[0, 0], label=int(labels[0, 0]))
-    return Sample(scalar=float(samples[0, 0]))
+        return features[0, 0], labels[0, 0]
+    return float(samples[0, 0])
 
 
 def small_pool(utility=None, m=20, d=3, alpha=None, participation=4, eps=0.05):
@@ -48,7 +48,7 @@ class TestIidKernels:
         env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=0.0)
         kern = IidGaussianKernel(env)
         out = advance_then_emit(kern, np.array([1.0]), RngStream(1).generator())
-        assert out.scalar == pytest.approx(10.1, rel=1e-15)
+        assert out == pytest.approx(10.1, rel=1e-15)
 
     def test_monte_carlo_mean(self):
         env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=2.0)
@@ -63,11 +63,11 @@ class TestIidKernels:
         pool = small_pool()
         kern = ExactBestResponseKernel(pool)
         theta = np.array([1.0, -2.0, 0.5])
-        out = advance_then_emit(kern, theta, RngStream(3).generator())
+        features, label = advance_then_emit(kern, theta, RngStream(3).generator())
         shifted = pool.base_features + pool.utility.epsilon * theta
-        matches = np.all(np.isclose(shifted, out.features, rtol=0, atol=1e-15), axis=1)
+        matches = np.all(np.isclose(shifted, features, rtol=0, atol=1e-15), axis=1)
         assert matches.any()
-        assert out.label == pool.labels[np.flatnonzero(matches)[0]]
+        assert label == pool.labels[np.flatnonzero(matches)[0]]
 
 
 class TestArKernel:
@@ -80,21 +80,21 @@ class TestArKernel:
         rng_a = RngStream(4).generator()
         rng_b = RngStream(4).generator()
         for _ in range(50):
-            ar_vals.append(advance_then_emit(ar, theta, rng_a).scalar)
-            iid_vals.append(advance_then_emit(iid, theta, rng_b).scalar)
+            ar_vals.append(advance_then_emit(ar, theta, rng_a))
+            iid_vals.append(advance_then_emit(iid, theta, rng_b))
         assert np.array_equal(ar_vals, iid_vals)
 
     def test_noiseless_midpoint(self):
         env = GaussianEnv(z_bar=4.0, epsilon=0.0, sigma=0.0, rho=0.5)
         kern = ArGaussianKernel(env, z0=0.0)
         out = advance_then_emit(kern, np.array([0.0]), RngStream(5).generator())
-        assert out.scalar == 2.0
+        assert out == 2.0
 
     def test_emission_equals_post_advance_state(self):
         env = GaussianEnv(z_bar=1.0, epsilon=0.2, sigma=3.0, rho=0.4)
         kern = ArGaussianKernel(env)
         out = advance_then_emit(kern, np.array([0.5]), RngStream(6).generator())
-        assert out.scalar == kern.state[0]
+        assert out == kern.state[0]
 
     def test_noiseless_geometric_mixing(self):
         # Without noise the gap to the shifted mean contracts by exactly
@@ -262,10 +262,10 @@ class TestAdaptedPool:
         theta = np.array([0.5, 0.5, 0.5])
         rng = RngStream(16).generator()
         for _ in range(10):
-            out = advance_then_emit(kern, theta, rng)
-            row = np.all(kern.features[0] == out.features, axis=1)
+            features, label = advance_then_emit(kern, theta, rng)
+            row = np.all(kern.features[0] == features, axis=1)
             assert row.any()
-            assert out.label == pool.labels[np.flatnonzero(row)[0]]
+            assert label == pool.labels[np.flatnonzero(row)[0]]
 
     def test_determinism(self):
         pool = small_pool()
@@ -276,7 +276,7 @@ class TestAdaptedPool:
             rng = RngStream(17).generator()
             for _ in range(5):
                 out = advance_then_emit(kern, theta, rng)
-            outs.append((out.features, kern.features[0].copy()))
+            outs.append((out[0], kern.features[0].copy()))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
 

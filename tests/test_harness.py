@@ -11,7 +11,7 @@ from perfsim.cli import main as cli_main
 from perfsim.data import generate_synthetic, load_csv
 from perfsim.harness import (ConfigError, ExperimentSpec, _execute_trials, record_grid,
                              resolve_points, run_experiment)
-from perfsim.losses import LogisticLoss, Sample
+from perfsim.losses import LogisticLoss
 from perfsim.solver import minimize_empirical_risk, sa_run
 
 
@@ -38,8 +38,7 @@ class TestSyntheticData:
     def test_erm_beats_chance(self):
         ds = generate_synthetic(3, 200, seed=7)
         loss = LogisticLoss(beta=5.0)
-        data = [Sample(features=ds.features[i], label=int(ds.labels[i]))
-                for i in range(ds.size)]
+        data = ds.features[None], ds.labels[None].astype(float)
         theta = minimize_empirical_risk(loss, data, np.zeros(3), tol=1e-8)
         pred = (ds.features @ theta > 0).astype(int)
         assert (pred == ds.labels).mean() > 0.5
@@ -307,7 +306,28 @@ class TestRunExperiment:
         assert isinstance(failure["iteration"], int) and 1 <= failure["iteration"] <= 30
 
 
+# Integer fields given another JSON type, or out of range: (override, field named).
+MALFORMED_INTEGERS = [
+    ({"trials": "3"}, "trials"),
+    ({"workers": "2"}, "workers"),
+    ({"horizon": 10.5}, "horizon"),
+    ({"trials": True}, "trials"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.0}, "seed"),
+    ({"batch": None}, "batch"),
+    ({"br_per_iter": 2.0}, "br_per_iter"),
+    ({"learner_iters_per_agent_round": "1"}, "learner_iters_per_agent_round"),
+    ({"sweep": {"trials": [2, "3"]}}, "trials"),
+    ({"sweep": [["batch", [1, False]]]}, "batch"),
+]
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("override,field_name", MALFORMED_INTEGERS)
+    def test_malformed_integer_field_named(self, override, field_name):
+        with pytest.raises(ConfigError, match=field_name):
+            ExperimentSpec.from_dict({"preset": "gaussian_ar", **override})
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict({"preset": "nope"})
@@ -370,6 +390,16 @@ class TestCli:
         cfg = self.write_config(tmp_path, {"preset": "nope"})
         assert cli_main(["run", "--config", cfg]) == 1
         assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 1
+
+    def test_malformed_integer_exit_code(self, tmp_path, capsys):
+        for override, field_name in MALFORMED_INTEGERS:
+            cfg = self.write_config(tmp_path, {"preset": "gaussian_ar", "horizon": 10,
+                                               "out": str(tmp_path / "res"), **override})
+            assert cli_main(["run", "--config", cfg]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("perfsim: error: ")
+            assert field_name in err[0]
+        assert not (tmp_path / "res").exists()
 
     def test_malformed_json_exit_code(self, tmp_path):
         p = tmp_path / "broken.json"

@@ -4,7 +4,7 @@ import pytest
 from perfsim.agents import AgentPool, ArGaussianKernel, GaussianEnv, IidGaussianKernel, QuadraticUtility
 from perfsim.core import InverseSchedule
 from perfsim.data import generate_synthetic
-from perfsim.losses import LogisticLoss, QuadraticLoss, Sample, mean_grad
+from perfsim.losses import LogisticLoss, QuadraticLoss, mean_grad
 from perfsim.oracle import (NonContractionError, fit_rate, theta_ps_fixed_point,
                             theta_ps_gaussian)
 from perfsim.solver import RunConfig, minimize_empirical_risk, sa_run
@@ -36,8 +36,7 @@ class TestFixedPoint:
             dim = 3
 
             def response_dataset(self, theta):
-                return [Sample(features=ds.features[i], label=int(ds.labels[i]))
-                        for i in range(60)]
+                return ds.features[None], ds.labels[None].astype(float)
 
         problem = NoShift()
         theta = theta_ps_fixed_point(loss, problem)
@@ -71,7 +70,7 @@ class TestFixedPoint:
 
             def response_dataset(self, theta):
                 # induced mean moves 1.5x as fast as the model: no fixed point
-                return [Sample(scalar=1.0 + 1.5 * float(theta[0]))]
+                return np.array([[1.0 + 1.5 * float(theta[0])]])
 
         with pytest.raises(NonContractionError):
             theta_ps_fixed_point(QuadraticLoss(), Expanding(), max_outer=100)
