@@ -10,8 +10,7 @@ harness.
 from .agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                      ExactBestResponseKernel, GaussianEnv, IidGaussianKernel,
                      LogisticUtility, QuadraticUtility)
-from .core import (ConstantSchedule, InverseSchedule, ProblemConstants, RngStream,
-                   check_schedule, step_at)
+from .core import ConstantSchedule, InverseSchedule, ProblemConstants, RngStream, check_schedule
 from .data import SyntheticDataset, generate_synthetic, load_csv
 from .harness import ExperimentSpec, run_experiment
 from .losses import LogisticLoss, QuadraticLoss, logistic_constants, mean_grad

@@ -2,11 +2,17 @@
 
 Three sampling regimes are covered:
 
-* memoryless (i.i.d.) sampling from the model-shifted distribution,
+* memoryless (i.i.d.) sampling from the model-shifted distribution: the
+  Gaussian law, or exact best responses of a pool of agents,
 * an autoregressive Gaussian chain whose stationary mean tracks the
   deployed model,
 * a pool of agents that adapt their submitted features by one utility
   gradient-ascent step per round instead of replying with the exact argmax.
+
+An exact best response is the argmax of the agent's utility: ``x + epsilon
+theta`` for the linear gain, ``x + epsilon (y - sigmoid(u)) theta`` for the
+logistic gain, where u is the unique root of a strictly increasing scalar
+function, solved to rounding level (no tolerance, no failure kind).
 
 Every kernel advances a block of T trials together, each with its own
 random stream, through the same two-phase interface. ``theta`` has shape
@@ -18,7 +24,7 @@ random stream, through the same two-phase interface. ``theta`` has shape
 * ``emit(theta, rngs, n)`` returns ``(batch, failed)``: ``n`` samples per
   trial drawn from the current state, in the batch layout the matching loss
   takes (Gaussian scalars of shape (T, n), or pool features (T, n, d) with
-  labels (T, n)), and ``None`` or a mask of failed trials.
+  labels (T, n)), and ``None``: no kernel's emission fails.
 * ``keep(mask)`` drops the other trials from the kernel state.
 
 A kernel is built for ``trials`` trials, and its state carries the trial
@@ -36,7 +42,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .losses import log1pexp, sigmoid
+from .losses import dot, log1pexp, sigmoid
 
 __all__ = [
     "GaussianEnv",
@@ -48,20 +54,11 @@ __all__ = [
     "ArGaussianKernel",
     "ExactBestResponseKernel",
     "AdaptedBestResponseKernel",
-    "BestResponseError",
     "AgentDivergenceError",
 ]
 
-BR_TOL = 1e-8
-BR_MAX_INNER = 10_000
-# Best-response tolerance of the stable-point oracle's datasets.
-RESPONSE_TOL = 1e-10
 # Most draws taken from one stream at a time.
 BLOCK = 1024
-
-
-class BestResponseError(RuntimeError):
-    """Inner best-response maximization failed to reach tolerance."""
 
 
 class AgentDivergenceError(RuntimeError):
@@ -127,7 +124,7 @@ class QuadraticUtility:
     def grad(self, xp, base_x, y, theta):
         return theta - (np.asarray(xp) - np.asarray(base_x)) / self.epsilon
 
-    def best_response(self, base_x, y, theta, tol: float = BR_TOL):
+    def best_response(self, base_x, y, theta):
         return np.asarray(base_x, dtype=float) + self.epsilon * theta
 
 
@@ -135,12 +132,13 @@ class QuadraticUtility:
 class LogisticUtility:
     """Label-aware log-likelihood gain with a quadratic moving cost.
 
-    The argmax has no closed form; ``best_response`` runs gradient ascent
-    with fixed step ``epsilon / 2``, which contracts because the utility is
-    (1/epsilon)-strongly concave with (1/epsilon + ||theta||^2/4)-Lipschitz
-    gradient. It takes one agent (``base_x`` of shape (d,)) or a stack of
-    agents (shape (m, d), with ``y`` of shape (m,)) and stops once every
-    agent's gradient norm is at most ``tol``.
+    The utility ``y u - log(1 + exp(u)) - ||x' - x||^2 / (2 epsilon)`` with
+    ``u = x' . theta`` is strictly concave. Its gradient vanishes at ``x' = x +
+    epsilon (y - sigmoid(u)) theta``; dotting with theta, u solves ``g(u) = u -
+    a - c (y - sigmoid(u)) = 0``, ``a = x . theta``, ``c = epsilon ||theta||^2``.
+    As ``g' >= 1`` the root is unique. ``best_response`` solves it to rounding
+    level, with no tolerance, for agents (..., d) with labels (...) and a theta
+    that broadcasts against them, e.g. (T, 1, d) for (T, n, d).
     """
 
     epsilon: float
@@ -160,15 +158,27 @@ class LogisticUtility:
         coef = np.asarray(y - sigmoid(u))[..., None]
         return coef * theta - (np.asarray(xp) - np.asarray(base_x)) / self.epsilon
 
-    def best_response(self, base_x, y, theta, tol: float = BR_TOL):
-        x = np.array(base_x, dtype=float)
-        step = self.epsilon / 2.0
-        for _ in range(BR_MAX_INNER):
-            g = self.grad(x, base_x, y, theta)
-            if (g * g).sum(axis=-1).max() <= tol * tol:
-                return x
-            x += step * g
-        raise BestResponseError(f"no convergence to tol={tol} in {BR_MAX_INNER} ascent steps")
+    def best_response(self, base_x, y, theta):
+        # Bracketed Newton on g per row: a step that leaves [a + c (y - 1), a + c y]
+        # or does not halve the previous one becomes a bisection. A row freezes
+        # once its step is at rounding level of |a| + c, whatever its neighbours.
+        x, theta = np.asarray(base_x, dtype=float), np.asarray(theta, dtype=float)
+        a, c = dot(x, theta), self.epsilon * dot(theta, theta)
+        lo, hi = a + c * (y - 1.0), a + c * y
+        u, half_last = a, c  # the first Newton step is bounded by the bracket alone
+        floor = 4.0 * np.finfo(float).eps * (np.abs(a) + c)
+        active = np.ones(np.shape(hi), dtype=bool)
+        while active.any():
+            s = sigmoid(u)
+            g = u - a - c * (y - s)
+            lo, hi = np.where(g < 0.0, u, lo), np.where(g > 0.0, u, hi)
+            newton = u - g / (1.0 + c * s * (1.0 - s))
+            ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - u) <= half_last)
+            nxt = np.where(ok, newton, 0.5 * (lo + hi))
+            moved = np.abs(nxt - u)
+            u, half_last = np.where(active, nxt, u), 0.5 * moved
+            active &= moved > floor  # a NaN step freezes too
+        return x + (self.epsilon * (y - sigmoid(u)))[..., None] * theta
 
 
 Utility = Union[QuadraticUtility, LogisticUtility]
@@ -218,7 +228,7 @@ class AgentPool:
     def response_dataset(self, theta: np.ndarray):
         """Exact best-response dataset induced by ``theta`` (labels fixed), as a
         one-trial batch of features (1, m, d) and labels (1, m)."""
-        X = self.utility.best_response(self.base_features, self.labels, theta, tol=RESPONSE_TOL)
+        X = self.utility.best_response(self.base_features, self.labels, theta)
         return X[None], self.labels[None].astype(float)
 
 
@@ -254,19 +264,21 @@ def _noise(env: GaussianEnv) -> _BlockDraws:
     return _BlockDraws(lambda rng, size: env.sigma * rng.standard_normal(size))
 
 
-class IidGaussianKernel:
+class _Memoryless:
+    """A kernel without agent state: a transition changes nothing."""
+
+    state = None
+
+    def advance(self, theta, rngs):
+        return None
+
+
+class IidGaussianKernel(_Memoryless):
     """Memoryless sampling from the shifted Gaussian law (greedy deploy)."""
 
     def __init__(self, env: GaussianEnv, trials: int = 1):
         self.env = env
         self._noise = _noise(env)
-
-    @property
-    def state(self):
-        return None
-
-    def advance(self, theta, rngs):
-        return None
 
     def emit(self, theta, rngs, n: int = 1):
         env = self.env
@@ -329,31 +341,14 @@ class _PoolKernel:
         self._agents.keep(mask)
 
 
-class ExactBestResponseKernel(_PoolKernel):
+class ExactBestResponseKernel(_Memoryless, _PoolKernel):
     """Memoryless pool sampling where every reply is an exact best response."""
 
-    failure = BestResponseError
-
-    @property
-    def state(self):
-        return None
-
-    def advance(self, theta, rngs):
-        return None
-
     def emit(self, theta, rngs, n: int = 1):
-        pool = self.pool
         idx = self.draw_agents(rngs, n)
-        X = np.empty(idx.shape + (pool.dim,))
-        failed = np.zeros(idx.shape[0], dtype=bool)
-        for t, agents in enumerate(idx):
-            try:
-                for j, i in enumerate(agents):
-                    X[t, j] = pool.utility.best_response(pool.base_features[i], self._labels[i],
-                                                         theta[t])
-            except BestResponseError:
-                failed[t] = True
-        return (X, self._labels[idx]), (failed if failed.any() else None)
+        labels = self._labels[idx]
+        X = self.pool.utility.best_response(self.pool.base_features[idx], labels, theta[:, None, :])
+        return (X, labels), None
 
 
 class AdaptedBestResponseKernel(_PoolKernel):

@@ -8,8 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (ConfigError, ExperimentSpec, preset_descriptions,
-                      resolve_points, run_experiment)
+from .harness import PRESETS, ConfigError, ExperimentSpec, resolve_points, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +53,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "presets":
-            for name, desc in preset_descriptions():
+            for name, desc in PRESETS.items():
                 print(f"{name}: {desc}")
             return 0
         if args.command == "oracle":

@@ -21,7 +21,6 @@ __all__ = [
     "ConstantSchedule",
     "InverseSchedule",
     "StepSchedule",
-    "step_at",
     "ScheduleReport",
     "check_schedule",
     "RngStream",
@@ -120,13 +119,6 @@ class InverseSchedule:
 
 
 StepSchedule = Union[ConstantSchedule, InverseSchedule]
-
-
-def step_at(schedule: StepSchedule, k: int) -> float:
-    """Step size gamma_k of ``schedule`` at iteration ``k >= 1``."""
-    if k < 1:
-        raise ValueError("step index k must be >= 1")
-    return float(schedule.gamma(k))
 
 
 @dataclass

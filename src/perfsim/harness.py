@@ -36,7 +36,6 @@ __all__ = [
     "ConfigError",
     "ExperimentSpec",
     "PRESETS",
-    "preset_descriptions",
     "record_grid",
     "resolve_points",
     "run_experiment",
@@ -95,6 +94,11 @@ def _require_int(name: str, value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_scalar(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float, type(None))):
+        raise ConfigError(f"{name} must be null, a string or a number, got {value!r}")
+
+
 @dataclass
 class ExperimentSpec:
     """Declarative description of one experiment.
@@ -147,38 +151,47 @@ class ExperimentSpec:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
         for name in _INT_FIELDS:
             _require_int(name, getattr(self, name))
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        for name in ("seed", "horizon", "workers"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be >= 0")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a string, got {self.out!r}")
+        if not isinstance(self.problem, dict):
+            raise ConfigError(f"problem must be an object, got {self.problem!r}")
         defaults = _problem_defaults(self.preset)
         unknown = set(self.problem) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown problem parameter(s) for {self.preset}: "
                               f"{', '.join(sorted(unknown))}")
-        sweep = self.normalized_sweep()
-        for param, values in sweep:
+        for param, value in self.problem.items():
+            _require_scalar(f"problem parameter {param}", value)
+        pairs = self.sweep.items() if isinstance(self.sweep, dict) else self.sweep
+        if not isinstance(self.sweep, (dict, list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
+                for pair in pairs):
+            raise ConfigError(f"sweep must be a list of [name, values] pairs, got {self.sweep!r}")
+        for param, values in pairs:
             if param not in defaults and param not in _RUN_FIELD_SWEEPS:
                 raise ConfigError(f"sweep parameter {param!r} does not name a field")
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"sweep values for {param!r} must be a non-empty list")
-            if param in _RUN_FIELD_SWEEPS:
-                for value in values:
-                    _require_int(f"sweep value of {param}", value)
-        if self.rate_window is not None:
-            if len(self.rate_window) != 2 or not 1 <= self.rate_window[0] < self.rate_window[1]:
-                raise ConfigError("rate_window must be [k_lo, k_hi] with 1 <= k_lo < k_hi")
+            check = _require_int if param in _RUN_FIELD_SWEEPS else _require_scalar
+            for value in values:
+                check(f"sweep value of {param}", value)
+        window = self.rate_window
+        if window is not None and not (
+                isinstance(window, (list, tuple)) and len(window) == 2
+                and all(isinstance(k, int) and not isinstance(k, bool) for k in window)
+                and 1 <= window[0] < window[1]):
+            raise ConfigError("rate_window must be [k_lo, k_hi], two integers with "
+                              f"1 <= k_lo < k_hi, got {window!r}")
 
     def normalized_sweep(self) -> list:
         if isinstance(self.sweep, dict):
             return list(self.sweep.items())
         return [tuple(pair) for pair in self.sweep]
-
-
-def preset_descriptions() -> list:
-    return [(name, desc) for name, desc in PRESETS.items()]
 
 
 def _problem_defaults(preset: str) -> dict:

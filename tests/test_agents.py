@@ -187,10 +187,84 @@ class TestUtilities:
             base = rng.normal(size=3)
             theta = rng.normal(size=3)
             y = float(rng.integers(2))
-            x = util.best_response(base, y, theta, tol=1e-8)
+            x = util.best_response(base, y, theta)
             g = util.grad(x, base, y, theta)
             assert np.linalg.norm(g) <= 1e-8
             assert util.value(x, base, y, theta) >= util.value(base, base, y, theta)
+
+
+def ascent_best_response(util, base_x, y, theta, tol, max_steps=10_000):
+    """Reference: fixed-step gradient ascent on the utility (step epsilon / 2)
+    until the gradient norm is at most ``tol``; it contracts only while
+    ``epsilon ||theta||^2 < 12``."""
+    x = np.array(base_x, dtype=float)
+    for _ in range(max_steps):
+        g = util.grad(x, base_x, y, theta)
+        if g @ g <= tol * tol:
+            return x
+        x += util.epsilon / 2.0 * g
+    raise RuntimeError(f"no convergence to tol={tol} in {max_steps} ascent steps")
+
+
+def random_agents(rng, scale, m, d=3):
+    """``m`` agents with labels and one model theta = scale * N(0, I)."""
+    X = rng.normal(size=(m, d))
+    y = rng.integers(2, size=m).astype(float)
+    return X, y, scale * rng.normal(size=d)
+
+
+class TestLogisticBestResponseRoot:
+    """The exact logistic best response is the unique scalar root; no tolerance."""
+
+    util = LogisticUtility(epsilon=0.05)
+    eps = np.finfo(float).eps
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
+    def test_matches_gradient_ascent(self, scale):
+        rng = RngStream(20).generator()
+        for _ in range(10):
+            X, y, theta = random_agents(rng, scale, m=5)
+            got = self.util.best_response(X, y, theta)
+            for i in range(X.shape[0]):
+                ref = ascent_best_response(self.util, X[i], y[i], theta, tol=1e-12)
+                assert np.max(np.abs(got[i] - ref)) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [10.0, 30.0])
+    def test_first_order_and_improvement_where_ascent_fails(self, scale):
+        # here the reference ascent fails for some agents: it contracts only
+        # while epsilon ||theta||^2 < 12
+        rng = RngStream(21).generator()
+        for _ in range(10):
+            X, y, theta = random_agents(rng, scale, m=20)
+            x = self.util.best_response(X, y, theta)
+            a = X @ theta
+            c = self.util.epsilon * (theta @ theta)
+            residual = np.linalg.norm(self.util.grad(x, X, y, theta), axis=1)
+            rounding = self.eps * ((np.abs(a) + c) * np.linalg.norm(theta)
+                                   + np.linalg.norm(X, axis=1) / self.util.epsilon)
+            assert np.all(residual <= 4.0 * rounding)
+            # the utility subtracts terms of size |u|; its rounding is allowed for
+            gain = self.util.value(x, X, y, theta) - self.util.value(X, X, y, theta)
+            assert np.all(gain >= -8.0 * self.eps * (1.0 + np.abs(a) + c))
+
+    def test_stack_equals_rows_bit_for_bit(self):
+        rng = RngStream(22).generator()
+        scales = np.array([0.1, 1.0, 3.0, 10.0, 30.0, 1e3])
+        T, n, d = scales.shape[0], 4, 3
+        X = rng.normal(size=(T, n, d))
+        y = rng.integers(2, size=(T, n)).astype(float)
+        theta = (scales[:, None] * rng.normal(size=(T, d)))[:, None, :]
+        stacked = self.util.best_response(X, y, theta)
+        for t in range(T):
+            for j in range(n):
+                alone = self.util.best_response(X[t, j], y[t, j], theta[t, 0])
+                assert np.array_equal(stacked[t, j], alone)
+        pool = self.util.best_response(X[-1], y[-1], theta[-1, 0])
+        assert np.array_equal(pool, stacked[-1])
+
+    def test_zero_theta_is_base(self):
+        X = np.array([[1.0, -2.0], [0.5, 0.0]])
+        assert np.array_equal(self.util.best_response(X, np.array([1.0, 0.0]), np.zeros(2)), X)
 
 
 class TestAdaptedPool:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfsim.core import (ConstantSchedule, InverseSchedule, ProblemConstants,
-                          RngStream, as_param, check_schedule, step_at)
+                          RngStream, as_param, check_schedule)
 
 
 def make_constants(mu=1.0, lipschitz=1.0, sensitivity=0.1, sigma_noise=0.0):
@@ -13,39 +13,37 @@ def make_constants(mu=1.0, lipschitz=1.0, sensitivity=0.1, sigma_noise=0.0):
 
 
 class TestStepAt:
+    """The step size gamma_k of a schedule at iteration k."""
+
     def test_inverse_first_step(self):
-        assert step_at(InverseSchedule(c0=6.0, c1=2.0), 1) == 2.0
+        assert InverseSchedule(c0=6.0, c1=2.0).gamma(1) == 2.0
 
     def test_constant_any_k(self):
-        assert step_at(ConstantSchedule(0.01), 999) == 0.01
+        assert ConstantSchedule(0.01).gamma(999) == 0.01
 
     def test_gaussian_preset_first_step(self):
         # mu = 1, L = 1, eps = 0.1 -> mu_tilde = 0.9; c0 = 500/0.9, c1 = 800/0.81
         mu_tilde = 0.9
         sched = InverseSchedule(c0=500.0 / mu_tilde, c1=800.0 / mu_tilde ** 2)
         expected = (500.0 / 0.9) / (800.0 / 0.81 + 1.0)
-        assert step_at(sched, 1) == pytest.approx(expected, rel=1e-14)
+        assert sched.gamma(1) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(0.562, abs=1e-3)
-
-    def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            step_at(ConstantSchedule(0.1), 0)
 
     @given(c0=st.floats(0.01, 1e3), c1=st.floats(0.0, 1e4),
            k=st.integers(1, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_inverse_positive_and_non_increasing(self, c0, c1, k):
         sched = InverseSchedule(c0=c0, c1=c1)
-        g1 = step_at(sched, k)
-        g2 = step_at(sched, k + 1)
+        g1 = sched.gamma(k)
+        g2 = sched.gamma(k + 1)
         assert g1 > 0
         assert g2 <= g1
 
     def test_vectorized_matches_scalar(self):
-        sched = InverseSchedule(c0=3.0, c1=7.0)
-        ks = np.arange(1, 50)
-        gv = sched.gamma(ks)
-        assert np.array_equal(gv, np.array([step_at(sched, int(k)) for k in ks]))
+        for sched in (InverseSchedule(c0=3.0, c1=7.0), ConstantSchedule(0.25)):
+            ks = np.arange(1, 50)
+            gv = sched.gamma(ks)
+            assert np.array_equal(gv, np.array([sched.gamma(int(k)) for k in ks]))
 
 
 class TestScheduleValidation:

@@ -132,16 +132,19 @@ class TestRunExperiment:
 
     def test_byte_identical_reruns_and_worker_invariance(self, tmp_path):
         # 5 trials split into blocks of 5, 2 + 3 and 1 + 2 + 2, on the AR
-        # chain and on the adapted pool
-        for preset, horizon in (("gaussian_ar", 400), ("strat_class_logistic", 150)):
+        # chain, the adapted pool and exact best responses in minibatches of 3
+        cases = (("gaussian_ar", 400, {}),
+                 ("strat_class_logistic", 150, {}),
+                 ("strat_class_logistic", 150, {"problem": {"kernel": "iid"}, "batch": 3}))
+        for case, (preset, horizon, extra) in enumerate(cases):
             outs = []
             for name, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 3)):
-                out = tmp_path / preset / name
+                out = tmp_path / str(case) / name
                 spec = gaussian_spec(preset=preset, trials=5, horizon=horizon,
-                                     out=str(out), workers=workers)
+                                     out=str(out), workers=workers, **extra)
                 run_experiment(spec)
                 outs.append((out / "trace.csv").read_bytes())
-            assert outs[0] == outs[1] == outs[2] == outs[3], preset
+            assert outs[0] == outs[1] == outs[2] == outs[3], (preset, extra)
 
     def test_mixed_failure_leaves_other_trials_unchanged(self):
         class PoisonedPool(AdaptedBestResponseKernel):
@@ -291,23 +294,22 @@ class TestRunExperiment:
         assert point["final_mean_error"] is None
         assert point["rate_fit_error"] == "no trial survived"
 
-    def test_best_response_breakdown_recorded_as_divergence(self, tmp_path):
-        # an unstable schedule drives theta far enough that the fixed-step
-        # best-response ascent cannot converge; the trial must be flagged,
-        # not crash the experiment
+    def test_exact_best_responses_follow_an_unstable_schedule(self, tmp_path):
+        # an unstable schedule drives theta to about 1e10; the exact best
+        # response has no step cap or tolerance to break down, so the trial
+        # runs to the horizon (agent failures are covered by the adapted pool)
         spec = ExperimentSpec.from_dict({
             "preset": "strat_class_logistic", "seed": 3, "trials": 1, "horizon": 30,
             "workers": 1, "out": str(tmp_path),
             "problem": {"m": 30, "data_seed": 2, "kernel": "iid"},
         })
-        summary = run_experiment(spec)
-        (failure,) = summary["points"][0]["diverged"]
-        assert failure["kind"] == "BestResponseError"
-        assert isinstance(failure["iteration"], int) and 1 <= failure["iteration"] <= 30
+        point = run_experiment(spec)["points"][0]
+        assert point["diverged"] == []
+        assert 1e12 < point["final_mean_error"] < 1e24
 
 
-# Integer fields given another JSON type, or out of range: (override, field named).
-MALFORMED_INTEGERS = [
+# Fields given a JSON type they do not take, or out of range: (override, field named).
+MALFORMED_FIELDS = [
     ({"trials": "3"}, "trials"),
     ({"workers": "2"}, "workers"),
     ({"horizon": 10.5}, "horizon"),
@@ -319,11 +321,21 @@ MALFORMED_INTEGERS = [
     ({"learner_iters_per_agent_round": "1"}, "learner_iters_per_agent_round"),
     ({"sweep": {"trials": [2, "3"]}}, "trials"),
     ({"sweep": [["batch", [1, False]]]}, "batch"),
+    ({"rate_window": [1, "x"]}, "rate_window"),
+    ({"rate_window": 5}, "rate_window"),
+    ({"out": 5}, "out"),
+    ({"problem": [1]}, "problem"),
+    ({"problem": {"rho": [1]}}, "rho"),
+    ({"problem": {"sigma": True}}, "sigma"),
+    ({"sweep": 5}, "sweep"),
+    ({"sweep": [["rho"]]}, "sweep"),
+    ({"sweep": [["rho", [0.5, {"x": 1}]]]}, "rho"),
+    ({"workers": -3}, "workers"),
 ]
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("override,field_name", MALFORMED_INTEGERS)
+    @pytest.mark.parametrize("override,field_name", MALFORMED_FIELDS)
     def test_malformed_integer_field_named(self, override, field_name):
         with pytest.raises(ConfigError, match=field_name):
             ExperimentSpec.from_dict({"preset": "gaussian_ar", **override})
@@ -392,7 +404,7 @@ class TestCli:
         assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 
     def test_malformed_integer_exit_code(self, tmp_path, capsys):
-        for override, field_name in MALFORMED_INTEGERS:
+        for override, field_name in MALFORMED_FIELDS:
             cfg = self.write_config(tmp_path, {"preset": "gaussian_ar", "horizon": 10,
                                                "out": str(tmp_path / "res"), **override})
             assert cli_main(["run", "--config", cfg]) == 1
