@@ -21,10 +21,10 @@ random stream, through the same two-phase interface. ``theta`` has shape
 * ``advance(theta, rngs)`` performs one Markov transition of every trial's
   agent state and returns ``None``, or a boolean mask of the trials whose
   agents failed (recorded as the kernel's ``failure`` kind).
-* ``emit(theta, rngs, n)`` returns ``(batch, failed)``: ``n`` samples per
-  trial drawn from the current state, in the batch layout the matching loss
-  takes (Gaussian scalars of shape (T, n), or pool features (T, n, d) with
-  labels (T, n)), and ``None``: no kernel's emission fails.
+* ``emit(theta, rngs, n)`` returns ``n`` samples per trial drawn from the
+  current state, in the batch layout the matching loss takes (Gaussian
+  scalars of shape (T, n), or pool features (T, n, d) with labels (T, n)).
+  An emission cannot fail.
 * ``keep(mask)`` drops the other trials from the kernel state.
 
 A kernel is built for ``trials`` trials, and its state carries the trial
@@ -150,7 +150,9 @@ class LogisticUtility:
     def value(self, xp, base_x, y, theta):
         u = xp @ theta
         move = np.asarray(xp) - np.asarray(base_x)
-        return y * u - log1pexp(u) - np.sum(move * move, axis=-1) / (2.0 * self.epsilon)
+        # y u - log(1 + exp(u)) for y in {0, 1}, without subtracting terms of size |u|
+        gain = -log1pexp((1.0 - 2.0 * y) * u)
+        return gain - np.sum(move * move, axis=-1) / (2.0 * self.epsilon)
 
     def grad(self, xp, base_x, y, theta):
         # theta is (d,), or (T, 1, d) for a trial batch of agents (T, p, d)
@@ -283,7 +285,7 @@ class IidGaussianKernel(_Memoryless):
     def emit(self, theta, rngs, n: int = 1):
         env = self.env
         mean = env.z_bar + env.epsilon * theta[:, :1]
-        return mean + self._noise.take(rngs, n).T, None
+        return mean + self._noise.take(rngs, n).T
 
     def keep(self, mask):
         self._noise.keep(mask)
@@ -313,7 +315,7 @@ class ArGaussianKernel:
         return None
 
     def emit(self, theta, rngs, n: int = 1):
-        return self.z[:, None].repeat(n, axis=1), None
+        return self.z[:, None].repeat(n, axis=1)
 
     def keep(self, mask):
         self.z = self.z[mask]
@@ -348,7 +350,7 @@ class ExactBestResponseKernel(_Memoryless, _PoolKernel):
         idx = self.draw_agents(rngs, n)
         labels = self._labels[idx]
         X = self.pool.utility.best_response(self.pool.base_features[idx], labels, theta[:, None, :])
-        return (X, labels), None
+        return X, labels
 
 
 class AdaptedBestResponseKernel(_PoolKernel):
@@ -385,7 +387,7 @@ class AdaptedBestResponseKernel(_PoolKernel):
 
     def emit(self, theta, rngs, n: int = 1):
         idx = self.draw_agents(rngs, n)
-        return (self.features[np.arange(idx.shape[0])[:, None], idx], self._labels[idx]), None
+        return self.features[np.arange(idx.shape[0])[:, None], idx], self._labels[idx]
 
     def keep(self, mask):
         super().keep(mask)

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -49,31 +50,36 @@ class ConfigError(ValueError):
     """The experiment description is invalid."""
 
 
-_GAUSSIAN_DEFAULTS = {
-    "z_bar": 10.0,
-    "sigma": 50.0,
-    "epsilon": 0.1,
-    "rho": 0.5,
-    "kernel": "ar",          # "ar" or "iid" (greedy deploy)
-    "z0": None,              # initial chain state; defaults to z_bar
-    "gamma": None,           # set for a constant step size instead of c0/c1
-    "c0": None,              # diminishing-schedule constants; default
-    "c1": None,              # 500/mu_tilde and 800/mu_tilde^2
-}
-
-_POOL_DEFAULTS = {
-    "d": 3,
-    "m": 200,
-    "data_seed": 7,
-    "separation": 1.0,
-    "epsilon": 0.01,
-    "beta": None,            # default 1000/m
-    "participation": 5,
-    "alpha": None,           # default 0.5 * epsilon
-    "kernel": "pool",        # "pool" (adapted BR) or "iid" (exact BR greedy deploy)
-    "gamma": None,           # set for a constant step size instead of c0/c1
-    "c0": None,              # default 100/mu_tilde
-    "c1": None,              # default 8 L^2 / mu_tilde^2
+# The problem fields of each family: name -> (default, kind). A kind is
+# float (a finite number), int, or the tuple of strings the field takes. A
+# field whose default is None may be null, which means "derived".
+_FAMILIES = {
+    "gaussian": {
+        "z_bar": (10.0, float),
+        "sigma": (50.0, float),
+        "epsilon": (0.1, float),
+        "rho": (0.5, float),
+        "kernel": ("ar", ("ar", "iid")),      # "iid": memoryless (greedy deploy)
+        "z0": (None, float),                  # initial chain state; z_bar
+        "gamma": (None, float),               # a constant step size instead of c0/c1
+        "c0": (None, float),                  # 500/mu_tilde
+        "c1": (None, float),                  # 800/mu_tilde^2
+    },
+    "pool": {
+        "d": (3, int),
+        "m": (200, int),
+        "data_seed": (7, int),
+        "separation": (1.0, float),
+        "epsilon": (0.01, float),
+        "beta": (None, float),                # 1000/m
+        "participation": (5, int),
+        "alpha": (None, float),               # 0.5 * epsilon
+        "kernel": ("pool", ("pool", "iid")),  # adapted BR, or exact BR (greedy deploy)
+        "utility": ("quadratic", ("quadratic", "logistic")),
+        "gamma": (None, float),
+        "c0": (None, float),                  # 100/mu_tilde
+        "c1": (None, float),                  # 8 L^2/mu_tilde^2
+    },
 }
 
 PRESETS = {
@@ -83,20 +89,46 @@ PRESETS = {
     "custom": "fully explicit problem description (see README)",
 }
 
+# preset -> (family, utility); a custom problem names both itself
+_PRESET_FAMILY = {
+    "gaussian_ar": ("gaussian", None),
+    "strat_class_linear": ("pool", "quadratic"),
+    "strat_class_logistic": ("pool", "logistic"),
+    "custom": (None, None),
+}
+
+# The integer run fields and their least values; the first four may be swept.
+_RUN_FIELDS = {"batch": 1, "br_per_iter": 1, "learner_iters_per_agent_round": 1, "trials": 1,
+               "seed": 0, "horizon": 0, "workers": 0}
 _RUN_FIELD_SWEEPS = ("batch", "br_per_iter", "learner_iters_per_agent_round", "trials")
-_INT_FIELDS = ("seed", "trials", "horizon", "batch", "br_per_iter",
-               "learner_iters_per_agent_round", "workers")
 
 
-def _require_int(name: str, value):
-    # bool is an int subclass, but JSON true is not a count
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+def _check(name: str, value, kind, least=None):
+    """Raise a ConfigError naming ``name`` unless ``value`` is of ``kind``:
+    float (a finite number), int (an integer, at least ``least``), or a
+    tuple of the strings the field takes."""
+    # bool is an int subclass, but JSON true is not a number
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        ok, want = number and abs(value) <= sys.float_info.max, "a finite number"
+    elif kind is int:
+        ok, want = number and isinstance(value, int), "an integer"
+        if least is not None:
+            ok, want = ok and value >= least, f"an integer >= {least}"
+    else:
+        ok, want = value in kind, "one of " + ", ".join(kind)
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
 
 
-def _require_scalar(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, (str, int, float, type(None))):
-        raise ConfigError(f"{name} must be null, a string or a number, got {value!r}")
+def _fields(preset: str, problem: dict) -> dict:
+    """The problem fields ``preset`` takes: name -> (default, kind)."""
+    family, _ = _PRESET_FAMILY[preset]
+    if family is None:  # custom: the family is a field, and so is a pool's utility
+        family = problem.get("family", "gaussian")
+        _check("problem parameter family", family, tuple(_FAMILIES))
+        return {"family": (family, tuple(_FAMILIES)), **_FAMILIES[family]}
+    return {name: field for name, field in _FAMILIES[family].items() if name != "utility"}
 
 
 @dataclass
@@ -147,39 +179,43 @@ class ExperimentSpec:
         return cls.from_dict(raw)
 
     def validate(self):
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
-        for name in _INT_FIELDS:
-            _require_int(name, getattr(self, name))
-        for name in ("seed", "horizon", "workers"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        _check("preset", self.preset, tuple(PRESETS))
+        for name, least in _RUN_FIELDS.items():
+            _check(name, getattr(self, name), int, least)
         if not isinstance(self.out, str):
             raise ConfigError(f"out must be a string, got {self.out!r}")
+        if not isinstance(self.theta0, (list, tuple, type(None))):
+            raise ConfigError(f"theta0 must be null or a list of numbers, got {self.theta0!r}")
+        for value in self.theta0 or ():
+            _check("theta0 entry", value, float)
         if not isinstance(self.problem, dict):
             raise ConfigError(f"problem must be an object, got {self.problem!r}")
-        defaults = _problem_defaults(self.preset)
-        unknown = set(self.problem) - set(defaults)
+        fields = _fields(self.preset, self.problem)
+        unknown = set(self.problem) - set(fields)
         if unknown:
             raise ConfigError(f"unknown problem parameter(s) for {self.preset}: "
                               f"{', '.join(sorted(unknown))}")
-        for param, value in self.problem.items():
-            _require_scalar(f"problem parameter {param}", value)
         pairs = self.sweep.items() if isinstance(self.sweep, dict) else self.sweep
         if not isinstance(self.sweep, (dict, list, tuple)) or not all(
                 isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
                 for pair in pairs):
             raise ConfigError(f"sweep must be a list of [name, values] pairs, got {self.sweep!r}")
         for param, values in pairs:
-            if param not in defaults and param not in _RUN_FIELD_SWEEPS:
-                raise ConfigError(f"sweep parameter {param!r} does not name a field")
+            # the family selects the field table, so it is not swept
+            if param == "family" or (param not in fields and param not in _RUN_FIELD_SWEEPS):
+                raise ConfigError(f"sweep parameter {param!r} does not name a field "
+                                  "that can be swept")
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"sweep values for {param!r} must be a non-empty list")
-            check = _require_int if param in _RUN_FIELD_SWEEPS else _require_scalar
-            for value in values:
-                check(f"sweep value of {param}", value)
+        checks = [(f"problem parameter {param}", param, value)
+                  for param, value in self.problem.items()]
+        checks += [(f"sweep value of {param}", param, value)
+                   for param, values in pairs for value in values]
+        for name, param, value in checks:
+            if param in _RUN_FIELD_SWEEPS:
+                _check(name, value, int, _RUN_FIELDS[param])
+            elif value is not None or fields[param][0] is not None:
+                _check(name, value, fields[param][1])
         window = self.rate_window
         if window is not None and not (
                 isinstance(window, (list, tuple)) and len(window) == 2
@@ -192,18 +228,6 @@ class ExperimentSpec:
         if isinstance(self.sweep, dict):
             return list(self.sweep.items())
         return [tuple(pair) for pair in self.sweep]
-
-
-def _problem_defaults(preset: str) -> dict:
-    if preset == "gaussian_ar":
-        return dict(_GAUSSIAN_DEFAULTS)
-    if preset in ("strat_class_linear", "strat_class_logistic"):
-        return dict(_POOL_DEFAULTS)
-    # custom: a family key selects which defaults apply
-    merged = {"family": "gaussian", "utility": "quadratic"}
-    merged.update(_GAUSSIAN_DEFAULTS)
-    merged.update(_POOL_DEFAULTS)
-    return merged
 
 
 @dataclass
@@ -241,12 +265,8 @@ def _resolve_gaussian(params: dict, spec: ExperimentSpec, run_fields: dict) -> R
     mu_tilde = constants.require_contraction()
     schedule = _make_schedule(params, 500.0 / mu_tilde, 800.0 / mu_tilde ** 2)
     theta_ps = np.array([theta_ps_gaussian(env)])
-    if params["kernel"] == "ar":
-        kernel_factory = partial(ArGaussianKernel, env, params["z0"])
-    elif params["kernel"] == "iid":
-        kernel_factory = partial(IidGaussianKernel, env)
-    else:
-        raise ConfigError(f"unknown gaussian kernel {params['kernel']!r}")
+    kernel_factory = (partial(ArGaussianKernel, env, params["z0"]) if params["kernel"] == "ar"
+                      else partial(IidGaussianKernel, env))
     theta0 = as_param(spec.theta0 if spec.theta0 is not None else [0.0], d=1)
     config = RunConfig(theta0=theta0, schedule=schedule, horizon=spec.horizon,
                        seed=spec.seed, **run_fields)
@@ -257,23 +277,16 @@ def _resolve_gaussian(params: dict, spec: ExperimentSpec, run_fields: dict) -> R
                          schedule_desc=schedule.describe(), problem_desc=desc)
 
 
-def _resolve_pool(params: dict, spec: ExperimentSpec, run_fields: dict,
-                  utility_kind: str) -> ResolvedPoint:
-    dataset = generate_synthetic(d=int(params["d"]), m=int(params["m"]),
-                                 seed=int(params["data_seed"]),
+def _resolve_pool(params: dict, spec: ExperimentSpec, run_fields: dict) -> ResolvedPoint:
+    dataset = generate_synthetic(d=params["d"], m=params["m"], seed=params["data_seed"],
                                  separation=float(params["separation"]))
     epsilon = float(params["epsilon"])
     beta = float(params["beta"]) if params["beta"] is not None else 1000.0 / dataset.size
     alpha = float(params["alpha"]) if params["alpha"] is not None else 0.5 * epsilon
-    if utility_kind == "quadratic":
-        utility = QuadraticUtility(epsilon=epsilon)
-    elif utility_kind == "logistic":
-        utility = LogisticUtility(epsilon=epsilon)
-    else:
-        raise ConfigError(f"unknown utility {utility_kind!r}")
+    utility = {"quadratic": QuadraticUtility, "logistic": LogisticUtility}[params["utility"]]
     pool = AgentPool(base_features=dataset.features, labels=dataset.labels,
-                     utility=utility, alpha=alpha,
-                     participation=int(params["participation"]))
+                     utility=utility(epsilon=epsilon), alpha=alpha,
+                     participation=params["participation"])
     loss = LogisticLoss(beta=beta)
     lipschitz, mu_tilde = logistic_constants(dataset.features, beta=beta, epsilon=epsilon)
     if mu_tilde <= 0:
@@ -281,19 +294,15 @@ def _resolve_pool(params: dict, spec: ExperimentSpec, run_fields: dict,
                           "the problem is outside the contraction regime")
     schedule = _make_schedule(params, 100.0 / mu_tilde, 8.0 * lipschitz ** 2 / mu_tilde ** 2)
     theta_ps = theta_ps_fixed_point(loss, pool)
-    if params["kernel"] == "pool":
-        kernel_factory = partial(AdaptedBestResponseKernel, pool)
-    elif params["kernel"] == "iid":
-        kernel_factory = partial(ExactBestResponseKernel, pool)
-    else:
-        raise ConfigError(f"unknown pool kernel {params['kernel']!r}")
+    kernel = {"pool": AdaptedBestResponseKernel, "iid": ExactBestResponseKernel}[params["kernel"]]
+    kernel_factory = partial(kernel, pool)
     theta0 = as_param(spec.theta0 if spec.theta0 is not None else np.zeros(dataset.dim),
                       d=dataset.dim)
     config = RunConfig(theta0=theta0, schedule=schedule, horizon=spec.horizon,
                        seed=spec.seed, **run_fields)
     desc = {"d": dataset.dim, "m": dataset.size, "data_seed": params["data_seed"],
-            "utility": utility_kind, "epsilon": epsilon, "beta": beta, "alpha": alpha,
-            "participation": int(params["participation"]), "kernel": params["kernel"],
+            "utility": params["utility"], "epsilon": epsilon, "beta": beta, "alpha": alpha,
+            "participation": params["participation"], "kernel": params["kernel"],
             "lipschitz_est": lipschitz, "mu_tilde_est": mu_tilde}
     return ResolvedPoint(label="", overrides={}, loss=loss, kernel_factory=kernel_factory,
                          config=config, theta_ps=theta_ps,
@@ -301,31 +310,16 @@ def _resolve_pool(params: dict, spec: ExperimentSpec, run_fields: dict,
 
 
 def _resolve_point(spec: ExperimentSpec, overrides: dict) -> ResolvedPoint:
-    params = _problem_defaults(spec.preset)
+    family, utility = _PRESET_FAMILY[spec.preset]
+    params = {"family": family, "utility": utility}
+    params.update((name, default) for name, (default, _) in
+                  _fields(spec.preset, spec.problem).items())
     params.update(spec.problem)
     run_fields = {name: getattr(spec, name) for name in _RUN_FIELD_SWEEPS}
     for key, value in overrides.items():
-        if key in _RUN_FIELD_SWEEPS:
-            run_fields[key] = value
-        else:
-            params[key] = value
-
-    if spec.preset == "gaussian_ar":
-        point = _resolve_gaussian(params, spec, run_fields)
-    elif spec.preset == "strat_class_linear":
-        point = _resolve_pool(params, spec, run_fields, "quadratic")
-    elif spec.preset == "strat_class_logistic":
-        point = _resolve_pool(params, spec, run_fields, "logistic")
-    elif spec.preset == "custom":
-        family = params.get("family")
-        if family == "gaussian":
-            point = _resolve_gaussian(params, spec, run_fields)
-        elif family == "pool":
-            point = _resolve_pool(params, spec, run_fields, params.get("utility", "quadratic"))
-        else:
-            raise ConfigError("custom preset requires problem.family of 'gaussian' or 'pool'")
-    else:  # pragma: no cover - guarded by validate()
-        raise ConfigError(f"unknown preset {spec.preset!r}")
+        (run_fields if key in _RUN_FIELD_SWEEPS else params)[key] = value
+    resolve = _resolve_gaussian if params["family"] == "gaussian" else _resolve_pool
+    point = resolve(params, spec, run_fields)
     point.label = _point_label(overrides)
     point.overrides = overrides
     return point

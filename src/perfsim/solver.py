@@ -148,9 +148,9 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     state, whatever else runs in its block.
 
     A trial fails when its squared error exceeds ``DIVERGENCE_CAP`` or is
-    not a number (kind :class:`DivergenceError`), or when the kernel reports
-    its agents failed (the kernel's ``failure`` kind). It leaves the block
-    at that iteration; the other trials go on unchanged.
+    not a number (kind :class:`DivergenceError`), or when the kernel's
+    ``advance`` reports its agents failed (the kernel's ``failure`` kind).
+    It leaves the block at that iteration; the other trials go on unchanged.
     """
     K = config.horizon
     trials = np.arange(config.trials) if trials is None else np.asarray(trials, dtype=np.int64)
@@ -204,11 +204,7 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
                     failed = advance(theta, agent_rngs)
                     if failed is not None:
                         drop(failed, k + 1, kernel.failure)
-            samples, failed = emit(theta, sample_rngs, batch)
-            if failed is not None:
-                keep = drop(failed, k + 1, kernel.failure)
-                samples = _map_batch(lambda a: a[keep], samples)
-            theta = theta - gam[k] * grad(theta, samples)
+            theta = theta - gam[k] * grad(theta, emit(theta, sample_rngs, batch))
             gap = theta - target
             err = dot(gap, gap)
             if not err.max() <= DIVERGENCE_CAP:
@@ -301,7 +297,7 @@ def one_step_contraction_probe(loss: LossModel, kernel, constants, theta, theta_
     """
     theta = as_param(theta)
     target = as_param(theta_ps, d=theta.shape[0])
-    samples, _ = kernel.emit(theta[None], [rng], n_mc)
+    samples = kernel.emit(theta[None], [rng], n_mc)
     # one single-sample step from theta per draw: the draws become n_mc trials
     one_each = _map_batch(lambda a: a.swapaxes(0, 1), samples)
     g = loss.grad(np.tile(theta, (n_mc, 1)), one_each)

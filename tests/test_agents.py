@@ -15,8 +15,7 @@ def advance_then_emit(kern, theta, rng):
     for a one-trial block; returns the trial's sample: its scalar, or its
     features and label."""
     kern.advance(theta[None], [rng])
-    samples, failed = kern.emit(theta[None], [rng])
-    assert failed is None
+    samples = kern.emit(theta[None], [rng])
     if isinstance(samples, tuple):
         features, labels = samples
         return features[0, 0], labels[0, 0]
@@ -56,7 +55,7 @@ class TestIidKernels:
         rng = RngStream(2).generator()
         theta = np.array([4.0])
         n = 100_000
-        zs = kern.emit(theta[None], [rng], n)[0][0]
+        zs = kern.emit(theta[None], [rng], n)[0]
         assert abs(zs.mean() - env.shifted_mean(theta)) <= 3.0 * env.sigma / math.sqrt(n)
 
     def test_exact_best_response_emission(self):
@@ -243,9 +242,8 @@ class TestLogisticBestResponseRoot:
             rounding = self.eps * ((np.abs(a) + c) * np.linalg.norm(theta)
                                    + np.linalg.norm(X, axis=1) / self.util.epsilon)
             assert np.all(residual <= 4.0 * rounding)
-            # the utility subtracts terms of size |u|; its rounding is allowed for
             gain = self.util.value(x, X, y, theta) - self.util.value(X, X, y, theta)
-            assert np.all(gain >= -8.0 * self.eps * (1.0 + np.abs(a) + c))
+            assert np.all(gain >= -self.eps * (1.0 + np.abs(a) + c))
 
     def test_stack_equals_rows_bit_for_bit(self):
         rng = RngStream(22).generator()
@@ -357,7 +355,7 @@ class TestAdaptedPool:
     def test_minibatch_emission_distinct(self):
         pool = small_pool()
         kern = AdaptedBestResponseKernel(pool)
-        (features, _), _ = kern.emit(np.zeros((1, 3)), [RngStream(18).generator()], n=pool.size)
+        features, _ = kern.emit(np.zeros((1, 3)), [RngStream(18).generator()], n=pool.size)
         rows = [np.flatnonzero(np.all(kern.features[0] == x, axis=1))[0] for x in features[0]]
         assert sorted(rows) == list(range(pool.size))
 

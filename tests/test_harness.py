@@ -1,10 +1,16 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import tempfile
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from perfsim.agents import AdaptedBestResponseKernel
 from perfsim.cli import main as cli_main
@@ -265,6 +271,20 @@ class TestRunExperiment:
         summary = run_experiment(spec)
         assert summary["points"][0]["problem"]["utility"] == "quadratic"
 
+    def test_custom_families_match_their_presets(self, tmp_path):
+        # a custom problem takes its family's defaults, not those of another family
+        cases = (("gaussian_ar", {"family": "gaussian"}),
+                 ("strat_class_logistic", {"family": "pool", "utility": "logistic"}))
+        for preset, problem in cases:
+            runs = []
+            for name, extra in (("preset", {"preset": preset}),
+                                ("custom", {"preset": "custom", "problem": problem})):
+                out = tmp_path / preset / name
+                summary = run_experiment(gaussian_spec(trials=2, horizon=300, out=str(out),
+                                                       **extra))
+                runs.append(((out / "trace.csv").read_bytes(), summary["points"]))
+            assert runs[0] == runs[1], preset
+
     def test_batch_and_br_sweeps_affect_counters(self, tmp_path):
         spec = ExperimentSpec.from_dict({
             "preset": "strat_class_linear", "seed": 3, "trials": 1, "horizon": 8,
@@ -331,6 +351,21 @@ MALFORMED_FIELDS = [
     ({"sweep": [["rho"]]}, "sweep"),
     ({"sweep": [["rho", [0.5, {"x": 1}]]]}, "rho"),
     ({"workers": -3}, "workers"),
+    ({"preset": "strat_class_linear", "problem": {"d": 3.7}}, "parameter d"),
+    ({"preset": "strat_class_linear", "problem": {"data_seed": 7.9}}, "data_seed"),
+    ({"preset": "strat_class_linear", "sweep": [["d", [2.5]]]}, "value of d"),
+    ({"preset": "strat_class_linear", "problem": {"m": "200"}}, "parameter m"),
+    ({"problem": {"epsilon": "0.1"}}, "epsilon"),
+    ({"problem": {"z_bar": float("nan")}}, "z_bar"),
+    ({"problem": {"sigma": float("inf")}}, "sigma"),
+    ({"preset": "strat_class_linear", "problem": {"alpha": float("inf")}}, "alpha"),
+    ({"theta0": {"a": 1}}, "theta0"),
+    ({"theta0": [float("nan")]}, "theta0"),
+    ({"problem": {"z_bar": None}}, "z_bar"),
+    ({"preset": "strat_class_linear", "problem": {"d": None}}, "parameter d"),
+    ({"preset": "strat_class_linear", "sweep": [["m", [None]]]}, "value of m"),
+    ({"preset": "custom", "problem": {"family": "gaussian", "m": 200}}, "custom: m"),
+    ({"preset": "custom", "problem": {"family": "pool", "z_bar": 1}}, "custom: z_bar"),
 ]
 
 
@@ -438,3 +473,78 @@ class TestCli:
         assert cli_main(["run", "--config", cfg]) == 1
         assert "one sample per learner update" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+# Mixed JSON values for the fuzz test. Integers stay in [-3, 50] so that no
+# draw allocates large arrays; horizon and trials are always set, and bounded
+# apart, and workers is fixed at 1, so every run stays small and in this
+# process. Problem keys are mostly those of the drawn preset, so that many
+# configs get past validation.
+_NAMES = st.sampled_from(["ar", "iid", "pool", "gaussian", "quadratic", "logistic", "x", "0.1"])
+_NUMBERS = st.one_of(st.integers(1, 50), st.floats(0.0, 50.0))
+_ODD = st.one_of(st.none(), st.booleans(), _NAMES, st.integers(-3, 0), st.floats(-3.0, 0.0),
+                 st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308]),
+                 st.lists(st.integers(-3, 50), max_size=2),
+                 st.dictionaries(st.sampled_from(["a", "rho"]), st.integers(-3, 50), max_size=2))
+_GAUSSIAN_KEYS = ["kernel", "z_bar", "sigma", "epsilon", "rho", "z0", "gamma", "c0", "c1"]
+_POOL_KEYS = ["kernel", "d", "m", "data_seed", "separation", "epsilon", "beta",
+              "participation", "alpha", "gamma", "c0", "c1"]
+_PRESET_KEYS = {"gaussian_ar": _GAUSSIAN_KEYS, "strat_class_linear": _POOL_KEYS,
+                "strat_class_logistic": _POOL_KEYS,
+                "custom": ["family", "utility"] + _GAUSSIAN_KEYS + _POOL_KEYS}
+_RUN_KEYS = ["batch", "br_per_iter", "learner_iters_per_agent_round", "trials", "horizon"]
+
+
+def _mostly(valid):
+    """A value of ``valid`` in about five draws of six, else an odd JSON value."""
+    return st.integers(0, 5).flatmap(lambda i: valid if i else _ODD)
+
+
+def _value(name):
+    if name in ("kernel", "family", "utility"):
+        return _mostly(_NAMES)
+    return _mostly(st.integers(1, 2) if name in ("trials", "horizon") else _NUMBERS)
+
+
+def _entry(name):
+    return st.tuples(st.just(name), st.lists(_value(name), max_size=3))
+
+
+@st.composite
+def _configs(draw):
+    preset = draw(_mostly(st.sampled_from(sorted(_PRESET_KEYS))))
+    keys = st.sampled_from(_PRESET_KEYS.get(preset, _PRESET_KEYS["custom"])
+                           if isinstance(preset, str) else _PRESET_KEYS["custom"])
+    config = {"preset": preset, "trials": draw(_mostly(st.integers(1, 2))),
+              "horizon": draw(_mostly(st.integers(0, 20)))}
+    optional = {
+        "seed": _mostly(st.integers(0, 50)),
+        "batch": _mostly(st.integers(1, 50)),
+        "br_per_iter": _mostly(st.integers(1, 50)),
+        "learner_iters_per_agent_round": _mostly(st.integers(1, 50)),
+        "theta0": _mostly(st.lists(_NUMBERS, max_size=3)),
+        "problem": _mostly(st.lists(keys.flatmap(lambda k: st.tuples(st.just(k), _value(k))),
+                                    max_size=3).map(dict)),
+        "sweep": _mostly(st.lists(st.one_of(keys, st.sampled_from(_RUN_KEYS)).flatmap(_entry),
+                                  max_size=2)),
+        "rate_window": _mostly(st.lists(st.integers(-3, 50), min_size=2, max_size=2)),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            config[key] = draw(values)
+    return config
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=_configs(), command=st.sampled_from(["oracle", "run"]))
+def test_cli_fuzz_exits_cleanly(config, command):
+    # any config built from the known keys ends in exit 0, 1 or 2, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({**config, "workers": 1, "out": str(Path(tmp) / "res")}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main([command, "--config", str(cfg)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

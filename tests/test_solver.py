@@ -30,7 +30,7 @@ class CountingKernel:
 
     def emit(self, theta, rngs, n=1):
         self.emissions += n
-        return np.zeros((theta.shape[0], n)), None
+        return np.zeros((theta.shape[0], n))
 
 
 def gaussian_setup(sigma=50.0, rho=0.5, epsilon=0.1):
@@ -178,8 +178,7 @@ class TestLazyRun:
         errors = [0.0]
         for gamma in sched.gamma(np.arange(1, 61)):
             kernel.advance(theta, [agent_rng])
-            samples, _ = kernel.emit(theta, [sample_rng])
-            theta = theta - gamma * loss.grad(theta, samples)
+            theta = theta - gamma * loss.grad(theta, kernel.emit(theta, [sample_rng]))
             errors.append(float(theta[0] @ theta[0]))
         assert np.array_equal(trace.errors[0], errors)
         assert np.array_equal(trace.final_theta, theta)
