@@ -513,8 +513,7 @@ def _entry(name):
 @st.composite
 def _configs(draw):
     preset = draw(_mostly(st.sampled_from(sorted(_PRESET_KEYS))))
-    keys = st.sampled_from(_PRESET_KEYS.get(preset, _PRESET_KEYS["custom"])
-                           if isinstance(preset, str) else _PRESET_KEYS["custom"])
+    keys = st.sampled_from(_PRESET_KEYS.get(str(preset), _PRESET_KEYS["custom"]))
     config = {"preset": preset, "trials": draw(_mostly(st.integers(1, 2))),
               "horizon": draw(_mostly(st.integers(0, 20)))}
     optional = {
