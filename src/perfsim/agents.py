@@ -29,14 +29,17 @@ random stream, through the same two-phase interface. ``theta`` has shape
 
 A kernel is built for ``trials`` trials, and its state carries the trial
 axis: the AR state ``z`` is (T,) and the adapted pool's ``features`` are
-(T, m, d); the memoryless kernels keep no agent state. Draws whose block equals the
-sequence of single draws (normals, and agent indices one at a time) are
-taken from each stream up to ``BLOCK`` at a time, so a trial's values do not
-depend on how many trials share its block. A stream handed to a kernel must
-be used by that kernel only.
+(T, m, d); the memoryless kernels keep no agent state. The Gaussian kernels
+also keep their environment's parameters as per-trial rows, so ``stack``
+joins kernels of different environments into one block of trials. Draws
+whose block equals the sequence of single draws (normals, and agent indices
+one at a time) are taken from each stream up to ``BLOCK`` at a time, so a
+trial's values do not depend on how many trials share its block. A stream
+handed to a kernel must be used by that kernel only.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -238,11 +241,14 @@ class _BlockDraws:
     """Per-trial draws taken from each trial's stream up to ``BLOCK`` at a time.
 
     ``draw(rng, size)`` must return the values of ``size`` single draws in
-    order, so that blocking leaves every trial's sequence unchanged.
+    order, so that blocking leaves every trial's sequence unchanged. A
+    ``scale`` row (T,) multiplies each trial's draws as they are taken from
+    its stream.
     """
 
-    def __init__(self, draw):
+    def __init__(self, draw, scale=None):
         self.draw = draw
+        self.scale = scale
         self.buf = None
         self.pos = 0
 
@@ -250,6 +256,8 @@ class _BlockDraws:
         """The next ``count`` draws of every trial, shape (count, T)."""
         if self.buf is None or self.pos + count > self.buf.shape[0]:
             fresh = np.array([self.draw(rng, max(BLOCK, count)) for rng in rngs]).T
+            if self.scale is not None:
+                fresh = self.scale * fresh
             if self.buf is not None:
                 fresh = np.concatenate([self.buf[self.pos:], fresh])
             self.buf, self.pos = np.ascontiguousarray(fresh), 0
@@ -257,13 +265,10 @@ class _BlockDraws:
         return self.buf[self.pos - count:self.pos]
 
     def keep(self, mask):
+        if self.scale is not None:
+            self.scale = self.scale[mask]
         if self.buf is not None:
             self.buf = self.buf[:, mask]
-
-
-def _noise(env: GaussianEnv) -> _BlockDraws:
-    """The chain's scaled noise ``sigma * N(0, 1)``, drawn in blocks."""
-    return _BlockDraws(lambda rng, size: env.sigma * rng.standard_normal(size))
 
 
 class _Memoryless:
@@ -275,51 +280,86 @@ class _Memoryless:
         return None
 
 
-class IidGaussianKernel(_Memoryless):
-    """Memoryless sampling from the shifted Gaussian law (greedy deploy)."""
+def _normal(rng, size):
+    return rng.standard_normal(size)
 
-    def __init__(self, env: GaussianEnv, trials: int = 1):
-        self.env = env
-        self._noise = _noise(env)
 
-    def emit(self, theta, rngs, n: int = 1):
-        env = self.env
-        mean = env.z_bar + env.epsilon * theta[:, :1]
-        return mean + self._noise.take(rngs, n).T
+class _GaussianRows:
+    """The Gaussian parameters as rows with a leading trial axis, so that one
+    block can hold the trials of several environments.
+
+    ``ROWS`` names the per-trial arrays; ``stack`` joins fresh kernels of
+    one class into one kernel holding their trials in order. The noise
+    ``sigma * N(0, 1)`` is drawn in blocks, each trial scaled by its sigma.
+    """
+
+    ROWS = ()
+
+    def _rows(self, env: GaussianEnv, trials: int, shape=()):
+        for name in ("z_bar", "epsilon", "sigma"):
+            setattr(self, name, np.full((trials,) + shape, getattr(env, name)))
+        self._noise = _BlockDraws(_normal, self.sigma.reshape(-1))
+
+    @classmethod
+    def stack(cls, kernels):
+        """One kernel holding the trials of ``kernels``, fresh kernels of this
+        class, in order."""
+        out = copy.copy(kernels[0])
+        for name in cls.ROWS:
+            setattr(out, name, np.concatenate([getattr(k, name) for k in kernels]))
+        out._noise = _BlockDraws(_normal, out.sigma.reshape(-1))
+        return out
 
     def keep(self, mask):
+        for name in self.ROWS:
+            setattr(self, name, getattr(self, name)[mask])
         self._noise.keep(mask)
 
 
-class ArGaussianKernel:
+class IidGaussianKernel(_Memoryless, _GaussianRows):
+    """Memoryless sampling from the shifted Gaussian law (greedy deploy).
+
+    ``z_bar``, ``epsilon`` and ``sigma`` are (T, 1) columns.
+    """
+
+    ROWS = ("z_bar", "epsilon", "sigma")
+
+    def __init__(self, env: GaussianEnv, trials: int = 1):
+        self._rows(env, trials, (1,))
+
+    def emit(self, theta, rngs, n: int = 1):
+        mean = self.z_bar + self.epsilon * theta[:, :1]
+        return mean + self._noise.take(rngs, n).T
+
+
+class ArGaussianKernel(_GaussianRows):
     """Autoregressive Gaussian chain: z' = (1 - rho) z + rho * (shifted mean + noise).
 
     At fixed theta the chain mixes to a Gaussian with the same mean as the
     i.i.d. law but variance reduced by rho / (2 - rho); with rho = 1 it is
-    exactly the i.i.d. kernel.
+    exactly the i.i.d. kernel. ``z_bar``, ``epsilon``, ``sigma``, ``rho``,
+    ``1 - rho`` and the state ``z`` (from ``z0``) are (T,) rows.
     """
 
+    ROWS = ("z_bar", "epsilon", "sigma", "rho", "stay", "z")
+
     def __init__(self, env: GaussianEnv, z0: Optional[float] = None, trials: int = 1):
-        self.env = env
+        self._rows(env, trials)
+        self.rho = np.full(trials, env.rho)
+        self.stay = 1.0 - self.rho
         self.z = np.full(trials, env.z_bar if z0 is None else float(z0))
-        self._noise = _noise(env)
 
     @property
     def state(self) -> np.ndarray:
         return self.z
 
     def advance(self, theta, rngs):
-        env = self.env
-        target = (env.z_bar + env.epsilon * theta[:, 0]) + self._noise.take(rngs, 1)[0]
-        self.z = (1.0 - env.rho) * self.z + env.rho * target
+        target = (self.z_bar + self.epsilon * theta[:, 0]) + self._noise.take(rngs, 1)[0]
+        self.z = self.stay * self.z + self.rho * target
         return None
 
     def emit(self, theta, rngs, n: int = 1):
         return self.z[:, None].repeat(n, axis=1)
-
-    def keep(self, mask):
-        self.z = self.z[mask]
-        self._noise.keep(mask)
 
 
 class _PoolKernel:

@@ -1,7 +1,8 @@
 """Command-line interface: run experiments, list presets, query stable points.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 when every trial of
-some sweep point diverged.
+Exit codes: 0 on success, 1 on configuration errors (an allocation too
+large for memory included), 2 when every trial of some sweep point
+diverged.
 """
 from __future__ import annotations
 
@@ -78,6 +79,9 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, ValueError, OSError) as exc:
         print(f"perfsim: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # no size field has an upper bound
+        print(f"perfsim: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

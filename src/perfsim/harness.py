@@ -2,11 +2,13 @@
 
 An experiment is described by an :class:`ExperimentSpec` (usually loaded from
 a JSON config). For every sweep point the harness resolves the stable point
-via the oracle, splits the trials into contiguous blocks (one per worker of
-a fork process pool, or a single in-process block), runs each block as one
-trial-batched ``sa_run``, aggregates mean and 5th/95th percentile error per
-recorded iteration, and writes plot-ready ``trace.csv`` plus a
-``summary.json`` that makes the figures reproducible from the file alone.
+via the oracle. Points that differ only in Gaussian problem parameters that
+leave the step schedule alone form one group, whose trials are split into
+contiguous blocks (one per worker of a fork process pool, or a single
+in-process block); each block runs as one trial-batched ``sa_run``. Per point, the harness aggregates mean
+and 5th/95th percentile error per recorded iteration, and writes plot-ready
+``trace.csv`` plus a ``summary.json`` that makes the figures reproducible
+from the file alone.
 """
 from __future__ import annotations
 
@@ -353,29 +355,66 @@ def record_grid(horizon: int) -> np.ndarray:
     return np.array(sorted(ks), dtype=np.int64)
 
 
+def _group_key(point: ResolvedPoint) -> tuple:
+    """Points with equal keys run their trials in one block: they share every
+    ``RunConfig`` field but ``trials``, and a kernel class that stacks the
+    rows of several problems (a pool kernel's point is a group of its own)."""
+    kind = point.kernel_factory.func
+    c = point.config
+    return (kind if hasattr(kind, "stack") else point.kernel_factory, c.theta0.tobytes(),
+            c.schedule, c.horizon, c.batch, c.br_per_iter, c.learner_iters_per_agent_round, c.seed)
+
+
 def _run_block(args):
-    """Run a contiguous block of trials; one result dict per trial, in order."""
-    loss, kernel_factory, config, theta_ps, grid, trials = args
-    trace = sa_run(loss, kernel_factory(trials=len(trials)), config, theta_ps,
-                   trials=trials, record=grid)
+    """Run a contiguous block of rows, each one trial of a point of a group;
+    one result dict per row, in order."""
+    loss, parts, config, theta_ps, grid, trials = args
+    kernels = [factory(trials=n) for factory, n in parts]
+    kernel = kernels[0] if len(kernels) == 1 else type(kernels[0]).stack(kernels)
+    trace = sa_run(loss, kernel, config, theta_ps, trials=trials, record=grid)
     # agent-side failures happen when the learner iterate blows up too; the
     # trial is recorded as divergent rather than aborting the experiment
-    failed = {f["trial"]: f for f in trace.failures}
-    return [failed.get(trial) or {
+    failed = dict(zip(trace.failed_rows, trace.failures))
+    return [failed.get(row) or {
         "trial": trial,
-        "errors": trace.errors[i],
+        "errors": trace.errors[row],
         "samples": trace.samples_drawn,
         "agents": trace.agent_updates,
-        "final_theta": trace.final_theta[i],
-    } for i, trial in enumerate(trials)]
+        "final_theta": trace.final_theta[row],
+    } for row, trial in enumerate(trials.tolist())]
 
 
-def _execute_trials(point: ResolvedPoint, grid: np.ndarray, workers: int) -> list:
-    n = point.config.trials
-    blocks = max(1, min(workers, n))
-    bounds = [n * i // blocks for i in range(blocks + 1)]
-    jobs = [(point.loss, point.kernel_factory, point.config, point.theta_ps, grid, range(lo, hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _execute_points(points: list, grid: np.ndarray, workers: int) -> list:
+    """Run every trial of ``points``; one list of per-trial result dicts per point.
+
+    The rows of each group (see ``_group_key``), point by point and trial by
+    trial, are split into at most ``workers`` contiguous blocks, run on a fork
+    process pool, or in-process when the group makes one block.
+    """
+    groups = {}
+    for i, point in enumerate(points):
+        groups.setdefault(_group_key(point), []).append(i)
+    results = [[] for _ in points]
+    for members in groups.values():
+        rows = [(i, trial) for i in members for trial in range(points[i].config.trials)]
+        blocks = max(1, min(workers, len(rows)))
+        bounds = [len(rows) * b // blocks for b in range(blocks + 1)]
+        jobs = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            owners = [i for i, _ in rows[lo:hi]]
+            parts = [(points[i].kernel_factory, len(list(run)))
+                     for i, run in itertools.groupby(owners)]
+            first = points[owners[0]]  # the group shares its loss and run fields
+            jobs.append((first.loss, parts, first.config,
+                         np.stack([points[i].theta_ps for i in owners]), grid,
+                         np.array([trial for _, trial in rows[lo:hi]])))
+        for (i, _), result in zip(rows, _map_blocks(jobs)):
+            results[i].append(result)
+    return results
+
+
+def _map_blocks(jobs: list) -> list:
+    """The rows of ``jobs``, run in-process when there is one job, else forked."""
     if len(jobs) == 1:
         return _run_block(jobs[0])
     import multiprocessing
@@ -404,8 +443,7 @@ def run_experiment(spec: ExperimentSpec):
 
     columns = [("k", grid)]
     summary_points = []
-    for point in points:
-        results = _execute_trials(point, grid, workers)
+    for point, results in zip(points, _execute_points(points, grid, workers)):
         ok = [r for r in results if "errors" in r]
         diverged = [r for r in results if "errors" not in r]
         sfx = f"[{point.label}]" if point.label else ""

@@ -102,7 +102,9 @@ class RunTrace:
     ``trials[i]`` after ``iterations[j]`` updates. A failed trial leaves the
     block at its failing iteration: its later errors and its ``final_theta``
     row are NaN, and ``failures`` holds one ``{"trial", "iteration",
-    "kind"}`` record per failed trial, in the order they failed.
+    "kind"}`` record per failed trial, in the order they failed, with its
+    block row in ``failed_rows`` (a block may hold equal trial numbers of
+    several problems).
     """
 
     trials: np.ndarray
@@ -112,6 +114,7 @@ class RunTrace:
     agent_updates: np.ndarray
     final_theta: np.ndarray
     failures: list
+    failed_rows: list
 
     def __len__(self):
         return self.iterations.shape[0]
@@ -143,7 +146,9 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     ``batch`` samples per trial are emitted from the current agent state and
     each model moves against its averaged gradient with step gamma_{k+1}.
     Squared distances to ``theta_ps`` are recorded at the increasing
-    iterations ``record`` (default: 0 to the horizon). Each trial is
+    iterations ``record`` (default: 0 to the horizon); ``theta_ps`` is one
+    stable point (d,) for every trial, or one row per trial (T, d) when the
+    block holds trials of several problems. Each trial is
     deterministic given ``(config.seed, trial)`` and the kernel's initial
     state, whatever else runs in its block.
 
@@ -158,7 +163,12 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     if record.size and (record[0] < 0 or record[-1] > K or np.any(np.diff(record) <= 0)):
         raise ValueError("record must list increasing iterations in [0, horizon]")
     d = config.theta0.shape[0]
-    target = as_param(theta_ps, d=d)
+    target = np.asarray(theta_ps, dtype=float)
+    if target.ndim < 2:
+        target = np.tile(as_param(target, d=d), (trials.shape[0], 1))
+    elif target.shape != (trials.shape[0], d) or not np.isfinite(target).all():
+        raise ValueError(f"theta_ps rows must be finite with shape {(trials.shape[0], d)}, "
+                         f"got {target.shape}")
     gam = np.atleast_1d(np.asarray(config.schedule.gamma(np.arange(1, K + 1)), dtype=float))
     gam = gam.tolist()  # Python floats index faster than array elements
     streams = [_trial_rngs(config, int(t)) for t in trials]
@@ -169,15 +179,16 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     rows = np.arange(trials.shape[0])      # output row of each trial in the block
     errors = np.full((rows.shape[0], record.shape[0]), np.nan)
     final_theta = np.full(theta.shape, np.nan)
-    failures = []
+    failures, failed_rows = [], []
 
     def drop(failed, iteration, kind):
         # remove the failed trials from every per-trial array and stream list
-        nonlocal theta, rows, agent_rngs, sample_rngs
+        nonlocal theta, target, rows, agent_rngs, sample_rngs
         failures.extend({"trial": int(trials[r]), "iteration": iteration, "kind": kind.__name__}
                         for r in rows[failed])
+        failed_rows.extend(rows[failed].tolist())
         keep = ~failed
-        theta, rows = theta[keep], rows[keep]
+        theta, target, rows = theta[keep], target[keep], rows[keep]
         agent_rngs = [rng for rng, kept in zip(agent_rngs, keep) if kept]
         sample_rngs = [rng for rng, kept in zip(sample_rngs, keep) if kept]
         kernel.keep(keep)
@@ -220,7 +231,7 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     rounds = (record + inner - 1) // inner
     return RunTrace(trials=trials, iterations=record, errors=errors,
                     samples_drawn=batch * record, agent_updates=br * rounds,
-                    final_theta=final_theta, failures=failures)
+                    final_theta=final_theta, failures=failures, failed_rows=failed_rows)
 
 
 def minimize_empirical_risk(loss: LossModel, dataset, theta0: np.ndarray,

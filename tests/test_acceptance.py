@@ -17,7 +17,7 @@ from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKern
 from perfsim.core import (ConstantSchedule, InverseSchedule, ProblemConstants,
                           RngStream, check_schedule)
 from perfsim.data import generate_synthetic
-from perfsim.harness import (ExperimentSpec, _execute_trials, record_grid,
+from perfsim.harness import (ExperimentSpec, _execute_points, record_grid,
                              resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss, QuadraticLoss, mean_grad
 from perfsim.oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
@@ -47,8 +47,7 @@ def gaussian_study():
     grid = record_grid(spec.horizon)
     start = perf_counter()
     errors = {}
-    for point in points:
-        results = _execute_trials(point, grid, WORKERS)
+    for point, results in zip(points, _execute_points(points, grid, WORKERS)):
         assert all("errors" in r for r in results), "unexpected divergence"
         errors[point.overrides["rho"]] = np.vstack([r["errors"] for r in results])
     elapsed = perf_counter() - start
@@ -67,7 +66,7 @@ def strat_study():
         })
         point = resolve_points(spec)[0]
         grid = record_grid(spec.horizon)
-        results = _execute_trials(point, grid, WORKERS)
+        (results,) = _execute_points([point], grid, WORKERS)
         assert all("errors" in r for r in results), "unexpected divergence"
         out[preset] = {"grid": grid,
                        "errors": np.vstack([r["errors"] for r in results]),

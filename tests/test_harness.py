@@ -12,11 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from perfsim.agents import AdaptedBestResponseKernel
+from perfsim.agents import AdaptedBestResponseKernel, ArGaussianKernel
 from perfsim.cli import main as cli_main
 from perfsim.data import generate_synthetic, load_csv
-from perfsim.harness import (ConfigError, ExperimentSpec, _execute_trials, record_grid,
-                             resolve_points, run_experiment)
+from perfsim.harness import (ConfigError, ExperimentSpec, _execute_points, _group_key,
+                             record_grid, resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss
 from perfsim.solver import minimize_empirical_risk, sa_run
 
@@ -170,7 +170,7 @@ class TestRunExperiment:
         poisoned = dataclasses.replace(
             point, kernel_factory=partial(PoisonedPool, *point.kernel_factory.args))
         grid = record_grid(spec.horizon)
-        results = _execute_trials(poisoned, grid, workers=1)
+        (results,) = _execute_points([poisoned], grid, workers=1)
         assert results[1] == {"trial": 1, "iteration": 120, "kind": "AgentDivergenceError"}
         for trial in (0, 2):
             alone = sa_run(point.loss, point.kernel_factory(), point.config, point.theta_ps,
@@ -178,6 +178,58 @@ class TestRunExperiment:
             assert results[trial]["trial"] == trial
             assert np.array_equal(results[trial]["errors"], alone.errors[0])
             assert np.array_equal(results[trial]["final_theta"], alone.final_theta[0])
+
+    def test_grouped_points_match_one_point_runs_bit_for_bit(self):
+        # AR points with differing targets, chain laws and starts, and i.i.d.
+        # points in minibatches of 3; one block, then four that split points
+        sweeps = ({"sweep": [["rho", [0.2, 1.0]], ["sigma", [0.5, 3.0]],
+                             ["z_bar", [1.0, -4.0]], ["z0", [None, 2.5]]]},
+                  {"problem": {"kernel": "iid"}, "batch": 3,
+                   "sweep": [["sigma", [0.5, 2.0, 8.0]]]})
+        for extra in sweeps:
+            spec = gaussian_spec(**extra)
+            points = resolve_points(spec)
+            assert len({_group_key(point) for point in points}) == 1
+            grid = record_grid(spec.horizon)
+            alone = [sa_run(point.loss, point.kernel_factory(trials=3), point.config,
+                            point.theta_ps, record=grid) for point in points]
+            for workers in (1, 4):
+                for trace, results in zip(alone, _execute_points(points, grid, workers)):
+                    for trial, result in enumerate(results):
+                        assert result["trial"] == trial
+                        assert np.array_equal(result["errors"], trace.errors[trial])
+                        assert np.array_equal(result["final_theta"], trace.final_theta[trial])
+
+    def test_grouped_failure_is_attributed_to_its_point(self):
+        class PoisonedChain(ArGaussianKernel):
+            """Makes block row 4, trial 1 of the second point, non-finite at
+            advance number 120."""
+
+            calls = 0
+
+            def advance(self, theta, rngs):
+                self.calls += 1
+                if self.calls == 120:
+                    self.z[4] = np.nan
+                return super().advance(theta, rngs)
+
+        spec = gaussian_spec(sweep=[["rho", [0.5, 1.0]]])
+        points = resolve_points(spec)
+        poisoned = [dataclasses.replace(
+            point, kernel_factory=partial(PoisonedChain, *point.kernel_factory.args))
+            for point in points]
+        grid = record_grid(spec.horizon)
+        results = _execute_points(poisoned, grid, workers=1)
+        assert results[1][1] == {"trial": 1, "iteration": 120, "kind": "DivergenceError"}
+        for point, rows in zip(points, results):
+            alone = sa_run(point.loss, point.kernel_factory(trials=3), point.config,
+                           point.theta_ps, record=grid)
+            for trial, result in enumerate(rows):
+                if result is results[1][1]:
+                    continue
+                assert result["trial"] == trial
+                assert np.array_equal(result["errors"], alone.errors[trial])
+                assert np.array_equal(result["final_theta"], alone.final_theta[trial])
 
     def test_missing_rate_fit_is_explained(self, tmp_path):
         # sigma = epsilon = 0 and a unit step land on theta_ps at k = 1: the
@@ -447,6 +499,16 @@ class TestCli:
             assert len(err) == 1 and err[0].startswith("perfsim: error: ")
             assert field_name in err[0]
         assert not (tmp_path / "res").exists()
+
+    def test_oversized_problem_exit_code(self, tmp_path, capsys):
+        # a 1e8 x 1e8 feature matrix is 71 PiB: numpy refuses it before allocating
+        cfg = self.write_config(tmp_path, {"preset": "strat_class_linear",
+                                           "problem": {"m": 100_000_000, "d": 100_000_000}})
+        assert cli_main(["oracle", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("perfsim: error: out of memory: ")
 
     def test_malformed_json_exit_code(self, tmp_path):
         p = tmp_path / "broken.json"
