@@ -25,17 +25,20 @@ random stream, through the same two-phase interface. ``theta`` has shape
   current state, in the batch layout the matching loss takes (Gaussian
   scalars of shape (T, n), or pool features (T, n, d) with labels (T, n)).
   An emission cannot fail.
-* ``keep(mask)`` drops the other trials from the kernel state.
 
-A kernel is built for ``trials`` trials, and its state carries the trial
-axis: the AR state ``z`` is (T,) and the adapted pool's ``features`` are
-(T, m, d); the memoryless kernels keep no agent state. The Gaussian kernels
-also keep their environment's parameters as per-trial rows, so ``stack``
-joins kernels of different environments into one block of trials. Draws
-whose block equals the sequence of single draws (normals, and agent indices
-one at a time) are taken from each stream up to ``BLOCK`` at a time, so a
-trial's values do not depend on how many trials share its block. A stream
-handed to a kernel must be used by that kernel only.
+A failed trial keeps its row and is advanced with the others; rows never
+interact, so its values do not reach another trial.
+
+A kernel is built for ``trials`` trials (its ``trials`` attribute), and its
+state carries the trial axis: the AR state ``z`` is (T,) and the adapted
+pool's ``features`` are (T, m, d); the memoryless kernels keep no agent
+state. The Gaussian kernels also keep their environment's parameters as
+per-trial rows, so ``stack`` joins kernels of different environments into
+one block of trials. Draws whose block equals the sequence of single draws
+(normals, and agent indices one at a time) are taken from each stream up to
+``BLOCK`` at a time, so a trial's values do not depend on how many trials
+share its block. A stream handed to a kernel must be used by that kernel
+only.
 """
 from __future__ import annotations
 
@@ -264,12 +267,6 @@ class _BlockDraws:
         self.pos += count
         return self.buf[self.pos - count:self.pos]
 
-    def keep(self, mask):
-        if self.scale is not None:
-            self.scale = self.scale[mask]
-        if self.buf is not None:
-            self.buf = self.buf[:, mask]
-
 
 class _Memoryless:
     """A kernel without agent state: a transition changes nothing."""
@@ -295,41 +292,38 @@ class _GaussianRows:
 
     ROWS = ()
 
-    def _rows(self, env: GaussianEnv, trials: int, shape=()):
+    def _rows(self, env: GaussianEnv, trials: int):
+        self.trials = trials
         for name in ("z_bar", "epsilon", "sigma"):
-            setattr(self, name, np.full((trials,) + shape, getattr(env, name)))
-        self._noise = _BlockDraws(_normal, self.sigma.reshape(-1))
+            setattr(self, name, np.full(trials, getattr(env, name)))
+        self._noise = _BlockDraws(_normal, self.sigma)
 
     @classmethod
     def stack(cls, kernels):
         """One kernel holding the trials of ``kernels``, fresh kernels of this
         class, in order."""
         out = copy.copy(kernels[0])
+        out.trials = sum(k.trials for k in kernels)
         for name in cls.ROWS:
             setattr(out, name, np.concatenate([getattr(k, name) for k in kernels]))
-        out._noise = _BlockDraws(_normal, out.sigma.reshape(-1))
+        out._noise = _BlockDraws(_normal, out.sigma)
         return out
-
-    def keep(self, mask):
-        for name in self.ROWS:
-            setattr(self, name, getattr(self, name)[mask])
-        self._noise.keep(mask)
 
 
 class IidGaussianKernel(_Memoryless, _GaussianRows):
     """Memoryless sampling from the shifted Gaussian law (greedy deploy).
 
-    ``z_bar``, ``epsilon`` and ``sigma`` are (T, 1) columns.
+    ``z_bar``, ``epsilon`` and ``sigma`` are (T,) rows.
     """
 
     ROWS = ("z_bar", "epsilon", "sigma")
 
     def __init__(self, env: GaussianEnv, trials: int = 1):
-        self._rows(env, trials, (1,))
+        self._rows(env, trials)
 
     def emit(self, theta, rngs, n: int = 1):
-        mean = self.z_bar + self.epsilon * theta[:, :1]
-        return mean + self._noise.take(rngs, n).T
+        mean = self.z_bar + self.epsilon * theta[:, 0]
+        return mean[:, None] + self._noise.take(rngs, n).T
 
 
 class ArGaussianKernel(_GaussianRows):
@@ -371,6 +365,7 @@ class _PoolKernel:
 
     def __init__(self, pool: AgentPool, trials: int = 1):
         self.pool = pool
+        self.trials = trials
         self._labels = pool.labels.astype(float)
         self._agents = _BlockDraws(lambda rng, size: rng.integers(pool.size, size=size))
 
@@ -378,9 +373,6 @@ class _PoolKernel:
         if n == 1:
             return self._agents.take(rngs, 1).T
         return np.array([rng.choice(self.pool.size, size=n, replace=False) for rng in rngs])
-
-    def keep(self, mask):
-        self._agents.keep(mask)
 
 
 class ExactBestResponseKernel(_Memoryless, _PoolKernel):
@@ -406,7 +398,7 @@ class AdaptedBestResponseKernel(_PoolKernel):
     failure = AgentDivergenceError
 
     def __init__(self, pool: AgentPool, trials: int = 1):
-        super().__init__(pool)
+        super().__init__(pool, trials)
         self.features = np.tile(pool.base_features, (trials, 1, 1))
 
     @property
@@ -428,7 +420,3 @@ class AdaptedBestResponseKernel(_PoolKernel):
     def emit(self, theta, rngs, n: int = 1):
         idx = self.draw_agents(rngs, n)
         return self.features[np.arange(idx.shape[0])[:, None], idx], self._labels[idx]
-
-    def keep(self, mask):
-        super().keep(mask)
-        self.features = self.features[mask]

@@ -99,8 +99,8 @@ class RunTrace:
     """Recorded iterations of a block of trials run together.
 
     ``errors[i, j]`` is the squared distance to the stable point of trial
-    ``trials[i]`` after ``iterations[j]`` updates. A failed trial leaves the
-    block at its failing iteration: its later errors and its ``final_theta``
+    ``trials[i]`` after ``iterations[j]`` updates. A failed trial keeps its
+    row; its errors from its failing iteration on and its ``final_theta``
     row are NaN, and ``failures`` holds one ``{"trial", "iteration",
     "kind"}`` record per failed trial, in the order they failed, with its
     block row in ``failed_rows`` (a block may hold equal trial numbers of
@@ -140,22 +140,24 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     """Run state-dependent stochastic approximation for ``config.horizon`` updates.
 
     Advances the trials ``trials`` (default: all ``config.trials``) together;
-    ``kernel`` must be built for that many trials. At the start of every
-    agent round (each ``learner_iters_per_agent_round`` updates) the kernel
-    advances ``br_per_iter`` times under the deployed models. Per update,
-    ``batch`` samples per trial are emitted from the current agent state and
-    each model moves against its averaged gradient with step gamma_{k+1}.
-    Squared distances to ``theta_ps`` are recorded at the increasing
-    iterations ``record`` (default: 0 to the horizon); ``theta_ps`` is one
-    stable point (d,) for every trial, or one row per trial (T, d) when the
-    block holds trials of several problems. Each trial is
-    deterministic given ``(config.seed, trial)`` and the kernel's initial
+    ``kernel`` must be built for that many trials (``ValueError`` if not).
+    At the start of every agent round (each ``learner_iters_per_agent_round``
+    updates) the kernel advances ``br_per_iter`` times under the deployed
+    models. Per update, ``batch`` samples per trial are emitted from the
+    current agent state and each model moves against its averaged gradient
+    with step gamma_{k+1}. Squared distances to ``theta_ps`` are recorded at
+    the increasing iterations ``record`` (default: 0 to the horizon);
+    ``theta_ps`` is one stable point (d,) for every trial, or one row per
+    trial (T, d) when the block holds trials of several problems. Each trial
+    is deterministic given ``(config.seed, trial)`` and the kernel's initial
     state, whatever else runs in its block.
 
     A trial fails when its squared error exceeds ``DIVERGENCE_CAP`` or is
     not a number (kind :class:`DivergenceError`), or when the kernel's
     ``advance`` reports its agents failed (the kernel's ``failure`` kind).
-    It leaves the block at that iteration; the other trials go on unchanged.
+    A failed trial keeps its row; its later errors and ``final_theta`` are
+    NaN. Rows never interact, so the other trials go on unchanged; the block
+    ends early only when every trial has failed.
     """
     K = config.horizon
     trials = np.arange(config.trials) if trials is None else np.asarray(trials, dtype=np.int64)
@@ -169,6 +171,9 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     elif target.shape != (trials.shape[0], d) or not np.isfinite(target).all():
         raise ValueError(f"theta_ps rows must be finite with shape {(trials.shape[0], d)}, "
                          f"got {target.shape}")
+    if kernel.trials != trials.shape[0]:
+        raise ValueError(f"kernel is built for {kernel.trials} trials, "
+                         f"the block has {trials.shape[0]}")
     gam = np.atleast_1d(np.asarray(config.schedule.gamma(np.arange(1, K + 1)), dtype=float))
     gam = gam.tolist()  # Python floats index faster than array elements
     streams = [_trial_rngs(config, int(t)) for t in trials]
@@ -176,25 +181,19 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     sample_rngs = [sample for _, sample in streams]
 
     theta = np.tile(config.theta0, (trials.shape[0], 1))
-    rows = np.arange(trials.shape[0])      # output row of each trial in the block
-    errors = np.full((rows.shape[0], record.shape[0]), np.nan)
-    final_theta = np.full(theta.shape, np.nan)
+    errors = np.full((trials.shape[0], record.shape[0]), np.nan)
+    alive = np.ones(trials.shape[0], dtype=bool)
     failures, failed_rows = [], []
 
-    def drop(failed, iteration, kind):
-        # remove the failed trials from every per-trial array and stream list
-        nonlocal theta, target, rows, agent_rngs, sample_rngs
+    def fail(failed, iteration, kind):
+        # record each trial's first failure; its row runs on and is masked after the loop
+        new = np.flatnonzero(failed & alive)
         failures.extend({"trial": int(trials[r]), "iteration": iteration, "kind": kind.__name__}
-                        for r in rows[failed])
-        failed_rows.extend(rows[failed].tolist())
-        keep = ~failed
-        theta, target, rows = theta[keep], target[keep], rows[keep]
-        agent_rngs = [rng for rng, kept in zip(agent_rngs, keep) if kept]
-        sample_rngs = [rng for rng, kept in zip(sample_rngs, keep) if kept]
-        kernel.keep(keep)
-        if not rows.shape[0]:
+                        for r in new)
+        failed_rows.extend(new.tolist())
+        alive[new] = False
+        if not alive.any():
             raise _BlockEmpty
-        return keep
 
     slots = record.tolist() + [-1]
     slot = 0
@@ -208,25 +207,29 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     advance = kernel.advance
     emit = kernel.emit
     grad = loss.grad
-    try:
-        for k in range(K):
-            if k % inner == 0:
-                for _ in range(br):
-                    failed = advance(theta, agent_rngs)
-                    if failed is not None:
-                        drop(failed, k + 1, kernel.failure)
-            theta = theta - gam[k] * grad(theta, emit(theta, sample_rngs, batch))
-            gap = theta - target
-            err = dot(gap, gap)
-            if not err.max() <= DIVERGENCE_CAP:
-                keep = drop(~(err <= DIVERGENCE_CAP), k + 1, DivergenceError)
-                err = err[keep]
-            if k + 1 == slots[slot]:
-                errors[rows, slot] = err
-                slot += 1
-        final_theta[rows] = theta
-    except _BlockEmpty:
-        pass
+    # a failed row's values may overflow: they are discarded, so are their warnings
+    with np.errstate(all="ignore"):
+        try:
+            for k in range(K):
+                if k % inner == 0:
+                    for _ in range(br):
+                        failed = advance(theta, agent_rngs)
+                        if failed is not None:
+                            fail(failed, k + 1, kernel.failure)
+                theta = theta - gam[k] * grad(theta, emit(theta, sample_rngs, batch))
+                gap = theta - target
+                err = dot(gap, gap)
+                if not err.max() <= DIVERGENCE_CAP:
+                    fail(~(err <= DIVERGENCE_CAP), k + 1, DivergenceError)
+                if k + 1 == slots[slot]:
+                    errors[:, slot] = err
+                    slot += 1
+        except _BlockEmpty:
+            pass
+    final_theta = theta
+    for row, failure in zip(failed_rows, failures):
+        errors[row, np.searchsorted(record, failure["iteration"]):] = np.nan
+        final_theta[row] = np.nan
 
     rounds = (record + inner - 1) // inner
     return RunTrace(trials=trials, iterations=record, errors=errors,

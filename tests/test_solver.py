@@ -21,6 +21,8 @@ class ZeroSchedule:
 class CountingKernel:
     """Mock kernel recording interface usage."""
 
+    trials = 1
+
     def __init__(self):
         self.advances = 0
         self.emissions = 0
@@ -100,6 +102,44 @@ class TestSaRun:
         assert failure["iteration"] >= 1
         assert np.isnan(trace.errors[0, failure["iteration"]:]).all()
         assert np.isnan(trace.final_theta).all()
+
+    def test_block_where_every_trial_fails(self):
+        class PoisonedChain(ArGaussianKernel):
+            """Sets the chain of block row r to NaN at advance number POISON[r]."""
+
+            POISON = {0: 30, 1: 20, 2: 10}
+            calls = 0
+
+            def advance(self, theta, rngs):
+                self.calls += 1
+                for row, call in self.POISON.items():
+                    if self.calls == call:
+                        self.z[row] = np.nan
+                return super().advance(theta, rngs)
+
+        env, tps = gaussian_setup(sigma=1.0)
+        cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(0.1), horizon=100,
+                        seed=3, trials=3)
+        kernel = PoisonedChain(env, trials=3)
+        trace = sa_run(QuadraticLoss(), kernel, cfg, tps)
+        assert kernel.calls == 30  # the block ends at the last failure
+        assert trace.failures == [{"trial": t, "iteration": it, "kind": "DivergenceError"}
+                                  for t, it in ((2, 10), (1, 20), (0, 30))]
+        assert trace.failed_rows == [2, 1, 0]
+        assert np.isnan(trace.final_theta).all()
+        for row, it in ((0, 30), (1, 20), (2, 10)):
+            assert np.isfinite(trace.errors[row, :it]).all()
+            assert np.isnan(trace.errors[row, it:]).all()
+
+    def test_kernel_trial_count_checked(self):
+        env, tps = gaussian_setup()
+        pool, pool_loss = pool_setup()
+        for loss, kernel, target in ((QuadraticLoss(), IidGaussianKernel(env), tps),
+                                     (pool_loss, AdaptedBestResponseKernel(pool), np.zeros(3))):
+            cfg = RunConfig(theta0=np.zeros_like(target), schedule=ConstantSchedule(0.1),
+                            horizon=5, trials=3)
+            with pytest.raises(ValueError, match="built for 1 trials, the block has 3"):
+                sa_run(loss, kernel, cfg, target)
 
     def test_trace_length_and_counters(self):
         env, tps = gaussian_setup()
@@ -294,7 +334,7 @@ class TestOneStepBoundUnrolled:
         trials = 200
         cfg = RunConfig(theta0=tps + 4.0, schedule=ConstantSchedule(gamma), horizon=1000,
                         seed=77, trials=trials)
-        errs = sa_run(QuadraticLoss(), IidGaussianKernel(env), cfg, tps).errors
+        errs = sa_run(QuadraticLoss(), IidGaussianKernel(env, trials=trials), cfg, tps).errors
         err0 = errs[0, 0]
         for k in (10, 100, 1000):
             bound = A ** k * err0 + 2 * env.sigma ** 2 * gamma ** 2 * sum(A ** j for j in range(k))
