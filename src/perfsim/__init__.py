@@ -15,7 +15,6 @@ from .data import SyntheticDataset, generate_synthetic, load_csv
 from .harness import ExperimentSpec, run_experiment
 from .losses import LogisticLoss, QuadraticLoss, logistic_constants, mean_grad
 from .oracle import RateFit, fit_rate, theta_ps_fixed_point, theta_ps_gaussian
-from .solver import (DivergenceError, RunConfig, RunTrace, one_step_contraction_probe,
-                     rrm_run, sa_run)
+from .solver import DivergenceError, RunConfig, RunTrace, one_step_contraction_probe, sa_run
 
 __version__ = "0.1.0"

@@ -271,8 +271,6 @@ class _BlockDraws:
 class _Memoryless:
     """A kernel without agent state: a transition changes nothing."""
 
-    state = None
-
     def advance(self, theta, rngs):
         return None
 
@@ -343,10 +341,6 @@ class ArGaussianKernel(_GaussianRows):
         self.stay = 1.0 - self.rho
         self.z = np.full(trials, env.z_bar if z0 is None else float(z0))
 
-    @property
-    def state(self) -> np.ndarray:
-        return self.z
-
     def advance(self, theta, rngs):
         target = (self.z_bar + self.epsilon * theta[:, 0]) + self._noise.take(rngs, 1)[0]
         self.z = self.stay * self.z + self.rho * target
@@ -400,10 +394,6 @@ class AdaptedBestResponseKernel(_PoolKernel):
     def __init__(self, pool: AgentPool, trials: int = 1):
         super().__init__(pool, trials)
         self.features = np.tile(pool.base_features, (trials, 1, 1))
-
-    @property
-    def state(self) -> np.ndarray:
-        return self.features
 
     def advance(self, theta, rngs):
         pool = self.pool

@@ -197,16 +197,17 @@ class ExperimentSpec:
         if unknown:
             raise ConfigError(f"unknown problem parameter(s) for {self.preset}: "
                               f"{', '.join(sorted(unknown))}")
-        pairs = self.sweep.items() if isinstance(self.sweep, dict) else self.sweep
-        if not isinstance(self.sweep, (dict, list, tuple)) or not all(
-                isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
-                for pair in pairs):
+        pairs = self.normalized_sweep() if isinstance(self.sweep, (dict, list, tuple)) else None
+        if pairs is None or not all(len(pair) == 2 and isinstance(pair[0], str) for pair in pairs):
             raise ConfigError(f"sweep must be a list of [name, values] pairs, got {self.sweep!r}")
+        names = [param for param, _ in pairs]
         for param, values in pairs:
             # the family selects the field table, so it is not swept
             if param == "family" or (param not in fields and param not in _RUN_FIELD_SWEEPS):
                 raise ConfigError(f"sweep parameter {param!r} does not name a field "
                                   "that can be swept")
+            if names.count(param) > 1:
+                raise ConfigError(f"sweep parameter {param!r} is swept more than once")
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"sweep values for {param!r} must be a non-empty list")
         checks = [(f"problem parameter {param}", param, value)
@@ -218,6 +219,9 @@ class ExperimentSpec:
                 _check(name, value, int, _RUN_FIELDS[param])
             elif value is not None or fields[param][0] is not None:
                 _check(name, value, fields[param][1])
+        for param, values in pairs:  # checked values are numbers, strings or null
+            if len(set(values)) < len(values):
+                raise ConfigError(f"sweep values for {param!r} repeat a value: {values!r}")
         window = self.rate_window
         if window is not None and not (
                 isinstance(window, (list, tuple)) and len(window) == 2
@@ -227,9 +231,11 @@ class ExperimentSpec:
                               f"1 <= k_lo < k_hi, got {window!r}")
 
     def normalized_sweep(self) -> list:
+        """The sweep as ``(param, values)`` pairs; an entry that is not a
+        list or tuple becomes an empty tuple, which ``validate`` rejects."""
         if isinstance(self.sweep, dict):
             return list(self.sweep.items())
-        return [tuple(pair) for pair in self.sweep]
+        return [tuple(pair) if isinstance(pair, (list, tuple)) else () for pair in self.sweep]
 
 
 @dataclass
@@ -258,7 +264,8 @@ def _make_schedule(params: dict, default_c0: float, default_c1: float):
     return InverseSchedule(c0=float(c0), c1=float(c1))
 
 
-def _resolve_gaussian(params: dict, spec: ExperimentSpec, run_fields: dict) -> ResolvedPoint:
+def _resolve_gaussian(params: dict) -> tuple:
+    """The Gaussian point's ``(loss, kernel_factory, schedule, theta_ps, problem_desc)``."""
     env = GaussianEnv(z_bar=float(params["z_bar"]), epsilon=float(params["epsilon"]),
                       sigma=float(params["sigma"]), rho=float(params["rho"]))
     loss = QuadraticLoss()
@@ -269,17 +276,13 @@ def _resolve_gaussian(params: dict, spec: ExperimentSpec, run_fields: dict) -> R
     theta_ps = np.array([theta_ps_gaussian(env)])
     kernel_factory = (partial(ArGaussianKernel, env, params["z0"]) if params["kernel"] == "ar"
                       else partial(IidGaussianKernel, env))
-    theta0 = as_param(spec.theta0 if spec.theta0 is not None else [0.0], d=1)
-    config = RunConfig(theta0=theta0, schedule=schedule, horizon=spec.horizon,
-                       seed=spec.seed, **run_fields)
     desc = {k: params[k] for k in ("z_bar", "sigma", "epsilon", "rho", "kernel")}
     desc.update(mu=constants.mu, lipschitz=constants.lipschitz, mu_tilde=mu_tilde)
-    return ResolvedPoint(label="", overrides={}, loss=loss, kernel_factory=kernel_factory,
-                         config=config, theta_ps=theta_ps,
-                         schedule_desc=schedule.describe(), problem_desc=desc)
+    return loss, kernel_factory, schedule, theta_ps, desc
 
 
-def _resolve_pool(params: dict, spec: ExperimentSpec, run_fields: dict) -> ResolvedPoint:
+def _resolve_pool(params: dict) -> tuple:
+    """The pool point's ``(loss, kernel_factory, schedule, theta_ps, problem_desc)``."""
     dataset = generate_synthetic(d=params["d"], m=params["m"], seed=params["data_seed"],
                                  separation=float(params["separation"]))
     epsilon = float(params["epsilon"])
@@ -298,17 +301,11 @@ def _resolve_pool(params: dict, spec: ExperimentSpec, run_fields: dict) -> Resol
     theta_ps = theta_ps_fixed_point(loss, pool)
     kernel = {"pool": AdaptedBestResponseKernel, "iid": ExactBestResponseKernel}[params["kernel"]]
     kernel_factory = partial(kernel, pool)
-    theta0 = as_param(spec.theta0 if spec.theta0 is not None else np.zeros(dataset.dim),
-                      d=dataset.dim)
-    config = RunConfig(theta0=theta0, schedule=schedule, horizon=spec.horizon,
-                       seed=spec.seed, **run_fields)
     desc = {"d": dataset.dim, "m": dataset.size, "data_seed": params["data_seed"],
             "utility": params["utility"], "epsilon": epsilon, "beta": beta, "alpha": alpha,
             "participation": params["participation"], "kernel": params["kernel"],
             "lipschitz_est": lipschitz, "mu_tilde_est": mu_tilde}
-    return ResolvedPoint(label="", overrides={}, loss=loss, kernel_factory=kernel_factory,
-                         config=config, theta_ps=theta_ps,
-                         schedule_desc=schedule.describe(), problem_desc=desc)
+    return loss, kernel_factory, schedule, theta_ps, desc
 
 
 def _resolve_point(spec: ExperimentSpec, overrides: dict) -> ResolvedPoint:
@@ -321,10 +318,14 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict) -> ResolvedPoint:
     for key, value in overrides.items():
         (run_fields if key in _RUN_FIELD_SWEEPS else params)[key] = value
     resolve = _resolve_gaussian if params["family"] == "gaussian" else _resolve_pool
-    point = resolve(params, spec, run_fields)
-    point.label = _point_label(overrides)
-    point.overrides = overrides
-    return point
+    loss, kernel_factory, schedule, theta_ps, desc = resolve(params)
+    d = theta_ps.shape[0]
+    theta0 = as_param(spec.theta0 if spec.theta0 is not None else np.zeros(d), d=d)
+    config = RunConfig(theta0=theta0, schedule=schedule, horizon=spec.horizon,
+                       seed=spec.seed, **run_fields)
+    return ResolvedPoint(label=_point_label(overrides), overrides=overrides, loss=loss,
+                         kernel_factory=kernel_factory, config=config, theta_ps=theta_ps,
+                         schedule_desc=schedule.describe(), problem_desc=desc)
 
 
 def resolve_points(spec: ExperimentSpec) -> list:

@@ -1,4 +1,4 @@
-"""Optimization loops: state-dependent stochastic approximation and baselines.
+"""The state-dependent stochastic-approximation engine and its one-step check.
 
 ``sa_run`` is the learner: per iteration the learner draws the emitted
 sample(s) from the agent chain and takes one stochastic gradient step, and
@@ -7,15 +7,13 @@ transition per update), several transitions per update, minibatches, or lazy
 deployment (several learner updates per agent round). It advances a block
 of trials together as arrays with a leading trial axis; each trial keeps
 its own random streams, so its trace does not depend on the block it runs
-in. ``rrm_run`` is the repeated-risk-minimization baseline operating on
-exact best-response data: each outer step minimizes the empirical risk of
-the one-trial batch (see :mod:`perfsim.losses`) that the current model
-induces.
+in. ``one_step_contraction_probe`` checks the one-step error bound of a
+single update by Monte Carlo. Repeated risk minimization, which computes
+the stable point itself, lives in :mod:`perfsim.oracle`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
 
 import numpy as np
 
@@ -26,11 +24,7 @@ __all__ = [
     "RunConfig",
     "RunTrace",
     "DivergenceError",
-    "ConvergenceError",
-    "NonContractionError",
     "sa_run",
-    "rrm_run",
-    "minimize_empirical_risk",
     "ProbeResult",
     "one_step_contraction_probe",
 ]
@@ -47,14 +41,6 @@ DIVERGENCE_CAP = 1e24
 class DivergenceError(RuntimeError):
     """Failure kind of a trial whose iterate left the finite range; the step
     size is too aggressive."""
-
-
-class ConvergenceError(RuntimeError):
-    """An inner minimization failed to reach its tolerance."""
-
-
-class NonContractionError(RuntimeError):
-    """Fixed-point iteration expanded repeatedly; sensitivity looks too large."""
 
 
 @dataclass(frozen=True)
@@ -219,6 +205,8 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
                 theta = theta - gam[k] * grad(theta, emit(theta, sample_rngs, batch))
                 gap = theta - target
                 err = dot(gap, gap)
+                if failures:
+                    err[~alive] = 0.0  # a failed row is NaN after the loop anyway
                 if not err.max() <= DIVERGENCE_CAP:
                     fail(~(err <= DIVERGENCE_CAP), k + 1, DivergenceError)
                 if k + 1 == slots[slot]:
@@ -235,58 +223,6 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     return RunTrace(trials=trials, iterations=record, errors=errors,
                     samples_drawn=batch * record, agent_updates=br * rounds,
                     final_theta=final_theta, failures=failures, failed_rows=failed_rows)
-
-
-def minimize_empirical_risk(loss: LossModel, dataset, theta0: np.ndarray,
-                            tol: float = 1e-10, max_iters: int = 200_000) -> np.ndarray:
-    """Full-batch gradient descent on the one-trial batch ``dataset`` to
-    gradient norm <= tol.
-
-    The step is the inverse of the dataset-averaged smoothness constant, so
-    descent is monotone for both loss models.
-    """
-    theta = as_param(theta0).copy()
-    step = 1.0 / loss.smoothness(dataset)
-    for _ in range(max_iters):
-        g = loss.grad(theta[None], dataset)[0]
-        if float(np.sqrt(g @ g)) <= tol:
-            return theta
-        theta -= step * g
-    raise ConvergenceError(f"empirical risk minimization did not reach tol={tol}")
-
-
-def rrm_run(loss: LossModel, distribution_oracle: Callable[[np.ndarray], object],
-            theta0, outer_iters: int, inner_tol: float = 1e-10,
-            stop_tol: float = 0.0) -> List[np.ndarray]:
-    """Repeated risk minimization against refreshed best-response data.
-
-    Each outer step materializes the dataset induced by the current model via
-    ``distribution_oracle`` and minimizes the empirical risk over it exactly.
-    Returns the iterate path (including the start). Stops early once
-    consecutive iterates are within ``stop_tol``.
-
-    Raises :class:`NonContractionError` when the outer movement grows for
-    five consecutive steps, which signals the contraction condition fails.
-    """
-    theta = as_param(theta0).copy()
-    path = [theta.copy()]
-    prev_move = np.inf
-    expansions = 0
-    for _ in range(outer_iters):
-        dataset = distribution_oracle(theta)
-        theta_next = minimize_empirical_risk(loss, dataset, theta, tol=inner_tol)
-        path.append(theta_next.copy())
-        move = float(np.linalg.norm(theta_next - theta))
-        theta = theta_next
-        if move <= stop_tol:
-            break
-        expansions = expansions + 1 if move > prev_move else 0
-        if expansions >= 5:
-            raise NonContractionError(
-                "outer movement grew for 5 consecutive steps; "
-                "the problem appears outside the contraction regime")
-        prev_move = move
-    return path
 
 
 @dataclass

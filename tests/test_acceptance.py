@@ -134,7 +134,7 @@ def test_c3_ar_stationary_law():
         zs = np.empty(100_000)
         for i in range(zs.shape[0]):
             kernel.advance(theta, rngs)
-            zs[i] = kernel.state[0]
+            zs[i] = kernel.z[0]
         mean_err = abs(zs.mean() - env.shifted_mean(theta[0])) / abs(env.shifted_mean(theta[0]))
         var_err = abs(zs.var() - env.stationary_variance()) / env.stationary_variance()
         checks.append((rho, mean_err, var_err))

@@ -93,7 +93,7 @@ class TestArKernel:
         env = GaussianEnv(z_bar=1.0, epsilon=0.2, sigma=3.0, rho=0.4)
         kern = ArGaussianKernel(env)
         out = advance_then_emit(kern, np.array([0.5]), RngStream(6).generator())
-        assert out == kern.state[0]
+        assert out == kern.z[0]
 
     def test_noiseless_geometric_mixing(self):
         # Without noise the gap to the shifted mean contracts by exactly
@@ -107,7 +107,7 @@ class TestArKernel:
         for _ in range(30):
             kern.advance(theta[None], [rng])
             gap *= (1.0 - env.rho)
-            assert kern.state[0] - target == pytest.approx(gap, rel=1e-12, abs=1e-12)
+            assert kern.z[0] - target == pytest.approx(gap, rel=1e-12, abs=1e-12)
 
     def test_monte_carlo_mean_approach(self):
         # |E[z_k] - shifted mean| halves every ceil(log 2 / rho) transitions.
@@ -123,7 +123,7 @@ class TestArKernel:
         for stage in range(1, 4):
             for _ in range(half_steps):
                 kern.advance(thetas, rngs)
-            mean_gap = abs(np.mean(kern.state) - target)
+            mean_gap = abs(np.mean(kern.z) - target)
             predicted = gap0 * (1.0 - env.rho) ** (stage * half_steps)
             stderr = math.sqrt(env.stationary_variance() / n_chains)
             assert mean_gap <= predicted + 3.0 * stderr
@@ -138,7 +138,7 @@ class TestArKernel:
         zs = np.empty(20_000)
         for i in range(zs.shape[0]):
             kern.advance(theta[None], [rng])
-            zs[i] = kern.state[0]
+            zs[i] = kern.z[0]
         assert zs.mean() == pytest.approx(env.shifted_mean(theta), rel=0.02)
         assert zs.var() == pytest.approx(env.stationary_variance(), rel=0.10)
 

@@ -18,7 +18,8 @@ from perfsim.data import generate_synthetic, load_csv
 from perfsim.harness import (ConfigError, ExperimentSpec, _execute_points, _group_key,
                              record_grid, resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss
-from perfsim.solver import minimize_empirical_risk, sa_run
+from perfsim.oracle import minimize_empirical_risk
+from perfsim.solver import sa_run
 
 
 class TestSyntheticData:
@@ -418,6 +419,10 @@ MALFORMED_FIELDS = [
     ({"preset": "strat_class_linear", "sweep": [["m", [None]]]}, "value of m"),
     ({"preset": "custom", "problem": {"family": "gaussian", "m": 200}}, "custom: m"),
     ({"preset": "custom", "problem": {"family": "pool", "z_bar": 1}}, "custom: z_bar"),
+    # a repeated name would run only its last values, a repeated value would
+    # write two trace columns with the same name
+    ({"sweep": [["rho", [0.1]], ["rho", [0.5]]]}, "sweep parameter 'rho'"),
+    ({"sweep": [["rho", [0.5, 0.5]]]}, "sweep values for 'rho'"),
 ]
 
 

@@ -5,9 +5,9 @@ from perfsim.agents import AgentPool, ArGaussianKernel, GaussianEnv, IidGaussian
 from perfsim.core import InverseSchedule
 from perfsim.data import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss, mean_grad
-from perfsim.oracle import (NonContractionError, fit_rate, theta_ps_fixed_point,
-                            theta_ps_gaussian)
-from perfsim.solver import RunConfig, minimize_empirical_risk, sa_run
+from perfsim.oracle import (ConvergenceError, NonContractionError, fit_rate,
+                            minimize_empirical_risk, theta_ps_fixed_point, theta_ps_gaussian)
+from perfsim.solver import RunConfig, sa_run
 
 
 class TestGaussianStablePoint:
@@ -73,7 +73,69 @@ class TestFixedPoint:
                 return np.array([[1.0 + 1.5 * float(theta[0])]])
 
         with pytest.raises(NonContractionError):
-            theta_ps_fixed_point(QuadraticLoss(), Expanding(), max_outer=100)
+            theta_ps_fixed_point(QuadraticLoss(), Expanding())
+
+    def test_cycle_does_not_converge(self):
+        class Flipping:
+            dim = 1
+
+            def response_dataset(self, theta):
+                # induced mean 1 - theta: the iterates cycle 0, 1, 0, ... with
+                # constant moves, so they neither settle nor expand
+                return np.array([[1.0 - float(theta[0])]])
+
+        with pytest.raises(ConvergenceError, match="no fixed point"):
+            theta_ps_fixed_point(QuadraticLoss(), Flipping())
+
+
+class Recording:
+    """Wraps a problem and keeps every model it is asked to respond to."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.dim = problem.dim
+        self.path = []
+
+    def response_dataset(self, theta):
+        self.path.append(np.array(theta, copy=True))
+        return self.problem.response_dataset(theta)
+
+
+class TestRrm:
+    """The repeated-risk-minimization path: every pass, then the residual check."""
+
+    def test_gaussian_affine_fixed_point_path(self):
+        # theta_{t+1} = z_bar + eps * theta_t, contraction ratio eps
+        env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=3.0)
+        tps = theta_ps_gaussian(env)
+        rec = Recording(env)
+        theta_ps_fixed_point(QuadraticLoss(), rec, theta0=np.zeros(1))
+        path = rec.path
+        theta = 0.0
+        for t in range(1, len(path)):
+            theta = 10.0 + 0.1 * theta
+            assert path[t][0] == pytest.approx(theta, abs=1e-9)
+        gaps = [abs(p[0] - tps) for p in path]
+        for t in range(1, 10):
+            assert gaps[t] == pytest.approx(0.1 * gaps[t - 1], rel=1e-6)
+
+    def test_no_shift_converges_in_one_outer_step(self):
+        env = GaussianEnv(z_bar=4.0, epsilon=0.0, sigma=1.0)
+        rec = Recording(env)
+        theta_ps_fixed_point(QuadraticLoss(), rec, theta0=np.array([2.0]))
+        assert rec.path[1][0] == pytest.approx(4.0, abs=1e-10)
+        assert len(rec.path) <= 3
+
+    def test_strategic_iterates_contract(self):
+        ds = generate_synthetic(d=3, m=30, seed=5)
+        pool = AgentPool(ds.features, ds.labels, QuadraticUtility(epsilon=0.05),
+                         alpha=0.025, participation=4)
+        rec = Recording(pool)
+        theta_ps_fixed_point(LogisticLoss(beta=1000.0 / 30), rec, theta0=np.zeros(3))
+        path = rec.path
+        moves = [float(np.linalg.norm(path[t + 1] - path[t])) for t in range(len(path) - 1)]
+        moves = [m for m in moves if m > 1e-13]
+        assert all(moves[i + 1] <= moves[i] for i in range(len(moves) - 1))
 
 
 class TestKernelAgreement:

@@ -7,8 +7,8 @@ from perfsim.core import ConstantSchedule, InverseSchedule, ProblemConstants, Rn
 from perfsim.data import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss
 from perfsim.oracle import theta_ps_gaussian
-from perfsim.solver import (AGENT_STREAM, SAMPLE_STREAM, RunConfig,
-                            one_step_contraction_probe, rrm_run, sa_run)
+from perfsim.solver import (AGENT_STREAM, SAMPLE_STREAM, RunConfig, one_step_contraction_probe,
+                            sa_run)
 
 
 class ZeroSchedule:
@@ -259,36 +259,6 @@ class TestLazyRun:
         with pytest.raises(ValueError, match="one sample per learner update"):
             RunConfig(theta0=np.zeros(3), schedule=ConstantSchedule(0.01), horizon=10,
                       batch=2, learner_iters_per_agent_round=2, seed=9)
-
-
-class TestRrm:
-    def test_gaussian_affine_fixed_point_path(self):
-        # theta_{t+1} = z_bar + eps * theta_t, contraction ratio eps
-        env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=3.0)
-        tps = theta_ps_gaussian(env)
-        path = rrm_run(QuadraticLoss(), env.response_dataset, np.zeros(1), outer_iters=20)
-        theta = 0.0
-        for t in range(1, len(path)):
-            theta = 10.0 + 0.1 * theta
-            assert path[t][0] == pytest.approx(theta, abs=1e-9)
-        gaps = [abs(p[0] - tps) for p in path]
-        for t in range(1, 10):
-            assert gaps[t] == pytest.approx(0.1 * gaps[t - 1], rel=1e-6)
-
-    def test_no_shift_converges_in_one_outer_step(self):
-        env = GaussianEnv(z_bar=4.0, epsilon=0.0, sigma=1.0)
-        path = rrm_run(QuadraticLoss(), env.response_dataset, np.array([2.0]),
-                       outer_iters=5, stop_tol=1e-12)
-        assert path[1][0] == pytest.approx(4.0, abs=1e-10)
-        assert len(path) <= 3
-
-    def test_strategic_iterates_contract(self):
-        pool, loss = pool_setup()
-        path = rrm_run(loss, pool.response_dataset, np.zeros(3), outer_iters=12,
-                       stop_tol=1e-12)
-        moves = [float(np.linalg.norm(path[t + 1] - path[t])) for t in range(len(path) - 1)]
-        moves = [m for m in moves if m > 1e-13]
-        assert all(moves[i + 1] <= moves[i] for i in range(len(moves) - 1))
 
 
 class TestContractionProbe:
