@@ -34,16 +34,24 @@ state carries the trial axis: the AR state ``z`` is (T,) and the adapted
 pool's ``features`` are (T, m, d); the memoryless kernels keep no agent
 state. The Gaussian kernels also keep their environment's parameters as
 per-trial rows, so ``stack`` joins kernels of different environments into
-one block of trials. Draws whose block equals the sequence of single draws
-(normals, and agent indices one at a time) are taken from each stream up to
-``BLOCK`` at a time, so a trial's values do not depend on how many trials
-share its block. A stream handed to a kernel must be used by that kernel
-only.
+one block of trials.
+
+Every draw is taken from each trial's stream ``BLOCK`` steps at a time: the
+Gaussian noise as normals, the pool agents as p distinct agents per step.
+The distinct agents come from one integer draw per stream and block,
+``integers(0, m - arange(p), size=(BLOCK, p))``, whose entry i in a row
+picks the agent of that rank among the m - i agents its row has not taken
+yet ("rank-select", uniform over ordered p-tuples of distinct agents; for
+p = 1 one uniform index). So a trial's values do not depend on how many
+trials share its block. A pool kernel keeps one such sampler on the agent
+streams for ``advance`` and one per emission size on the sample streams
+for ``emit``. A stream handed to a kernel must be used by that kernel only.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -63,7 +71,7 @@ __all__ = [
     "AgentDivergenceError",
 ]
 
-# Most draws taken from one stream at a time.
+# Steps of draws taken from one stream at a time.
 BLOCK = 1024
 
 
@@ -241,31 +249,60 @@ class AgentPool:
 
 
 class _BlockDraws:
-    """Per-trial draws taken from each trial's stream up to ``BLOCK`` at a time.
+    """Per-trial draws taken from each trial's stream ``BLOCK`` steps at a time.
 
-    ``draw(rng, size)`` must return the values of ``size`` single draws in
-    order, so that blocking leaves every trial's sequence unchanged. A
-    ``scale`` row (T,) multiplies each trial's draws as they are taken from
-    its stream.
+    ``draw(rng, size)`` returns ``size`` steps of one trial's draws, shape
+    (size, ...), and must equal the sequence of ``size`` single steps, so
+    that blocking leaves every trial's values unchanged. ``finish`` maps the
+    stacked block (size, T, ...) once as it is taken from the streams, and
+    must act on each step and trial alone.
     """
 
-    def __init__(self, draw, scale=None):
+    def __init__(self, draw, finish=None):
         self.draw = draw
-        self.scale = scale
+        self.finish = finish
         self.buf = None
         self.pos = 0
 
     def take(self, rngs, count: int) -> np.ndarray:
-        """The next ``count`` draws of every trial, shape (count, T)."""
+        """The next ``count`` steps of every trial, shape (count, T, ...)."""
         if self.buf is None or self.pos + count > self.buf.shape[0]:
-            fresh = np.array([self.draw(rng, max(BLOCK, count)) for rng in rngs]).T
-            if self.scale is not None:
-                fresh = self.scale * fresh
+            fresh = np.stack([self.draw(rng, max(BLOCK, count)) for rng in rngs], axis=1)
+            if self.finish is not None:
+                fresh = self.finish(fresh)
             if self.buf is not None:
                 fresh = np.concatenate([self.buf[self.pos:], fresh])
-            self.buf, self.pos = np.ascontiguousarray(fresh), 0
+            self.buf, self.pos = fresh, 0
         self.pos += count
         return self.buf[self.pos - count:self.pos]
+
+
+def _rank_select(ranks: np.ndarray) -> np.ndarray:
+    """Map ranks (..., p), entry i in [0, m - i), to distinct agents: entry i
+    becomes the untaken agent with ``ranks[..., i]`` untaken agents below it,
+    where the taken ones are those of entries 0..i-1.
+
+    No sort is needed: a taken agent lies below the new one exactly when the
+    count of untaken agents below it is at most the new rank, and taking the
+    new agent lowers that count by one for every taken agent above it.
+    """
+    agents = np.empty_like(ranks)
+    untaken_below = np.empty_like(ranks)  # of each agent taken so far
+    for i in range(ranks.shape[-1]):
+        rank = ranks[..., i:i + 1]
+        below = untaken_below[..., :i]
+        agents[..., i:i + 1] = rank + (below <= rank).sum(axis=-1, keepdims=True)
+        below -= below > rank
+        untaken_below[..., i:i + 1] = rank
+    return agents
+
+
+def _distinct_agents(m: int, p: int) -> _BlockDraws:
+    """Block draws of ``p`` distinct agents of ``m`` per step, by rank-select."""
+    if not 1 <= p <= m:
+        raise ValueError(f"cannot draw {p} distinct agents from a pool of {m}")
+    highs = m - np.arange(p)
+    return _BlockDraws(lambda rng, size: rng.integers(0, highs, size=(size, p)), _rank_select)
 
 
 class _Memoryless:
@@ -294,7 +331,7 @@ class _GaussianRows:
         self.trials = trials
         for name in ("z_bar", "epsilon", "sigma"):
             setattr(self, name, np.full(trials, getattr(env, name)))
-        self._noise = _BlockDraws(_normal, self.sigma)
+        self._noise = _BlockDraws(_normal, partial(np.multiply, self.sigma))
 
     @classmethod
     def stack(cls, kernels):
@@ -304,7 +341,7 @@ class _GaussianRows:
         out.trials = sum(k.trials for k in kernels)
         for name in cls.ROWS:
             setattr(out, name, np.concatenate([getattr(k, name) for k in kernels]))
-        out._noise = _BlockDraws(_normal, out.sigma)
+        out._noise = _BlockDraws(_normal, partial(np.multiply, out.sigma))
         return out
 
 
@@ -353,20 +390,24 @@ class ArGaussianKernel(_GaussianRows):
 class _PoolKernel:
     """Agent draws shared by both pool kernels.
 
-    Emitted agents are drawn uniformly: one index per stream draw for
-    n = 1, ``n`` distinct agents per ``choice`` call otherwise.
+    An emission of ``n`` samples per trial takes ``n`` distinct agents, uniform
+    over ordered n-tuples, from a block of rank-select draws on the sample
+    streams; each emission size keeps its own block.
     """
 
     def __init__(self, pool: AgentPool, trials: int = 1):
         self.pool = pool
         self.trials = trials
         self._labels = pool.labels.astype(float)
-        self._agents = _BlockDraws(lambda rng, size: rng.integers(pool.size, size=size))
+        self._rows = np.arange(trials)[:, None]
+        self._emissions = {}
 
     def draw_agents(self, rngs, n: int) -> np.ndarray:
-        if n == 1:
-            return self._agents.take(rngs, 1).T
-        return np.array([rng.choice(self.pool.size, size=n, replace=False) for rng in rngs])
+        """``n`` distinct agents per trial, shape (T, n)."""
+        draws = self._emissions.get(n)
+        if draws is None:
+            draws = self._emissions[n] = _distinct_agents(self.pool.size, n)
+        return draws.take(rngs, 1)[0]
 
 
 class ExactBestResponseKernel(_Memoryless, _PoolKernel):
@@ -394,19 +435,18 @@ class AdaptedBestResponseKernel(_PoolKernel):
     def __init__(self, pool: AgentPool, trials: int = 1):
         super().__init__(pool, trials)
         self.features = np.tile(pool.base_features, (trials, 1, 1))
+        self._participants = _distinct_agents(pool.size, pool.participation)
 
     def advance(self, theta, rngs):
         pool = self.pool
-        idx = np.array([rng.choice(pool.size, size=pool.participation, replace=False)
-                        for rng in rngs])
-        rows = np.arange(idx.shape[0])[:, None]
-        xp = self.features[rows, idx]
+        idx = self._participants.take(rngs, 1)[0]
+        xp = self.features[self._rows, idx]
         g = pool.utility.grad(xp, pool.base_features[idx], self._labels[idx], theta[:, None, :])
         updated = xp + pool.alpha * g
-        self.features[rows, idx] = updated
+        self.features[self._rows, idx] = updated
         failed = ~np.isfinite(updated).all(axis=(1, 2))
         return failed if failed.any() else None
 
     def emit(self, theta, rngs, n: int = 1):
         idx = self.draw_agents(rngs, n)
-        return self.features[np.arange(idx.shape[0])[:, None], idx], self._labels[idx]
+        return self.features[self._rows, idx], self._labels[idx]

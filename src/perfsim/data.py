@@ -16,11 +16,10 @@ __all__ = ["SyntheticDataset", "generate_synthetic", "load_csv"]
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    """Feature matrix (m x d, standardized) with 0/1 labels and provenance."""
+    """Feature matrix (m x d, standardized) with 0/1 labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    meta: dict
 
     @property
     def size(self) -> int:
@@ -59,10 +58,7 @@ def generate_synthetic(d: int, m: int, seed: int, separation: float = 1.0) -> Sy
     order = rng.permutation(m)
     X, y = X[order], y[order]
     X = _standardize(X)
-    return SyntheticDataset(
-        features=X, labels=y,
-        meta={"kind": "synthetic", "d": d, "m": m, "seed": seed, "separation": separation},
-    )
+    return SyntheticDataset(features=X, labels=y)
 
 
 def load_csv(path, feature_columns, label_column) -> SyntheticDataset:
@@ -93,9 +89,4 @@ def load_csv(path, feature_columns, label_column) -> SyntheticDataset:
     if not rows:
         raise ValueError(f"no data rows in {path}")
     X = _standardize(np.asarray(rows, dtype=float))
-    return SyntheticDataset(
-        features=X, labels=np.asarray(labels, dtype=np.int64),
-        meta={"kind": "csv", "path": str(path), "m": len(rows),
-              "d": len(feature_columns), "feature_columns": feature_columns,
-              "label_column": label_column},
-    )
+    return SyntheticDataset(features=X, labels=np.asarray(labels, dtype=np.int64))

@@ -308,7 +308,10 @@ def _resolve_pool(params: dict) -> tuple:
     return loss, kernel_factory, schedule, theta_ps, desc
 
 
-def _resolve_point(spec: ExperimentSpec, overrides: dict) -> ResolvedPoint:
+def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> ResolvedPoint:
+    """The point of ``spec`` with ``overrides``; ``problems`` caches the
+    resolved problem by its parameters, so points that differ only in run
+    fields share one dataset and one stable-point solve."""
     family, utility = _PRESET_FAMILY[spec.preset]
     params = {"family": family, "utility": utility}
     params.update((name, default) for name, (default, _) in
@@ -317,8 +320,11 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict) -> ResolvedPoint:
     run_fields = {name: getattr(spec, name) for name in _RUN_FIELD_SWEEPS}
     for key, value in overrides.items():
         (run_fields if key in _RUN_FIELD_SWEEPS else params)[key] = value
-    resolve = _resolve_gaussian if params["family"] == "gaussian" else _resolve_pool
-    loss, kernel_factory, schedule, theta_ps, desc = resolve(params)
+    key = tuple(sorted(params.items()))
+    if key not in problems:
+        resolve = _resolve_gaussian if params["family"] == "gaussian" else _resolve_pool
+        problems[key] = resolve(params)
+    loss, kernel_factory, schedule, theta_ps, desc = problems[key]
     d = theta_ps.shape[0]
     theta0 = as_param(spec.theta0 if spec.theta0 is not None else np.zeros(d), d=d)
     config = RunConfig(theta0=theta0, schedule=schedule, horizon=spec.horizon,
@@ -332,14 +338,10 @@ def resolve_points(spec: ExperimentSpec) -> list:
     """Expand the sweep into fully resolved run descriptions."""
     spec.validate()
     sweep = spec.normalized_sweep()
-    if not sweep:
-        return [_resolve_point(spec, {})]
     names = [param for param, _ in sweep]
-    value_lists = [values for _, values in sweep]
-    points = []
-    for combo in itertools.product(*value_lists):
-        points.append(_resolve_point(spec, dict(zip(names, combo))))
-    return points
+    problems = {}
+    return [_resolve_point(spec, dict(zip(names, combo)), problems)
+            for combo in itertools.product(*(values for _, values in sweep))]
 
 
 def record_grid(horizon: int) -> np.ndarray:
@@ -362,7 +364,7 @@ def _group_key(point: ResolvedPoint) -> tuple:
     rows of several problems (a pool kernel's point is a group of its own)."""
     kind = point.kernel_factory.func
     c = point.config
-    return (kind if hasattr(kind, "stack") else point.kernel_factory, c.theta0.tobytes(),
+    return (kind if hasattr(kind, "stack") else point.label, c.theta0.tobytes(),
             c.schedule, c.horizon, c.batch, c.br_per_iter, c.learner_iters_per_agent_round, c.seed)
 
 

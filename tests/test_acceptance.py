@@ -23,6 +23,8 @@ from perfsim.losses import LogisticLoss, QuadraticLoss, mean_grad
 from perfsim.oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
 from perfsim.solver import RunConfig, one_step_contraction_probe, sa_run
 
+from draw_reference import distinct_agent_draws
+
 WORKERS = min(os.cpu_count() or 1, 8)
 
 
@@ -298,11 +300,11 @@ def test_c8_closed_form_best_response():
     target = pool.base_features + epsilon * theta
     factor = 1.0 - pool.alpha / epsilon
     rng = RngStream(11).generator()
-    rng_clone = RngStream(11).generator()
+    draws = distinct_agent_draws(RngStream(11).generator(), pool.size, pool.participation)
     counts = np.zeros(pool.size, dtype=np.int64)
     max_dev = 0.0
     for _ in range(3000):
-        counts[rng_clone.choice(pool.size, size=pool.participation, replace=False)] += 1
+        counts[next(draws)] += 1
         kernel.advance(theta[None], [rng])
         predicted = target + (factor ** counts)[:, None] * (pool.base_features - target)
         max_dev = max(max_dev, float(np.max(np.abs(kernel.features[0] - predicted))))

@@ -9,6 +9,8 @@ from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, AgentDivergenc
 from perfsim.core import RngStream
 from perfsim.data import generate_synthetic
 
+from draw_reference import distinct_agent_draws
+
 
 def advance_then_emit(kern, theta, rng):
     """One agent transition followed by one emission, as the learner sees it,
@@ -265,6 +267,106 @@ class TestLogisticBestResponseRoot:
         assert np.array_equal(self.util.best_response(X, np.array([1.0, 0.0]), np.zeros(2)), X)
 
 
+def trial_rngs(seed, trials):
+    return [RngStream(seed).substream(t).generator() for t in range(trials)]
+
+
+def assert_uniform_sets(sets, m, p):
+    """Rows of ``sets`` (N, m), each the 0/1 membership of one draw of p
+    distinct agents of m: every agent's inclusion frequency is p/m and every
+    pair's p(p-1)/(m(m-1)), each within 3 standard errors."""
+    n = sets.shape[0]
+    assert np.array_equal(sets.sum(axis=1), np.full(n, p))
+    for freq, q in ((sets.mean(axis=0), p / m),
+                    ((sets.T @ sets)[np.triu_indices(m, 1)] / n, p * (p - 1) / (m * (m - 1)))):
+        assert np.all(np.abs(freq - q) <= 3.0 * math.sqrt(q * (1.0 - q) / n))
+
+
+class TestDistinctAgents:
+    """Pool agents are drawn per trial in blocks by rank-select: entry i of a
+    step picks, by a uniform rank, one of the m - i agents not yet taken."""
+
+    def test_advance_inclusion_frequencies(self):
+        # m = 6, p = 3: 21 checks at 3 standard errors, so a correct sampler
+        # fails one with probability about 5 % at a new seed
+        m, p, trials, steps = 6, 3, 20, 2000
+        pool = small_pool(m=m, participation=p)
+        kern = AdaptedBestResponseKernel(pool, trials=trials)
+        theta = np.tile([1.0, -1.0, 2.0], (trials, 1))
+        rngs = trial_rngs(30, trials)
+        sets = np.empty((steps, trials, m))
+        for step in range(steps):
+            kern.features[:] = pool.base_features  # every selected agent moves
+            kern.advance(theta, rngs)
+            sets[step] = np.any(kern.features != pool.base_features, axis=2)
+        assert_uniform_sets(sets.reshape(-1, m), m, p)
+
+    @pytest.mark.parametrize("kernel", [AdaptedBestResponseKernel, ExactBestResponseKernel])
+    def test_emission_inclusion_frequencies(self, kernel):
+        m, n, trials, steps = 6, 4, 20, 2000
+        kern = kernel(small_pool(m=m), trials=trials)
+        rngs = trial_rngs(31, trials)
+        sets = np.zeros((steps * trials, m))
+        for step in range(steps):
+            idx = kern.draw_agents(rngs, n)
+            assert np.all(np.sort(idx, axis=1)[:, 1:] > np.sort(idx, axis=1)[:, :-1])
+            np.put_along_axis(sets[step * trials:(step + 1) * trials], idx, 1.0, axis=1)
+        assert_uniform_sets(sets, m, n)
+
+    def test_all_agents_give_a_permutation(self):
+        m, trials = 20, 3
+        pool = small_pool(m=m, participation=m)
+        kern = AdaptedBestResponseKernel(pool, trials=trials)
+        rngs, sample_rngs = trial_rngs(32, trials), trial_rngs(33, trials)
+        theta = np.tile([0.5, 0.5, 0.5], (trials, 1))
+        firsts = []
+        for _ in range(200):
+            kern.features[:] = pool.base_features
+            kern.advance(theta, rngs)
+            assert np.all(kern.features != pool.base_features)
+            idx = kern.draw_agents(sample_rngs, m)
+            assert np.array_equal(np.sort(idx, axis=1), np.tile(np.arange(m), (trials, 1)))
+            firsts.append(idx[:, 0])
+        assert len(set(np.concatenate(firsts).tolist())) == m
+
+    def test_trial_row_independent_of_block(self):
+        # 1500 steps cross a block refill
+        pool = small_pool(utility=LogisticUtility(epsilon=0.05), participation=5)
+        trials, row = 7, 3
+        wide = AdaptedBestResponseKernel(pool, trials=trials)
+        alone = AdaptedBestResponseKernel(pool)
+        theta = np.array([[1.0, -0.5, 0.25]])
+        agent, sample = trial_rngs(34, trials), trial_rngs(35, trials)
+        agent1, sample1 = trial_rngs(34, trials)[row:row + 1], trial_rngs(35, trials)[row:row + 1]
+        for _ in range(1500):
+            wide.advance(np.repeat(theta, trials, axis=0), agent)
+            alone.advance(theta, agent1)
+            X, y = wide.emit(np.repeat(theta, trials, axis=0), sample, 3)
+            X1, y1 = alone.emit(theta, sample1, 3)
+            assert np.array_equal(X[row], X1[0]) and np.array_equal(y[row], y1[0])
+        assert np.array_equal(wide.features[row], alone.features[0])
+
+    def test_advance_and_emission_use_separate_streams(self):
+        # participation == batch: each draw still follows its own stream
+        pool = small_pool(participation=4)
+        kern = AdaptedBestResponseKernel(pool)
+        agent, sample = RngStream(36).generator(), RngStream(37).generator()
+        moves = distinct_agent_draws(RngStream(36).generator(), pool.size, 4)
+        emissions = distinct_agent_draws(RngStream(37).generator(), pool.size, 4)
+        theta = np.array([[1.0, 2.0, -1.0]])
+        for _ in range(1100):
+            kern.features[0] = pool.base_features
+            kern.advance(theta, [agent])
+            moved = np.flatnonzero(np.any(kern.features[0] != pool.base_features, axis=1))
+            assert np.array_equal(moved, np.sort(next(moves)))
+            assert kern.draw_agents([sample], 4)[0].tolist() == next(emissions)
+
+    def test_more_agents_than_the_pool_rejected(self):
+        kern = ExactBestResponseKernel(small_pool(m=20))
+        with pytest.raises(ValueError, match="21 distinct agents"):
+            kern.emit(np.zeros((1, 3)), [RngStream(38).generator()], 21)
+
+
 class TestAdaptedPool:
     def test_single_step_from_base(self):
         pool = small_pool()
@@ -272,7 +374,7 @@ class TestAdaptedPool:
         theta = np.array([1.0, -1.0, 2.0])
         rng = RngStream(12).generator()
         rng_clone = RngStream(12).generator()
-        expected_idx = rng_clone.choice(pool.size, size=pool.participation, replace=False)
+        expected_idx = next(distinct_agent_draws(rng_clone, pool.size, pool.participation))
         kern.advance(theta[None], [rng])
         moved = np.flatnonzero(np.any(kern.features[0] != pool.base_features, axis=1))
         assert np.array_equal(np.sort(expected_idx), moved)
@@ -290,9 +392,9 @@ class TestAdaptedPool:
         factor = 1.0 - pool.alpha / eps
         counts = np.zeros(pool.size, dtype=int)
         rng = RngStream(13).generator()
-        rng_clone = RngStream(13).generator()
+        draws = distinct_agent_draws(RngStream(13).generator(), pool.size, pool.participation)
         for _ in range(200):
-            idx = rng_clone.choice(pool.size, size=pool.participation, replace=False)
+            idx = next(draws)
             kern.advance(theta[None], [rng])
             counts[idx] += 1
             predicted = target + (factor ** counts)[:, None] * (pool.base_features - target)
@@ -306,10 +408,10 @@ class TestAdaptedPool:
         theta = np.array([1.0, 1.0, -1.0])
         kern = AdaptedBestResponseKernel(pool)
         rng = RngStream(14).generator()
-        rng_clone = RngStream(14).generator()
+        draws = distinct_agent_draws(RngStream(14).generator(), pool.size, pool.participation)
         counts = np.zeros(pool.size, dtype=int)
         while counts.min() < needed:
-            counts[rng_clone.choice(pool.size, size=pool.participation, replace=False)] += 1
+            counts[next(draws)] += 1
             kern.advance(theta[None], [rng])
         gaps = np.linalg.norm(kern.features[0] - (pool.base_features + eps * theta), axis=1)
         assert gaps.max() <= tol

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from perfsim.agents import AdaptedBestResponseKernel, ArGaussianKernel
 from perfsim.cli import main as cli_main
 from perfsim.data import generate_synthetic, load_csv
+from perfsim import harness
 from perfsim.harness import (ConfigError, ExperimentSpec, _execute_points, _group_key,
                              record_grid, resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss
-from perfsim.oracle import minimize_empirical_risk
+from perfsim.oracle import minimize_empirical_risk, theta_ps_fixed_point
 from perfsim.solver import sa_run
 
 
@@ -356,6 +357,30 @@ class TestRunExperiment:
             rows = list(csv.DictReader(fh))
         assert int(rows[-1]["agent_updates[br_per_iter=1]"]) == 8
         assert int(rows[-1]["agent_updates[br_per_iter=3]"]) == 24
+
+    def test_run_field_sweep_resolves_its_problem_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return theta_ps_fixed_point(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "theta_ps_fixed_point", counted)
+        spec = ExperimentSpec.from_dict({
+            "preset": "strat_class_linear", "seed": 3, "trials": 2, "horizon": 8,
+            "workers": 1, "out": str(tmp_path), "problem": {"m": 20, "data_seed": 2},
+            "sweep": [["batch", [1, 4]]],
+        })
+        points = resolve_points(spec)
+        assert len(calls) == 1
+        assert points[0].theta_ps is points[1].theta_ps
+        spec.sweep = [["trials", [1, 2]], ["epsilon", [0.01, 0.02]]]
+        points = resolve_points(spec)
+        assert len(calls) == 3
+        # each pool point still runs as a group of its own
+        assert len({_group_key(point) for point in points}) == 4
+        summary = run_experiment(spec)
+        assert [len(p["diverged"]) for p in summary["points"]] == [0, 0, 0, 0]
 
     def test_divergent_trials_flagged(self, tmp_path):
         spec = gaussian_spec(trials=2, horizon=50, out=str(tmp_path),
