@@ -6,11 +6,18 @@ the SHA-256 of its ``trace.csv`` and the exact bits of every ``theta_ps`` in
 the repeated-risk-minimization loops and the best-response routines were
 merged. The two logistic-utility pins were retaken once when the exact
 logistic best response became a scalar root solved to rounding level instead
-of a gradient ascent to a tolerance; their ``theta_ps`` moved by about 2e-14. The cases cover greedy runs with several agent transitions per
-update, lazy deployment with a horizon that is not a multiple of the inner
-count, the adapted agent pool, exact best responses with minibatches, and
-minibatches drawn from the i.i.d. Gaussian kernel and from the adapted pool
-(blocked normal draws and draws of distinct agents).
+of a gradient ascent to a tolerance; their ``theta_ps`` moved by about 2e-14.
+The four pool pins (``pool_logistic_lazy``, ``exact_br_batch``,
+``exact_br_batch_linear``, ``pool_linear_batch``) were retaken once more when
+the pools stopped drawing distinct agents with one ``Generator.choice`` call
+per trial and step and began drawing them in per-trial blocks by rank-select:
+the adapting agents and every minibatch of distinct agents changed, so their
+``trace.csv`` bytes moved; no ``theta_ps`` bit moved, and the three Gaussian
+pins passed unchanged. The cases cover greedy runs with several agent
+transitions per update, lazy deployment with a horizon that is not a
+multiple of the inner count, the adapted agent pool, exact best responses
+with minibatches, and minibatches drawn from the i.i.d. Gaussian kernel and
+from the adapted pool (blocked normal draws and draws of distinct agents).
 
 Regenerate the pins only for a deliberate, documented output change::
 
@@ -60,14 +67,14 @@ CASES = {
 # name -> (SHA-256 of trace.csv, float.hex of every theta_ps entry per point)
 GOLDEN = {
     "exact_br_batch": (
-        "77e5443d79079ac5a80acf4f4115abc3533db2e1af9637a92ed7d2fea3ba88a1",
+        "ad27691f576b35e8f986c22d054289f589d9600e045406bca9616c3375670495",
         [
             ["0x1.0eb69af5b1be7p-4", "0x1.128d3c39b41cap-4", "0x1.164945c1ce621p-4"],
             ["0x1.0eb69af5b1be7p-4", "0x1.128d3c39b41cap-4", "0x1.164945c1ce621p-4"],
         ],
     ),
     "exact_br_batch_linear": (
-        "c996d7ebb80a1e07902346dd3b50e647d0514c03ed9fde1e811c145e1ec960de",
+        "e0be073173f5170f3f0a897f0d1502f363fc79577733f10e90e3351dc4bb32d2",
         [
             ["0x1.2bdc447d517c5p-6", "0x1.3306532f9f11ap-6", "0x1.170e228443bafp-6"],
             ["0x1.2bdc447d517c5p-6", "0x1.3306532f9f11ap-6", "0x1.170e228443bafp-6"],
@@ -97,14 +104,14 @@ GOLDEN = {
         ],
     ),
     "pool_linear_batch": (
-        "71ee94182bbf615f3a7064b93153915b8a14eee3998c44ca716f6f8c5907bb31",
+        "045cac288226dbdf3fd8a11684cabc848424d2ad7c81d557417a3d4684e39d67",
         [
             ["0x1.0e9dc4fc26190p-4", "0x1.1273e2ab83aefp-4", "0x1.162f9758e2087p-4"],
             ["0x1.0e9dc4fc26190p-4", "0x1.1273e2ab83aefp-4", "0x1.162f9758e2087p-4"],
         ],
     ),
     "pool_logistic_lazy": (
-        "03998907e06fb4936d4518f3315bbd5991bf1bcdb902c47450c1aa3546367004",
+        "2a664a3373c4391960fe03cc3cca291f66861139d76f042be4d04cb67caef98c",
         [
             ["0x1.0eb69af5b1be7p-4", "0x1.128d3c39b41cap-4", "0x1.164945c1ce621p-4"],
             ["0x1.0eb69af5b1be7p-4", "0x1.128d3c39b41cap-4", "0x1.164945c1ce621p-4"],
