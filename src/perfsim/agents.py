@@ -279,22 +279,19 @@ class _BlockDraws:
 
 def _rank_select(ranks: np.ndarray) -> np.ndarray:
     """Map ranks (..., p), entry i in [0, m - i), to distinct agents: entry i
-    becomes the untaken agent with ``ranks[..., i]`` untaken agents below it,
-    where the taken ones are those of entries 0..i-1.
+    becomes the agent of rank ``ranks[..., i]``, counting from 0 in index
+    order, among those that entries 0..i-1 did not take.
 
-    No sort is needed: a taken agent lies below the new one exactly when the
-    count of untaken agents below it is at most the new rank, and taking the
-    new agent lowers that count by one for every taken agent above it.
+    Decoded from the last entry back: once entries i+1.. are ranks among the
+    agents that entries 0..i did not take, raising by one each that is at
+    least entry i's rank makes them ranks among those that entries 0..i-1
+    did not take.
     """
-    agents = np.empty_like(ranks)
-    untaken_below = np.empty_like(ranks)  # of each agent taken so far
-    for i in range(ranks.shape[-1]):
-        rank = ranks[..., i:i + 1]
-        below = untaken_below[..., :i]
-        agents[..., i:i + 1] = rank + (below <= rank).sum(axis=-1, keepdims=True)
-        below -= below > rank
-        untaken_below[..., i:i + 1] = rank
-    return agents
+    agents = np.moveaxis(ranks, -1, 0).copy()  # entry-major: every shift is contiguous
+    for i in range(agents.shape[0] - 2, -1, -1):
+        later = agents[i + 1:]
+        later += later >= agents[i]
+    return np.ascontiguousarray(np.moveaxis(agents, 0, -1))
 
 
 def _distinct_agents(m: int, p: int) -> _BlockDraws:
