@@ -396,7 +396,6 @@ class _PoolKernel:
         self.pool = pool
         self.trials = trials
         self._labels = pool.labels.astype(float)
-        self._rows = np.arange(trials)[:, None]
         self._emissions = {}
 
     def draw_agents(self, rngs, n: int) -> np.ndarray:
@@ -432,6 +431,7 @@ class AdaptedBestResponseKernel(_PoolKernel):
     def __init__(self, pool: AgentPool, trials: int = 1):
         super().__init__(pool, trials)
         self.features = np.tile(pool.base_features, (trials, 1, 1))
+        self._rows = np.arange(trials)[:, None]
         self._participants = _distinct_agents(pool.size, pool.participation)
 
     def advance(self, theta, rngs):
