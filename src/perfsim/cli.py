@@ -1,13 +1,14 @@
 """Command-line interface: run experiments, list presets, query stable points.
 
 Exit codes: 0 on success, 1 on configuration errors (an allocation too
-large for memory included), 2 when every trial of some sweep point
-diverged.
+large for memory included) and when a worker process dies, 2 when every
+trial of some sweep point diverged.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .harness import PRESETS, ConfigError, ExperimentSpec, resolve_points, run_experiment
 
@@ -82,6 +83,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:  # no size field has an upper bound
         print(f"perfsim: error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except BrokenProcessPool as exc:  # a killed worker, say one out of memory
+        print(f"perfsim: error: a worker process died: {exc}", file=sys.stderr)
         return 1
 
 

@@ -49,9 +49,9 @@ def gaussian_study():
     grid = record_grid(spec.horizon)
     start = perf_counter()
     errors = {}
-    for point, results in zip(points, _execute_points(points, grid, WORKERS)):
-        assert all("errors" in r for r in results), "unexpected divergence"
-        errors[point.overrides["rho"]] = np.vstack([r["errors"] for r in results])
+    for point, (trace, rows) in zip(points, _execute_points(points, grid, WORKERS)):
+        assert not set(trace.failed_rows) & set(rows), "unexpected divergence"
+        errors[point.overrides["rho"]] = trace.errors[rows]
     elapsed = perf_counter() - start
     return {"grid": grid, "errors": errors, "elapsed": elapsed, "horizon": spec.horizon}
 
@@ -68,11 +68,9 @@ def strat_study():
         })
         point = resolve_points(spec)[0]
         grid = record_grid(spec.horizon)
-        (results,) = _execute_points([point], grid, WORKERS)
-        assert all("errors" in r for r in results), "unexpected divergence"
-        out[preset] = {"grid": grid,
-                       "errors": np.vstack([r["errors"] for r in results]),
-                       "horizon": spec.horizon}
+        ((trace, rows),) = _execute_points([point], grid, WORKERS)
+        assert not set(trace.failed_rows) & set(rows), "unexpected divergence"
+        out[preset] = {"grid": grid, "errors": trace.errors[rows], "horizon": spec.horizon}
     out["elapsed"] = perf_counter() - start
     return out
 

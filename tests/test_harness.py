@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -139,20 +140,53 @@ class TestRunExperiment:
         assert float(rows[0]["err_mean"]) == pytest.approx(tps ** 2, rel=1e-15)
 
     def test_byte_identical_reruns_and_worker_invariance(self, tmp_path):
-        # 5 trials split into blocks of 5, 2 + 3 and 1 + 2 + 2, on the AR
-        # chain, the adapted pool and exact best responses in minibatches of 3
-        cases = (("gaussian_ar", 400, {}),
-                 ("strat_class_logistic", 150, {}),
-                 ("strat_class_logistic", 150, {"problem": {"kernel": "iid"}, "batch": 3}))
-        for case, (preset, horizon, extra) in enumerate(cases):
-            outs = []
-            for name, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 3)):
-                out = tmp_path / str(case) / name
-                spec = gaussian_spec(preset=preset, trials=5, horizon=horizon,
-                                     out=str(out), workers=workers, **extra)
-                run_experiment(spec)
-                outs.append((out / "trace.csv").read_bytes())
-            assert outs[0] == outs[1] == outs[2] == outs[3], (preset, extra)
+        # 5 trials on the AR chain, the adapted pool and exact best responses
+        # in minibatches of 3, run in-process and forked; the sweep of each
+        # case makes two groups, which the pool runs in parallel
+        cases = (("gaussian_ar", 400, {}, [["batch", [1, 3]]]),
+                 ("strat_class_logistic", 150, {}, [["learner_iters_per_agent_round", [1, 2]]]),
+                 ("strat_class_logistic", 150, {"problem": {"kernel": "iid"}, "batch": 3},
+                  [["batch", [1, 3]]]))
+        for case, (preset, horizon, extra, sweep) in enumerate(cases):
+            for swept in ([], sweep):
+                points = resolve_points(gaussian_spec(preset=preset, sweep=swept, **extra))
+                assert len({_group_key(point) for point in points}) == (2 if swept else 1)
+                outs = []
+                for name, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 3)):
+                    out = tmp_path / str(case) / str(len(swept)) / name
+                    spec = gaussian_spec(preset=preset, trials=5, horizon=horizon, sweep=swept,
+                                         out=str(out), workers=workers, **extra)
+                    run_experiment(spec)
+                    outs.append((out / "trace.csv").read_bytes())
+                assert outs[0] == outs[1] == outs[2] == outs[3], (preset, extra, swept)
+
+    def test_pool_processes_are_capped_at_the_cpus(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size asked for and runs the jobs in-process."""
+
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        spec = ExperimentSpec.from_dict({
+            "preset": "strat_class_linear", "seed": 3, "trials": 2, "horizon": 8,
+            "workers": 10_000, "out": str(tmp_path), "problem": {"m": 20, "data_seed": 2},
+            "sweep": [["batch", [1, 2, 3]]],
+        })
+        summary = run_experiment(spec)
+        assert [len(p["diverged"]) for p in summary["points"]] == [0, 0, 0]
+        assert sizes == [min(3, os.cpu_count() or 1)]
 
     def test_mixed_failure_leaves_other_trials_unchanged(self):
         class PoisonedPool(AdaptedBestResponseKernel):
@@ -172,18 +206,19 @@ class TestRunExperiment:
         poisoned = dataclasses.replace(
             point, kernel_factory=partial(PoisonedPool, *point.kernel_factory.args))
         grid = record_grid(spec.horizon)
-        (results,) = _execute_points([poisoned], grid, workers=1)
-        assert results[1] == {"trial": 1, "iteration": 120, "kind": "AgentDivergenceError"}
+        ((trace, rows),) = _execute_points([poisoned], grid, workers=1)
+        assert dict(zip(trace.failed_rows, trace.failures)) == {
+            rows[1]: {"trial": 1, "iteration": 120, "kind": "AgentDivergenceError"}}
         for trial in (0, 2):
             alone = sa_run(point.loss, point.kernel_factory(), point.config, point.theta_ps,
                            trials=[trial], record=grid)
-            assert results[trial]["trial"] == trial
-            assert np.array_equal(results[trial]["errors"], alone.errors[0])
-            assert np.array_equal(results[trial]["final_theta"], alone.final_theta[0])
+            assert trace.trials[rows[trial]] == trial
+            assert np.array_equal(trace.errors[rows[trial]], alone.errors[0])
+            assert np.array_equal(trace.final_theta[rows[trial]], alone.final_theta[0])
 
     def test_grouped_points_match_one_point_runs_bit_for_bit(self):
         # AR points with differing targets, chain laws and starts, and i.i.d.
-        # points in minibatches of 3; one block, then four that split points
+        # points in minibatches of 3; one block, in-process and forked
         sweeps = ({"sweep": [["rho", [0.2, 1.0]], ["sigma", [0.5, 3.0]],
                              ["z_bar", [1.0, -4.0]], ["z0", [None, 2.5]]]},
                   {"problem": {"kernel": "iid"}, "batch": 3,
@@ -196,11 +231,11 @@ class TestRunExperiment:
             alone = [sa_run(point.loss, point.kernel_factory(trials=3), point.config,
                             point.theta_ps, record=grid) for point in points]
             for workers in (1, 4):
-                for trace, results in zip(alone, _execute_points(points, grid, workers)):
-                    for trial, result in enumerate(results):
-                        assert result["trial"] == trial
-                        assert np.array_equal(result["errors"], trace.errors[trial])
-                        assert np.array_equal(result["final_theta"], trace.final_theta[trial])
+                for one, (trace, rows) in zip(alone, _execute_points(points, grid, workers)):
+                    assert not trace.failures
+                    assert np.array_equal(trace.trials[rows], np.arange(3))
+                    assert np.array_equal(trace.errors[rows], one.errors)
+                    assert np.array_equal(trace.final_theta[rows], one.final_theta)
 
     def test_grouped_failure_is_attributed_to_its_point(self):
         class PoisonedChain(ArGaussianKernel):
@@ -222,16 +257,19 @@ class TestRunExperiment:
             for point in points]
         grid = record_grid(spec.horizon)
         results = _execute_points(poisoned, grid, workers=1)
-        assert results[1][1] == {"trial": 1, "iteration": 120, "kind": "DivergenceError"}
-        for point, rows in zip(points, results):
+        trace = results[1][0]
+        failed = dict(zip(trace.failed_rows, trace.failures))
+        assert failed == {results[1][1][1]: {"trial": 1, "iteration": 120,
+                                             "kind": "DivergenceError"}}
+        for point, (trace, rows) in zip(points, results):
             alone = sa_run(point.loss, point.kernel_factory(trials=3), point.config,
                            point.theta_ps, record=grid)
-            for trial, result in enumerate(rows):
-                if result is results[1][1]:
+            for trial, row in enumerate(rows):
+                if row in failed:
                     continue
-                assert result["trial"] == trial
-                assert np.array_equal(result["errors"], alone.errors[trial])
-                assert np.array_equal(result["final_theta"], alone.final_theta[trial])
+                assert trace.trials[row] == trial
+                assert np.array_equal(trace.errors[row], alone.errors[trial])
+                assert np.array_equal(trace.final_theta[row], alone.final_theta[trial])
 
     def test_missing_rate_fit_is_explained(self, tmp_path):
         # sigma = epsilon = 0 and a unit step land on theta_ps at k = 1: the
@@ -484,6 +522,11 @@ class TestConfigValidation:
         assert spec.normalized_sweep() == [("rho", [0.2, 0.7])]
 
 
+def _exit_worker(job):
+    """Stands in for ``harness._run_group``: the worker dies, as on an OS kill."""
+    os._exit(1)
+
+
 class TestCli:
     def write_config(self, tmp_path, payload):
         p = tmp_path / "cfg.json"
@@ -553,6 +596,19 @@ class TestCli:
         })
         assert cli_main(["run", "--config", cfg]) == 2
         assert "diverged at iteration 2 (DivergenceError)" in capsys.readouterr().err
+
+    def test_dead_worker_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "_run_group", _exit_worker)
+        cfg = self.write_config(tmp_path, {
+            "preset": "gaussian_ar", "trials": 2, "horizon": 50, "workers": 2,
+            "sweep": [["batch", [1, 2]]], "out": str(tmp_path / "res"),
+        })
+        assert cli_main(["run", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("perfsim: error: a worker process died")
+        assert "Traceback" not in captured.err
 
     def test_lazy_minibatch_rejected_before_any_trial(self, tmp_path, capsys):
         out_dir = tmp_path / "res"
