@@ -1,8 +1,8 @@
 """Command-line interface: run experiments, list presets, query stable points.
 
 Exit codes: 0 on success, 1 on configuration errors (an allocation too
-large for memory included) and when a worker process dies, 2 when every
-trial of some sweep point diverged.
+large for memory and a size beyond a 64-bit integer included) and when a
+worker process dies, 2 when every trial of some sweep point diverged.
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ def main(argv=None) -> int:
             print(f"error: all trials diverged for: {', '.join(all_dead)}", file=sys.stderr)
             return 2
         return 0
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, OverflowError) as exc:
         print(f"perfsim: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # no size field has an upper bound

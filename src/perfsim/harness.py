@@ -249,8 +249,8 @@ class ResolvedPoint:
     loss: object
     kernel_factory: Callable
     config: RunConfig
+    trials: int
     theta_ps: np.ndarray
-    schedule_desc: dict
     problem_desc: dict
 
 
@@ -329,11 +329,12 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> Res
     loss, kernel_factory, schedule, theta_ps, desc = problems[key]
     d = theta_ps.shape[0]
     theta0 = as_param(spec.theta0 if spec.theta0 is not None else np.zeros(d), d=d)
+    trials = run_fields.pop("trials")
     config = RunConfig(theta0=theta0, schedule=schedule, horizon=spec.horizon,
                        seed=spec.seed, **run_fields)
     return ResolvedPoint(label=_point_label(overrides), overrides=overrides, loss=loss,
-                         kernel_factory=kernel_factory, config=config, theta_ps=theta_ps,
-                         schedule_desc=schedule.describe(), problem_desc=desc)
+                         kernel_factory=kernel_factory, config=config, trials=trials,
+                         theta_ps=theta_ps, problem_desc=desc)
 
 
 def resolve_points(spec: ExperimentSpec) -> list:
@@ -361,9 +362,9 @@ def record_grid(horizon: int) -> np.ndarray:
 
 
 def _group_key(point: ResolvedPoint) -> tuple:
-    """Points with equal keys run their trials in one block: they share every
-    ``RunConfig`` field but ``trials``, and a kernel class that stacks the
-    rows of several problems (a pool kernel's point is a group of its own)."""
+    """Points with equal keys run their trials in one block: they share their
+    ``RunConfig``, and a kernel class that stacks the rows of several
+    problems (a pool kernel's point is a group of its own)."""
     kind = point.kernel_factory.func
     c = point.config
     return (kind if hasattr(kind, "stack") else point.label, c.theta0.tobytes(),
@@ -392,7 +393,7 @@ def _execute_points(points: list, grid: np.ndarray, workers: int) -> list:
         groups.setdefault(_group_key(point), []).append(i)
     jobs = []
     for members in groups.values():
-        counts = [points[i].config.trials for i in members]
+        counts = [points[i].trials for i in members]
         first = points[members[0]]  # the group shares its loss and run fields
         jobs.append((first.loss, [(points[i].kernel_factory, n) for i, n in zip(members, counts)],
                      first.config, np.repeat([points[i].theta_ps for i in members], counts, axis=0),
@@ -410,8 +411,8 @@ def _execute_points(points: list, grid: np.ndarray, workers: int) -> list:
     for members, trace in zip(groups.values(), traces):
         lo = 0
         for i in members:
-            results[i] = (trace, range(lo, lo + points[i].config.trials))
-            lo += points[i].config.trials
+            results[i] = (trace, range(lo, lo + points[i].trials))
+            lo += points[i].trials
     return results
 
 
@@ -434,9 +435,8 @@ def run_experiment(spec: ExperimentSpec):
     for point, (trace, rows) in zip(points, _execute_points(points, grid, workers)):
         # agent-side failures happen when the learner iterate blows up too; the
         # trial is recorded as divergent rather than aborting the experiment
-        failed = dict(zip(trace.failed_rows, trace.failures))
-        diverged = [failed[row] for row in rows if row in failed]
-        ok = [row for row in rows if row not in failed]
+        diverged = [trace.failures[row] for row in rows if row in trace.failures]
+        ok = [row for row in rows if row not in trace.failures]
         sfx = f"[{point.label}]" if point.label else ""
         if ok:
             errs = trace.errors[ok]
@@ -474,10 +474,10 @@ def run_experiment(spec: ExperimentSpec):
             "label": point.label,
             "overrides": point.overrides,
             "problem": point.problem_desc,
-            "schedule": point.schedule_desc,
+            "schedule": point.config.schedule.describe(),
             "theta_ps": [float(v) for v in point.theta_ps],
             "theta0": [float(v) for v in point.config.theta0],
-            "trials": point.config.trials,
+            "trials": point.trials,
             "algorithm": "lazy" if point.config.learner_iters_per_agent_round > 1 else "sa",
             "batch": point.config.batch,
             "br_per_iter": point.config.br_per_iter,
@@ -488,18 +488,12 @@ def run_experiment(spec: ExperimentSpec):
             "final_mean_error": float(err_mean[-1]) if ok else None,
         })
 
-    trace_path = out_dir / "trace.csv"
-    with open(trace_path, "w", newline="") as fh:
+    line = ",".join("%d" if np.issubdtype(values.dtype, np.integer) else FLOAT_FORMAT
+                    for _, values in columns) + "\n"
+    with open(out_dir / "trace.csv", "w", newline="") as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")
-        for i in range(grid.shape[0]):
-            cells = []
-            for _, values in columns:
-                v = values[i]
-                if isinstance(v, (np.integer, int)):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append(FLOAT_FORMAT % v)
-            fh.write(",".join(cells) + "\n")
+        for row in zip(*(values.tolist() for _, values in columns)):
+            fh.write(line % row)
 
     summary = {
         "schema": SCHEMA_VERSION,

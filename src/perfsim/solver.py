@@ -51,7 +51,8 @@ class RunConfig:
     ``learner_iters_per_agent_round`` repeats learner updates per agent
     round (lazy deployment). They are opposing experiments, so at most one
     of them may exceed 1. Lazy deployment draws one sample per learner
-    update, so it excludes minibatches.
+    update, so it excludes minibatches. The number of trials is not a
+    field: a block runs as many trials as its kernel was built for.
     """
 
     theta0: np.ndarray
@@ -60,7 +61,6 @@ class RunConfig:
     batch: int = 1
     br_per_iter: int = 1
     learner_iters_per_agent_round: int = 1
-    trials: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -76,31 +76,26 @@ class RunConfig:
         if self.batch > 1 and self.learner_iters_per_agent_round > 1:
             raise ValueError("lazy runs draw one sample per learner update; "
                              "batch and learner_iters_per_agent_round cannot both exceed 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
 
 
 @dataclass
 class RunTrace:
     """Recorded iterations of a block of trials run together.
 
-    ``errors[i, j]`` is the squared distance to the stable point of trial
-    ``trials[i]`` after ``iterations[j]`` updates. A failed trial keeps its
+    ``errors[i, j]`` is the squared distance to the stable point of block
+    row ``i`` after ``iterations[j]`` updates. A failed trial keeps its
     row; its errors from its failing iteration on and its ``final_theta``
-    row are NaN, and ``failures`` holds one ``{"trial", "iteration",
-    "kind"}`` record per failed trial, in the order they failed, with its
-    block row in ``failed_rows`` (a block may hold equal trial numbers of
-    several problems).
+    row are NaN, and ``failures`` maps its block row to its ``{"trial",
+    "iteration", "kind"}`` record, in the order the trials failed (a block
+    may hold equal trial numbers of several problems, so rows are the key).
     """
 
-    trials: np.ndarray
     iterations: np.ndarray
     errors: np.ndarray
     samples_drawn: np.ndarray
     agent_updates: np.ndarray
     final_theta: np.ndarray
-    failures: list
-    failed_rows: list
+    failures: dict
 
     def __len__(self):
         return self.iterations.shape[0]
@@ -125,18 +120,20 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
            record=None) -> RunTrace:
     """Run state-dependent stochastic approximation for ``config.horizon`` updates.
 
-    Advances the trials ``trials`` (default: all ``config.trials``) together;
-    ``kernel`` must be built for that many trials (``ValueError`` if not).
-    At the start of every agent round (each ``learner_iters_per_agent_round``
-    updates) the kernel advances ``br_per_iter`` times under the deployed
-    models. Per update, ``batch`` samples per trial are emitted from the
-    current agent state and each model moves against its averaged gradient
-    with step gamma_{k+1}. Squared distances to ``theta_ps`` are recorded at
-    the increasing iterations ``record`` (default: 0 to the horizon);
-    ``theta_ps`` is one stable point (d,) for every trial, or one row per
-    trial (T, d) when the block holds trials of several problems. Each trial
-    is deterministic given ``(config.seed, trial)`` and the kernel's initial
-    state, whatever else runs in its block.
+    Advances the ``kernel.trials`` trials of the kernel together, one block
+    row each; ``trials`` gives their trial numbers, which seed their random
+    streams (default: ``range(kernel.trials)``; ``ValueError`` unless it
+    has ``kernel.trials`` entries). At the start of every agent round (each
+    ``learner_iters_per_agent_round`` updates) the kernel advances
+    ``br_per_iter`` times under the deployed models. Per update, ``batch``
+    samples per trial are emitted from the current agent state and each
+    model moves against its averaged gradient with step gamma_{k+1}.
+    Squared distances to ``theta_ps`` are recorded at the increasing
+    iterations ``record`` (default: 0 to the horizon); ``theta_ps`` is one
+    finite stable point (d,) for every trial, or one row per trial (T, d)
+    when the block holds trials of several problems (``ValueError`` for any
+    other shape). Each trial is deterministic given ``(config.seed, trial)``
+    and the kernel's initial state, whatever else runs in its block.
 
     A trial fails when its squared error exceeds ``DIVERGENCE_CAP`` or is
     not a number (kind :class:`DivergenceError`), or when the kernel's
@@ -146,37 +143,35 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     ends early only when every trial has failed.
     """
     K = config.horizon
-    trials = np.arange(config.trials) if trials is None else np.asarray(trials, dtype=np.int64)
+    T = kernel.trials
+    trials = np.arange(T) if trials is None else np.asarray(trials, dtype=np.int64)
+    if trials.shape != (T,):
+        raise ValueError(f"kernel is built for {T} trials, trials lists {trials.size}")
     record = np.arange(K + 1) if record is None else np.asarray(record, dtype=np.int64)
     if record.size and (record[0] < 0 or record[-1] > K or np.any(np.diff(record) <= 0)):
         raise ValueError("record must list increasing iterations in [0, horizon]")
     d = config.theta0.shape[0]
     target = np.asarray(theta_ps, dtype=float)
-    if target.ndim < 2:
-        target = np.tile(as_param(target, d=d), (trials.shape[0], 1))
-    elif target.shape != (trials.shape[0], d) or not np.isfinite(target).all():
-        raise ValueError(f"theta_ps rows must be finite with shape {(trials.shape[0], d)}, "
+    if target.shape not in ((d,), (T, d)) or not np.isfinite(target).all():
+        raise ValueError(f"theta_ps must be finite with shape {(d,)} or {(T, d)}, "
                          f"got {target.shape}")
-    if kernel.trials != trials.shape[0]:
-        raise ValueError(f"kernel is built for {kernel.trials} trials, "
-                         f"the block has {trials.shape[0]}")
+    target = np.broadcast_to(target, (T, d))
     gam = np.atleast_1d(np.asarray(config.schedule.gamma(np.arange(1, K + 1)), dtype=float))
     gam = gam.tolist()  # Python floats index faster than array elements
     streams = [_trial_rngs(config, int(t)) for t in trials]
     agent_rngs = [agent for agent, _ in streams]
     sample_rngs = [sample for _, sample in streams]
 
-    theta = np.tile(config.theta0, (trials.shape[0], 1))
-    errors = np.full((trials.shape[0], record.shape[0]), np.nan)
-    alive = np.ones(trials.shape[0], dtype=bool)
-    failures, failed_rows = [], []
+    theta = np.tile(config.theta0, (T, 1))
+    errors = np.full((T, record.shape[0]), np.nan)
+    alive = np.ones(T, dtype=bool)
+    failures = {}
 
     def fail(failed, iteration, kind):
         # record each trial's first failure; its row runs on and is masked after the loop
         new = np.flatnonzero(failed & alive)
-        failures.extend({"trial": int(trials[r]), "iteration": iteration, "kind": kind.__name__}
-                        for r in new)
-        failed_rows.extend(new.tolist())
+        failures.update((r, {"trial": int(trials[r]), "iteration": iteration,
+                             "kind": kind.__name__}) for r in new.tolist())
         alive[new] = False
         if not alive.any():
             raise _BlockEmpty
@@ -215,14 +210,13 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
         except _BlockEmpty:
             pass
     final_theta = theta
-    for row, failure in zip(failed_rows, failures):
+    for row, failure in failures.items():
         errors[row, np.searchsorted(record, failure["iteration"]):] = np.nan
         final_theta[row] = np.nan
 
     rounds = (record + inner - 1) // inner
-    return RunTrace(trials=trials, iterations=record, errors=errors,
-                    samples_drawn=batch * record, agent_updates=br * rounds,
-                    final_theta=final_theta, failures=failures, failed_rows=failed_rows)
+    return RunTrace(iterations=record, errors=errors, samples_drawn=batch * record,
+                    agent_updates=br * rounds, final_theta=final_theta, failures=failures)
 
 
 @dataclass

@@ -50,7 +50,7 @@ def gaussian_study():
     start = perf_counter()
     errors = {}
     for point, (trace, rows) in zip(points, _execute_points(points, grid, WORKERS)):
-        assert not set(trace.failed_rows) & set(rows), "unexpected divergence"
+        assert not set(trace.failures) & set(rows), "unexpected divergence"
         errors[point.overrides["rho"]] = trace.errors[rows]
     elapsed = perf_counter() - start
     return {"grid": grid, "errors": errors, "elapsed": elapsed, "horizon": spec.horizon}
@@ -69,7 +69,7 @@ def strat_study():
         point = resolve_points(spec)[0]
         grid = record_grid(spec.horizon)
         ((trace, rows),) = _execute_points([point], grid, WORKERS)
-        assert not set(trace.failed_rows) & set(rows), "unexpected divergence"
+        assert not set(trace.failures) & set(rows), "unexpected divergence"
         out[preset] = {"grid": grid, "errors": trace.errors[rows], "horizon": spec.horizon}
     out["elapsed"] = perf_counter() - start
     return out
@@ -236,7 +236,7 @@ def test_c6_lazy_deploy_ordering():
         horizon = budget * inner
         cfg = RunConfig(theta0=point.config.theta0, schedule=point.config.schedule,
                         horizon=horizon, seed=spec.seed,
-                        learner_iters_per_agent_round=inner, trials=10)
+                        learner_iters_per_agent_round=inner)
         trace = sa_run(point.loss, point.kernel_factory(trials=10), cfg, point.theta_ps)
         return trace.errors.mean(axis=0), trace.agent_updates
 

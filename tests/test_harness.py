@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -207,12 +208,11 @@ class TestRunExperiment:
             point, kernel_factory=partial(PoisonedPool, *point.kernel_factory.args))
         grid = record_grid(spec.horizon)
         ((trace, rows),) = _execute_points([poisoned], grid, workers=1)
-        assert dict(zip(trace.failed_rows, trace.failures)) == {
+        assert trace.failures == {
             rows[1]: {"trial": 1, "iteration": 120, "kind": "AgentDivergenceError"}}
         for trial in (0, 2):
             alone = sa_run(point.loss, point.kernel_factory(), point.config, point.theta_ps,
                            trials=[trial], record=grid)
-            assert trace.trials[rows[trial]] == trial
             assert np.array_equal(trace.errors[rows[trial]], alone.errors[0])
             assert np.array_equal(trace.final_theta[rows[trial]], alone.final_theta[0])
 
@@ -233,7 +233,6 @@ class TestRunExperiment:
             for workers in (1, 4):
                 for one, (trace, rows) in zip(alone, _execute_points(points, grid, workers)):
                     assert not trace.failures
-                    assert np.array_equal(trace.trials[rows], np.arange(3))
                     assert np.array_equal(trace.errors[rows], one.errors)
                     assert np.array_equal(trace.final_theta[rows], one.final_theta)
 
@@ -258,7 +257,7 @@ class TestRunExperiment:
         grid = record_grid(spec.horizon)
         results = _execute_points(poisoned, grid, workers=1)
         trace = results[1][0]
-        failed = dict(zip(trace.failed_rows, trace.failures))
+        failed = trace.failures
         assert failed == {results[1][1][1]: {"trial": 1, "iteration": 120,
                                              "kind": "DivergenceError"}}
         for point, (trace, rows) in zip(points, results):
@@ -267,9 +266,32 @@ class TestRunExperiment:
             for trial, row in enumerate(rows):
                 if row in failed:
                     continue
-                assert trace.trials[row] == trial
                 assert np.array_equal(trace.errors[row], alone.errors[trial])
                 assert np.array_equal(trace.final_theta[row], alone.final_theta[trial])
+
+    def test_diverged_lists_trials_in_trial_order(self, tmp_path, monkeypatch):
+        class PoisonedChain(ArGaussianKernel):
+            """Makes block row 1 non-finite at advance number 100 and row 0
+            at advance number 200, so trial 1 fails first."""
+
+            calls = 0
+
+            def advance(self, theta, rngs):
+                self.calls += 1
+                for row, call in ((1, 100), (0, 200)):
+                    if self.calls == call:
+                        self.z[row] = np.nan
+                return super().advance(theta, rngs)
+
+        spec = gaussian_spec(out=str(tmp_path))
+        poisoned = [dataclasses.replace(
+            point, kernel_factory=partial(PoisonedChain, *point.kernel_factory.args))
+            for point in resolve_points(spec)]
+        monkeypatch.setattr(harness, "resolve_points", lambda spec: poisoned)
+        (point,) = run_experiment(spec)["points"]
+        assert point["diverged"] == [
+            {"trial": 0, "iteration": 200, "kind": "DivergenceError"},
+            {"trial": 1, "iteration": 100, "kind": "DivergenceError"}]
 
     def test_missing_rate_fit_is_explained(self, tmp_path):
         # sigma = epsilon = 0 and a unit step land on theta_ps at k = 1: the
@@ -582,6 +604,33 @@ class TestCli:
         err = captured.err.splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("perfsim: error: out of memory: ")
+
+    def test_integer_beyond_int64_exit_code(self, tmp_path, capsys):
+        # numpy refuses both sizes when it converts them, before allocating
+        for override in ({"horizon": 2 ** 63}, {"batch": 10 ** 20}):
+            cfg = self.write_config(tmp_path, {"preset": "gaussian_ar", "trials": 2,
+                                               "horizon": 9, "workers": 1,
+                                               "out": str(tmp_path / "res"), **override})
+            assert cli_main(["run", "--config", cfg]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("perfsim: error: "), override
+
+    def test_shipped_configs_run(self, tmp_path, capsys):
+        configs = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json"))
+        assert configs
+        for path in configs:
+            out = tmp_path / path.stem
+            assert cli_main(["run", "--config", str(path), "--horizon", "300",
+                             "--trials", "2", "--out", str(out)]) == 0, path.name
+            sweep = ExperimentSpec.from_json(path).normalized_sweep()
+            names = [name for name, _ in sweep]
+            labels = [",".join(f"{name}={value}" for name, value in zip(names, combo))
+                      for combo in itertools.product(*(values for _, values in sweep))]
+            header = ["k"] + [f"{column}[{label}]" if label else column for label in labels
+                              for column in ("samples_drawn", "agent_updates", "err_mean",
+                                             "err_p05", "err_p95")]
+            with open(out / "trace.csv") as fh:
+                assert fh.readline().rstrip("\n").split(",") == header, path.name
 
     def test_malformed_json_exit_code(self, tmp_path):
         p = tmp_path / "broken.json"

@@ -97,7 +97,7 @@ class TestSaRun:
         env, tps = gaussian_setup(sigma=1.0)
         cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(50.0), horizon=500, seed=3)
         trace = sa_run(QuadraticLoss(), IidGaussianKernel(env), cfg, tps)
-        (failure,) = trace.failures
+        (failure,) = trace.failures.values()
         assert failure["trial"] == 0 and failure["kind"] == "DivergenceError"
         assert failure["iteration"] >= 1
         assert np.isnan(trace.errors[0, failure["iteration"]:]).all()
@@ -119,13 +119,13 @@ class TestSaRun:
 
         env, tps = gaussian_setup(sigma=1.0)
         cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(0.1), horizon=100,
-                        seed=3, trials=3)
+                        seed=3)
         kernel = PoisonedChain(env, trials=3)
         trace = sa_run(QuadraticLoss(), kernel, cfg, tps)
         assert kernel.calls == 30  # the block ends at the last failure
-        assert trace.failures == [{"trial": t, "iteration": it, "kind": "DivergenceError"}
-                                  for t, it in ((2, 10), (1, 20), (0, 30))]
-        assert trace.failed_rows == [2, 1, 0]
+        assert trace.failures == {t: {"trial": t, "iteration": it, "kind": "DivergenceError"}
+                                  for t, it in ((2, 10), (1, 20), (0, 30))}
+        assert list(trace.failures) == [2, 1, 0]
         assert np.isnan(trace.final_theta).all()
         for row, it in ((0, 30), (1, 20), (2, 10)):
             assert np.isfinite(trace.errors[row, :it]).all()
@@ -137,9 +137,9 @@ class TestSaRun:
         for loss, kernel, target in ((QuadraticLoss(), IidGaussianKernel(env), tps),
                                      (pool_loss, AdaptedBestResponseKernel(pool), np.zeros(3))):
             cfg = RunConfig(theta0=np.zeros_like(target), schedule=ConstantSchedule(0.1),
-                            horizon=5, trials=3)
-            with pytest.raises(ValueError, match="built for 1 trials, the block has 3"):
-                sa_run(loss, kernel, cfg, target)
+                            horizon=5)
+            with pytest.raises(ValueError, match="built for 1 trials, trials lists 3"):
+                sa_run(loss, kernel, cfg, target, trials=range(3))
 
     def test_trace_length_and_counters(self):
         env, tps = gaussian_setup()
@@ -175,7 +175,7 @@ class TestVariants:
         floors = {}
         for batch in (1, 8):
             cfg = RunConfig(theta0=np.zeros(3), schedule=sched, horizon=3000,
-                            seed=1, batch=batch, trials=6)
+                            seed=1, batch=batch)
             trace = sa_run(loss, AdaptedBestResponseKernel(pool, trials=6), cfg, tps)
             floors[batch] = float(np.mean(trace.errors[:, 300:].mean(axis=1)))
         assert floors[8] < 0.5 * floors[1]
@@ -303,7 +303,7 @@ class TestOneStepBoundUnrolled:
         A = 1.0 - 2 * gamma * mu_tilde + 2 * lipschitz ** 2 * gamma ** 2
         trials = 200
         cfg = RunConfig(theta0=tps + 4.0, schedule=ConstantSchedule(gamma), horizon=1000,
-                        seed=77, trials=trials)
+                        seed=77)
         errs = sa_run(QuadraticLoss(), IidGaussianKernel(env, trials=trials), cfg, tps).errors
         err0 = errs[0, 0]
         for k in (10, 100, 1000):
