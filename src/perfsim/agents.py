@@ -258,7 +258,7 @@ class _BlockDraws:
     must act on each step and trial alone.
     """
 
-    def __init__(self, draw, finish=None):
+    def __init__(self, draw, finish):
         self.draw = draw
         self.finish = finish
         self.buf = None
@@ -268,8 +268,7 @@ class _BlockDraws:
         """The next ``count`` steps of every trial, shape (count, T, ...)."""
         if self.buf is None or self.pos + count > self.buf.shape[0]:
             fresh = np.stack([self.draw(rng, max(BLOCK, count)) for rng in rngs], axis=1)
-            if self.finish is not None:
-                fresh = self.finish(fresh)
+            fresh = self.finish(fresh)
             if self.buf is not None:
                 fresh = np.concatenate([self.buf[self.pos:], fresh])
             self.buf, self.pos = fresh, 0

@@ -5,11 +5,11 @@ a JSON config). For every sweep point the harness resolves the stable point
 via the oracle. Points that differ only in Gaussian problem parameters that
 leave the step schedule alone form one group, and each group runs as one
 trial-batched ``sa_run`` over all its trials; the groups run on a fork
-process pool, or in-process with ``workers: 1``. Per point, the harness
-aggregates mean and 5th/95th percentile error per recorded iteration from
-its rows of the group's trace, and writes plot-ready
-``trace.csv`` plus a ``summary.json`` that makes the figures reproducible
-from the file alone.
+process pool, or in-process with ``workers: 1``. Each point gets a trace
+of its own trials, from which the harness aggregates mean and 5th/95th
+percentile error per recorded iteration; it writes plot-ready ``trace.csv``
+plus a ``summary.json`` that makes the figures reproducible from the file
+alone.
 """
 from __future__ import annotations
 
@@ -271,8 +271,8 @@ def _resolve_gaussian(params: dict) -> tuple:
     env = GaussianEnv(z_bar=float(params["z_bar"]), epsilon=float(params["epsilon"]),
                       sigma=float(params["sigma"]), rho=float(params["rho"]))
     loss = QuadraticLoss()
-    constants = ProblemConstants(mu=1.0, lipschitz=1.0, sensitivity=env.epsilon,
-                                 sigma_noise=env.sigma)
+    constants = ProblemConstants(mu=loss.mu, lipschitz=loss.lipschitz,
+                                 sensitivity=env.epsilon, sigma_noise=env.sigma)
     mu_tilde = constants.require_contraction()
     schedule = _make_schedule(params, 500.0 / mu_tilde, 800.0 / mu_tilde ** 2)
     theta_ps = np.array([theta_ps_gaussian(env)])
@@ -327,6 +327,8 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> Res
         resolve = _resolve_gaussian if params["family"] == "gaussian" else _resolve_pool
         problems[key] = resolve(params)
     loss, kernel_factory, schedule, theta_ps, desc = problems[key]
+    if params["family"] == "pool" and run_fields["batch"] > desc["m"]:
+        raise ConfigError(f"batch = {run_fields['batch']} exceeds the pool's m = {desc['m']} agents")
     d = theta_ps.shape[0]
     theta0 = as_param(spec.theta0 if spec.theta0 is not None else np.zeros(d), d=d)
     trials = run_fields.pop("trials")
@@ -371,33 +373,37 @@ def _group_key(point: ResolvedPoint) -> tuple:
             c.schedule, c.horizon, c.batch, c.br_per_iter, c.learner_iters_per_agent_round, c.seed)
 
 
-def _run_group(job) -> RunTrace:
-    """Run one group's rows as one block; its ``RunTrace``."""
-    loss, parts, config, theta_ps, grid, trials = job
-    kernels = [factory(trials=n) for factory, n in parts]
+def _run_group(job) -> list:
+    """Run one group's points as one block; one ``RunTrace`` per point, of its
+    own rows alone, with ``failures`` keyed by the point's trial numbers."""
+    points, grid = job
+    counts = [point.trials for point in points]
+    kernels = [point.kernel_factory(trials=n) for point, n in zip(points, counts)]
     kernel = kernels[0] if len(kernels) == 1 else type(kernels[0]).stack(kernels)
-    return sa_run(loss, kernel, config, theta_ps, trials=trials, record=grid)
+    # the group shares its loss and run fields; its rows go point by point, trial by trial
+    block = sa_run(points[0].loss, kernel, points[0].config,
+                   np.repeat([point.theta_ps for point in points], counts, axis=0),
+                   trials=np.concatenate([np.arange(n) for n in counts]), record=grid)
+    ends = np.cumsum(counts)
+    traces = [dataclasses.replace(block, errors=block.errors[end - n:end],
+                                  final_theta=block.final_theta[end - n:end], failures={})
+              for n, end in zip(counts, ends)]
+    for row, failure in block.failures.items():  # in failure order
+        traces[np.searchsorted(ends, row, side="right")].failures[failure["trial"]] = failure
+    return traces
 
 
 def _execute_points(points: list, grid: np.ndarray, workers: int) -> list:
-    """Run every trial of ``points``; per point, its group's ``RunTrace`` and
-    the range of the point's rows in it.
+    """Run every trial of ``points``; one ``RunTrace`` per point, in point order.
 
-    Each group (see ``_group_key``) runs as one block, point by point and
-    trial by trial. The groups run in-process when ``workers`` is 1, else on
-    a fork process pool of at most ``workers`` processes, one per group and
-    CPU.
+    Each group (see ``_group_key``) runs as one block in ``_run_group``. The
+    groups run in-process when ``workers`` is 1, else on a fork process pool
+    of at most ``workers`` processes, one per group and CPU.
     """
     groups = {}
     for i, point in enumerate(points):
         groups.setdefault(_group_key(point), []).append(i)
-    jobs = []
-    for members in groups.values():
-        counts = [points[i].trials for i in members]
-        first = points[members[0]]  # the group shares its loss and run fields
-        jobs.append((first.loss, [(points[i].kernel_factory, n) for i, n in zip(members, counts)],
-                     first.config, np.repeat([points[i].theta_ps for i in members], counts, axis=0),
-                     grid, np.concatenate([np.arange(n) for n in counts])))
+    jobs = [([points[i] for i in members], grid) for members in groups.values()]
     if workers == 1:
         traces = [_run_group(job) for job in jobs]
     else:
@@ -407,13 +413,8 @@ def _execute_points(points: list, grid: np.ndarray, workers: int) -> list:
         processes = min(workers, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
             traces = list(pool.map(_run_group, jobs))
-    results = [None] * len(points)
-    for members, trace in zip(groups.values(), traces):
-        lo = 0
-        for i in members:
-            results[i] = (trace, range(lo, lo + points[i].trials))
-            lo += points[i].trials
-    return results
+    placed = dict(zip(itertools.chain(*groups.values()), itertools.chain(*traces)))
+    return [placed[i] for i in range(len(points))]
 
 
 def run_experiment(spec: ExperimentSpec):
@@ -432,11 +433,11 @@ def run_experiment(spec: ExperimentSpec):
 
     columns = [("k", grid)]
     summary_points = []
-    for point, (trace, rows) in zip(points, _execute_points(points, grid, workers)):
+    for point, trace in zip(points, _execute_points(points, grid, workers)):
         # agent-side failures happen when the learner iterate blows up too; the
         # trial is recorded as divergent rather than aborting the experiment
-        diverged = [trace.failures[row] for row in rows if row in trace.failures]
-        ok = [row for row in rows if row not in trace.failures]
+        diverged = [trace.failures[trial] for trial in sorted(trace.failures)]
+        ok = [trial for trial in range(point.trials) if trial not in trace.failures]
         sfx = f"[{point.label}]" if point.label else ""
         if ok:
             errs = trace.errors[ok]
@@ -488,12 +489,11 @@ def run_experiment(spec: ExperimentSpec):
             "final_mean_error": float(err_mean[-1]) if ok else None,
         })
 
-    line = ",".join("%d" if np.issubdtype(values.dtype, np.integer) else FLOAT_FORMAT
-                    for _, values in columns) + "\n"
     with open(out_dir / "trace.csv", "w", newline="") as fh:
-        fh.write(",".join(name for name, _ in columns) + "\n")
-        for row in zip(*(values.tolist() for _, values in columns)):
-            fh.write(line % row)
+        np.savetxt(fh, np.column_stack([values for _, values in columns]),
+                   fmt=["%d" if np.issubdtype(values.dtype, np.integer) else FLOAT_FORMAT
+                        for _, values in columns],
+                   delimiter=",", header=",".join(name for name, _ in columns), comments="")
 
     summary = {
         "schema": SCHEMA_VERSION,

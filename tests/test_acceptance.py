@@ -49,9 +49,9 @@ def gaussian_study():
     grid = record_grid(spec.horizon)
     start = perf_counter()
     errors = {}
-    for point, (trace, rows) in zip(points, _execute_points(points, grid, WORKERS)):
-        assert not set(trace.failures) & set(rows), "unexpected divergence"
-        errors[point.overrides["rho"]] = trace.errors[rows]
+    for point, trace in zip(points, _execute_points(points, grid, WORKERS)):
+        assert not trace.failures, "unexpected divergence"
+        errors[point.overrides["rho"]] = trace.errors
     elapsed = perf_counter() - start
     return {"grid": grid, "errors": errors, "elapsed": elapsed, "horizon": spec.horizon}
 
@@ -68,9 +68,9 @@ def strat_study():
         })
         point = resolve_points(spec)[0]
         grid = record_grid(spec.horizon)
-        ((trace, rows),) = _execute_points([point], grid, WORKERS)
-        assert not set(trace.failures) & set(rows), "unexpected divergence"
-        out[preset] = {"grid": grid, "errors": trace.errors[rows], "horizon": spec.horizon}
+        (trace,) = _execute_points([point], grid, WORKERS)
+        assert not trace.failures, "unexpected divergence"
+        out[preset] = {"grid": grid, "errors": trace.errors, "horizon": spec.horizon}
     out["elapsed"] = perf_counter() - start
     return out
 

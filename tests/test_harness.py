@@ -207,14 +207,14 @@ class TestRunExperiment:
         poisoned = dataclasses.replace(
             point, kernel_factory=partial(PoisonedPool, *point.kernel_factory.args))
         grid = record_grid(spec.horizon)
-        ((trace, rows),) = _execute_points([poisoned], grid, workers=1)
+        (trace,) = _execute_points([poisoned], grid, workers=1)
         assert trace.failures == {
-            rows[1]: {"trial": 1, "iteration": 120, "kind": "AgentDivergenceError"}}
+            1: {"trial": 1, "iteration": 120, "kind": "AgentDivergenceError"}}
         for trial in (0, 2):
             alone = sa_run(point.loss, point.kernel_factory(), point.config, point.theta_ps,
                            trials=[trial], record=grid)
-            assert np.array_equal(trace.errors[rows[trial]], alone.errors[0])
-            assert np.array_equal(trace.final_theta[rows[trial]], alone.final_theta[0])
+            assert np.array_equal(trace.errors[trial], alone.errors[0])
+            assert np.array_equal(trace.final_theta[trial], alone.final_theta[0])
 
     def test_grouped_points_match_one_point_runs_bit_for_bit(self):
         # AR points with differing targets, chain laws and starts, and i.i.d.
@@ -231,10 +231,10 @@ class TestRunExperiment:
             alone = [sa_run(point.loss, point.kernel_factory(trials=3), point.config,
                             point.theta_ps, record=grid) for point in points]
             for workers in (1, 4):
-                for one, (trace, rows) in zip(alone, _execute_points(points, grid, workers)):
+                for one, trace in zip(alone, _execute_points(points, grid, workers)):
                     assert not trace.failures
-                    assert np.array_equal(trace.errors[rows], one.errors)
-                    assert np.array_equal(trace.final_theta[rows], one.final_theta)
+                    assert np.array_equal(trace.errors, one.errors)
+                    assert np.array_equal(trace.final_theta, one.final_theta)
 
     def test_grouped_failure_is_attributed_to_its_point(self):
         class PoisonedChain(ArGaussianKernel):
@@ -255,19 +255,17 @@ class TestRunExperiment:
             point, kernel_factory=partial(PoisonedChain, *point.kernel_factory.args))
             for point in points]
         grid = record_grid(spec.horizon)
-        results = _execute_points(poisoned, grid, workers=1)
-        trace = results[1][0]
-        failed = trace.failures
-        assert failed == {results[1][1][1]: {"trial": 1, "iteration": 120,
-                                             "kind": "DivergenceError"}}
-        for point, (trace, rows) in zip(points, results):
+        traces = _execute_points(poisoned, grid, workers=1)
+        assert [trace.failures for trace in traces] == [
+            {}, {1: {"trial": 1, "iteration": 120, "kind": "DivergenceError"}}]
+        for point, trace in zip(points, traces):
             alone = sa_run(point.loss, point.kernel_factory(trials=3), point.config,
                            point.theta_ps, record=grid)
-            for trial, row in enumerate(rows):
-                if row in failed:
+            for trial in range(point.trials):
+                if trial in trace.failures:
                     continue
-                assert np.array_equal(trace.errors[row], alone.errors[trial])
-                assert np.array_equal(trace.final_theta[row], alone.final_theta[trial])
+                assert np.array_equal(trace.errors[trial], alone.errors[trial])
+                assert np.array_equal(trace.final_theta[trial], alone.final_theta[trial])
 
     def test_diverged_lists_trials_in_trial_order(self, tmp_path, monkeypatch):
         class PoisonedChain(ArGaussianKernel):
@@ -659,6 +657,19 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("perfsim: error: a worker process died")
         assert "Traceback" not in captured.err
 
+    def test_pool_batch_above_m_rejected_before_any_trial(self, tmp_path, capsys):
+        out_dir = tmp_path / "res"
+        cfg = self.write_config(tmp_path, {
+            "preset": "strat_class_linear", "trials": 2, "horizon": 50, "workers": 1,
+            "problem": {"m": 10}, "sweep": [["batch", [1, 11]]], "out": str(out_dir),
+        })
+        assert cli_main(["oracle", "--config", cfg]) == 1
+        assert capsys.readouterr().out == ""
+        assert cli_main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "batch" in err[0] and "m = 10" in err[0]
+        assert not out_dir.exists()
+
     def test_lazy_minibatch_rejected_before_any_trial(self, tmp_path, capsys):
         out_dir = tmp_path / "res"
         cfg = self.write_config(tmp_path, {
@@ -731,7 +742,6 @@ def _configs(draw):
     return config
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(config=_configs(), command=st.sampled_from(["oracle", "run"]))
 def test_cli_fuzz_exits_cleanly(config, command):
