@@ -12,7 +12,11 @@ Three sampling regimes are covered:
 An exact best response is the argmax of the agent's utility: ``x + epsilon
 theta`` for the linear gain, ``x + epsilon (y - sigmoid(u)) theta`` for the
 logistic gain, where u is the unique root of a strictly increasing scalar
-function, solved to rounding level (no tolerance, no failure kind).
+function, solved to rounding level (no tolerance, no failure kind) by
+bracketed Newton. Newton starts one fixed-point step from the base score, and
+a row stops as soon as a bound on its remaining error, K c (1 + c/4)^2 times
+the squared Newton step with K = 1 / (12 sqrt 3), is at rounding level; for
+c = epsilon ||theta||^2 << 1 that is after one Newton pass.
 
 Every kernel advances a block of T trials together, each with its own
 random stream, through the same two-phase interface. ``theta`` has shape
@@ -73,6 +77,12 @@ __all__ = [
 
 # Steps of draws taken from one stream at a time.
 BLOCK = 1024
+
+# A logistic best-response root is solved to this multiple of |a| + c.
+_ROUNDING = 4.0 * np.finfo(float).eps
+# Newton on the logistic root leaves an error of at most _NEWTON_K c e^2 after a
+# step from error e (see _logistic_root).
+_NEWTON_K = 1.0 / (12.0 * np.sqrt(3.0))
 
 
 class AgentDivergenceError(RuntimeError):
@@ -152,7 +162,10 @@ class LogisticUtility:
     a - c (y - sigmoid(u)) = 0``, ``a = x . theta``, ``c = epsilon ||theta||^2``.
     As ``g' >= 1`` the root is unique. ``best_response`` solves it to rounding
     level, with no tolerance, for agents (..., d) with labels (...) and a theta
-    that broadcasts against them, e.g. (T, 1, d) for (T, n, d).
+    that broadcasts against them, e.g. (T, 1, d) for (T, n, d): bracketed
+    Newton from the warm start ``a + c (y - sigmoid(a))``, which stops a row
+    once its Newton step delta has ``K c (1 + c/4)^2 delta^2 <= 4 eps (|a| +
+    c)``, ``K = 1 / (12 sqrt 3)`` (see ``_logistic_root``).
     """
 
     epsilon: float
@@ -175,26 +188,40 @@ class LogisticUtility:
         return coef * theta - (np.asarray(xp) - np.asarray(base_x)) / self.epsilon
 
     def best_response(self, base_x, y, theta):
-        # Bracketed Newton on g per row: a step that leaves [a + c (y - 1), a + c y]
-        # or does not halve the previous one becomes a bisection. A row freezes
-        # once its step is at rounding level of |a| + c, whatever its neighbours.
         x, theta = np.asarray(base_x, dtype=float), np.asarray(theta, dtype=float)
-        a, c = dot(x, theta), self.epsilon * dot(theta, theta)
-        lo, hi = a + c * (y - 1.0), a + c * y
-        u, half_last = a, c  # the first Newton step is bounded by the bracket alone
-        floor = 4.0 * np.finfo(float).eps * (np.abs(a) + c)
-        active = np.ones(np.shape(hi), dtype=bool)
-        while active.any():
-            s = sigmoid(u)
-            g = u - a - c * (y - s)
-            lo, hi = np.where(g < 0.0, u, lo), np.where(g > 0.0, u, hi)
-            newton = u - g / (1.0 + c * s * (1.0 - s))
-            ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - u) <= half_last)
-            nxt = np.where(ok, newton, 0.5 * (lo + hi))
-            moved = np.abs(nxt - u)
-            u, half_last = np.where(active, nxt, u), 0.5 * moved
-            active &= moved > floor  # a NaN step freezes too
+        u = _logistic_root(dot(x, theta), self.epsilon * dot(theta, theta), y)
         return x + (self.epsilon * (y - sigmoid(u)))[..., None] * theta
+
+
+def _logistic_root(a, c, y):
+    """The root u of ``g(u) = u - a - c (y - sigmoid(u))``, row by row.
+
+    Bracketed Newton from one fixed-point step ``a + c (y - sigmoid(a))``, which
+    lies in the bracket ``[a + c (y - 1), a + c y]`` as sigmoid is in (0, 1). A
+    step that leaves the bracket or does not halve the previous one becomes a
+    bisection. A row freezes once its step moves at most ``floor = 4 eps (|a| +
+    c)``, or once an accepted Newton step delta certifies it: ``g' >= 1`` and
+    ``|g''| <= c / (6 sqrt 3)`` leave an error of at most ``K c e^2``, ``K = 1 /
+    (12 sqrt 3)``, after a step from error e, and ``g' <= 1 + c/4`` gives ``e <=
+    (1 + c/4) |delta|``, so the row stops when ``K c (1 + c/4)^2 delta^2 <=
+    floor``. Rows never interact.
+    """
+    lo, hi = a + c * (y - 1.0), a + c * y
+    u, half_last = a + c * (y - sigmoid(a)), c  # the first step is bounded by the bracket alone
+    floor = _ROUNDING * (np.abs(a) + c)
+    bound = _NEWTON_K * c * (1.0 + 0.25 * c) ** 2  # error left per squared Newton step
+    active = np.ones(np.shape(hi), dtype=bool)
+    while active.any():
+        s = sigmoid(u)
+        g = u - a - c * (y - s)
+        lo, hi = np.where(g < 0.0, u, lo), np.where(g > 0.0, u, hi)
+        newton = u - g / (1.0 + c * s * (1.0 - s))
+        ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - u) <= half_last)
+        nxt = np.where(ok, newton, 0.5 * (lo + hi))
+        moved = np.abs(nxt - u)
+        u, half_last = np.where(active, nxt, u), 0.5 * moved
+        active &= (moved > floor) & ~(ok & (bound * moved * moved <= floor))  # NaN freezes too
+    return u
 
 
 Utility = Union[QuadraticUtility, LogisticUtility]

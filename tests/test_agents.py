@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import perfsim.agents
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, AgentDivergenceError,
                             ArGaussianKernel, ExactBestResponseKernel, GaussianEnv,
-                            IidGaussianKernel, LogisticUtility, QuadraticUtility)
+                            IidGaussianKernel, LogisticUtility, QuadraticUtility, _logistic_root)
 from perfsim.core import RngStream
 from perfsim.data import generate_synthetic
+from perfsim.harness import ExperimentSpec, resolve_points
+from perfsim.losses import dot, sigmoid
 
 from draw_reference import distinct_agent_draws
 
@@ -207,6 +210,29 @@ def ascent_best_response(util, base_x, y, theta, tol, max_steps=10_000):
     raise RuntimeError(f"no convergence to tol={tol} in {max_steps} ascent steps")
 
 
+def scalar_sigmoid(u):
+    """Logistic function of one float, from ``math.exp``."""
+    if u >= 0.0:
+        return 1.0 / (1.0 + math.exp(-u))
+    e = math.exp(u)
+    return e / (1.0 + e)
+
+
+def bisect_root(a, c, y):
+    """Reference: float bisection of ``g(u) = u - a - c (y - sigmoid(u))`` on
+    ``[a + c (y - 1), a + c y]`` until its ends are adjacent doubles (or g is
+    0); returns the final bracket (lo, hi)."""
+    lo, hi = a + c * (y - 1.0), a + c * y
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo, hi
+        g = mid - a - c * (y - scalar_sigmoid(mid))
+        if g == 0.0:
+            return mid, mid
+        lo, hi = (mid, hi) if g < 0.0 else (lo, mid)
+
+
 def random_agents(rng, scale, m, d=3):
     """``m`` agents with labels and one model theta = scale * N(0, I)."""
     X = rng.normal(size=(m, d))
@@ -265,6 +291,55 @@ class TestLogisticBestResponseRoot:
     def test_zero_theta_is_base(self):
         X = np.array([[1.0, -2.0], [0.5, 0.0]])
         assert np.array_equal(self.util.best_response(X, np.array([1.0, 0.0]), np.zeros(2)), X)
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 1.0])
+    def test_root_within_floor_of_bisection(self, epsilon):
+        # every row's root lies within its rounding floor 4 eps (|a| + c) of the
+        # bracket that a scalar bisection closes to adjacent doubles, and the
+        # reply is the one at that root
+        util = LogisticUtility(epsilon=epsilon)
+        rng = RngStream(23).generator()
+        for scale in 10.0 ** np.arange(-3, 4):
+            X, y, theta = random_agents(rng, scale, m=100)
+            a, c = dot(X, theta), epsilon * (theta @ theta)
+            u = _logistic_root(a, c, y)
+            floor = 4.0 * self.eps * (np.abs(a) + c)
+            for i in range(X.shape[0]):
+                lo, hi = bisect_root(a[i], c, y[i])
+                assert lo - floor[i] <= u[i] <= hi + floor[i]
+            expected = X + (epsilon * (y - sigmoid(u)))[:, None] * theta
+            assert np.array_equal(util.best_response(X, y, theta), expected)
+
+    def test_bracket_ends_cycle_of_plain_newton(self):
+        # negative control: at y = 1, a = -c/2, c = 100 undamped Newton from the
+        # warm start u = c/2 bounces between +-c/2; the root is u = 0
+        util = LogisticUtility(epsilon=1.0)
+        theta, x = np.array([10.0, 0.0]), np.array([-5.0, 3.0])
+        a, c, y = x @ theta, theta @ theta, 1.0
+        u = a + c * (y - scalar_sigmoid(a))
+        for _ in range(4):
+            s = scalar_sigmoid(u)
+            u -= (u - a - c * (y - s)) / (1.0 + c * s * (1.0 - s))
+            assert abs(u) == c / 2.0
+        expected = x + 0.5 * theta
+        got = util.best_response(x, y, theta)
+        assert np.max(np.abs(got - expected)) <= 4.0 * self.eps * np.max(np.abs(expected))
+
+    def test_three_sigmoids_per_call_at_preset_stable_point(self, monkeypatch):
+        # the warm start, one certified Newton pass and the reply: 3 evaluations
+        # for the whole pool of the strat_class_logistic preset at its theta_PS
+        spec = ExperimentSpec.from_dict({"preset": "strat_class_logistic", "out": "unused"})
+        point = resolve_points(spec)[0]
+        pool = point.kernel_factory().pool
+        calls = []
+
+        def counting(u):
+            calls.append(np.shape(u))
+            return sigmoid(u)
+
+        monkeypatch.setattr(perfsim.agents, "sigmoid", counting)
+        pool.utility.best_response(pool.base_features, pool.labels, point.theta_ps)
+        assert calls == [(200,)] * 3
 
 
 def trial_rngs(seed, trials):
