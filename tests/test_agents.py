@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import perfsim.agents
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, AgentDivergenceError,
                             ArGaussianKernel, ExactBestResponseKernel, GaussianEnv,
                             IidGaussianKernel, LogisticUtility, QuadraticUtility, _logistic_root)
@@ -337,7 +336,7 @@ class TestLogisticBestResponseRoot:
             calls.append(np.shape(u))
             return sigmoid(u)
 
-        monkeypatch.setattr(perfsim.agents, "sigmoid", counting)
+        monkeypatch.setattr("perfsim.agents.sigmoid", counting)
         pool.utility.best_response(pool.base_features, pool.labels, point.theta_ps)
         assert calls == [(200,)] * 3
 
