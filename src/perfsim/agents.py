@@ -33,12 +33,13 @@ random stream, through the same two-phase interface. ``theta`` has shape
 A failed trial keeps its row and is advanced with the others; rows never
 interact, so its values do not reach another trial.
 
-A kernel is built for ``trials`` trials (its ``trials`` attribute), and its
-state carries the trial axis: the AR state ``z`` is (T,) and the adapted
-pool's ``features`` are (T, m, d); the memoryless kernels keep no agent
-state. The Gaussian kernels also keep their environment's parameters as
-per-trial rows, so ``stack`` joins kernels of different environments into
-one block of trials.
+Every kernel is built as ``Kernel(problem, trials=T)``, from a
+:class:`GaussianEnv` or an :class:`AgentPool` and a keyword-only trial
+count, its ``trials`` attribute. Its state carries the trial axis: the AR
+state ``z`` is (T,) and the adapted pool's ``features`` are (T, m, d); the
+memoryless kernels keep no agent state. The Gaussian kernels also keep
+their environment's parameters as per-trial rows, so ``stack`` joins
+kernels of different environments into one block of trials.
 
 Every draw is taken from each trial's stream ``BLOCK`` steps at a time: the
 Gaussian noise as normals, the pool agents as p distinct agents per step.
@@ -54,6 +55,7 @@ for ``emit``. A stream handed to a kernel must be used by that kernel only.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
@@ -96,21 +98,25 @@ class GaussianEnv:
 
     At model ``theta`` the induced sample law is N(z_bar + epsilon * theta,
     sigma^2); the autoregressive chain mixes toward it with regression
-    parameter ``rho`` (rho = 1 recovers i.i.d. sampling).
+    parameter ``rho`` (rho = 1 recovers i.i.d. sampling) from the state ``z0``
+    (None: ``z_bar``).
     """
 
     z_bar: float
     epsilon: float
     sigma: float
     rho: float = 1.0
+    z0: Optional[float] = None
 
     dim = 1  # the model is a scalar, shape (1,)
 
     def __post_init__(self):
+        if not math.isfinite(self.z_bar) or (self.z0 is not None and not math.isfinite(self.z0)):
+            raise ValueError("z_bar and z0 must be finite")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must lie in (0, 1]")
 
@@ -209,18 +215,20 @@ def _logistic_root(a, c, y):
     lo, hi = a + c * (y - 1.0), a + c * y
     u, half_last = a + c * (y - sigmoid(a)), c  # the first step is bounded by the bracket alone
     floor = _ROUNDING * (np.abs(a) + c)
-    bound = _NEWTON_K * c * (1.0 + 0.25 * c) ** 2  # error left per squared Newton step
     active = np.ones(np.shape(hi), dtype=bool)
-    while active.any():
-        s = sigmoid(u)
-        g = u - a - c * (y - s)
-        lo, hi = np.where(g < 0.0, u, lo), np.where(g > 0.0, u, hi)
-        newton = u - g / (1.0 + c * s * (1.0 - s))
-        ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - u) <= half_last)
-        nxt = np.where(ok, newton, 0.5 * (lo + hi))
-        moved = np.abs(nxt - u)
-        u, half_last = np.where(active, nxt, u), 0.5 * moved
-        active &= (moved > floor) & ~(ok & (bound * moved * moved <= floor))  # NaN freezes too
+    # past c ~ 1e100 the certificate overflows to inf (or NaN), which never certifies
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _NEWTON_K * c * (1.0 + 0.25 * c) ** 2  # error left per squared Newton step
+        while active.any():
+            s = sigmoid(u)
+            g = u - a - c * (y - s)
+            lo, hi = np.where(g < 0.0, u, lo), np.where(g > 0.0, u, hi)
+            newton = u - g / (1.0 + c * s * (1.0 - s))
+            ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - u) <= half_last)
+            nxt = np.where(ok, newton, 0.5 * (lo + hi))
+            moved = np.abs(nxt - u)
+            u, half_last = np.where(active, nxt, u), 0.5 * moved
+            active &= (moved > floor) & ~(ok & (bound * moved * moved <= floor))  # NaN freezes too
     return u
 
 
@@ -376,7 +384,7 @@ class IidGaussianKernel(_Memoryless, _GaussianRows):
 
     ROWS = ("z_bar", "epsilon", "sigma")
 
-    def __init__(self, env: GaussianEnv, trials: int = 1):
+    def __init__(self, env: GaussianEnv, *, trials: int = 1):
         self._rows(env, trials)
 
     def emit(self, theta, rngs, n: int = 1):
@@ -390,16 +398,16 @@ class ArGaussianKernel(_GaussianRows):
     At fixed theta the chain mixes to a Gaussian with the same mean as the
     i.i.d. law but variance reduced by rho / (2 - rho); with rho = 1 it is
     exactly the i.i.d. kernel. ``z_bar``, ``epsilon``, ``sigma``, ``rho``,
-    ``1 - rho`` and the state ``z`` (from ``z0``) are (T,) rows.
+    ``1 - rho`` and the state ``z`` (from ``env.z0``) are (T,) rows.
     """
 
     ROWS = ("z_bar", "epsilon", "sigma", "rho", "stay", "z")
 
-    def __init__(self, env: GaussianEnv, z0: Optional[float] = None, trials: int = 1):
+    def __init__(self, env: GaussianEnv, *, trials: int = 1):
         self._rows(env, trials)
         self.rho = np.full(trials, env.rho)
         self.stay = 1.0 - self.rho
-        self.z = np.full(trials, env.z_bar if z0 is None else float(z0))
+        self.z = np.full(trials, env.z_bar if env.z0 is None else float(env.z0))
 
     def advance(self, theta, rngs):
         target = (self.z_bar + self.epsilon * theta[:, 0]) + self._noise.take(rngs, 1)[0]
@@ -418,7 +426,7 @@ class _PoolKernel:
     streams; each emission size keeps its own block.
     """
 
-    def __init__(self, pool: AgentPool, trials: int = 1):
+    def __init__(self, pool: AgentPool, *, trials: int = 1):
         self.pool = pool
         self.trials = trials
         self._labels = pool.labels.astype(float)
@@ -454,8 +462,8 @@ class AdaptedBestResponseKernel(_PoolKernel):
 
     failure = AgentDivergenceError
 
-    def __init__(self, pool: AgentPool, trials: int = 1):
-        super().__init__(pool, trials)
+    def __init__(self, pool: AgentPool, *, trials: int = 1):
+        super().__init__(pool, trials=trials)
         self.features = np.tile(pool.base_features, (trials, 1, 1))
         self._rows = np.arange(trials)[:, None]
         self._participants = _distinct_agents(pool.size, pool.participation)

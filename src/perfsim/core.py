@@ -125,60 +125,35 @@ StepSchedule = Union[ConstantSchedule, InverseSchedule]
 class ScheduleReport:
     """Outcome of :func:`check_schedule` over a horizon of K steps.
 
-    ``ratio_ok[k-1]`` / ``cap_ok[k-1]`` hold the per-step verdicts for
-    iteration ``k``; the ratio condition at ``k`` compares gamma_{k-1}/gamma_k
-    against ``1 + gamma_k * mu_tilde / 4``.
+    ``ratio_ok[k-1]`` holds the verdict for iteration ``k``: the ratio
+    condition at ``k`` compares gamma_{k-1}/gamma_k against
+    ``1 + gamma_k * mu_tilde / 4``.
     """
 
     horizon: int
-    gamma_cap: float
     ratio_ok: np.ndarray
-    cap_ok: np.ndarray
 
     @property
     def first_ratio_violation(self) -> Optional[int]:
         bad = np.flatnonzero(~self.ratio_ok)
         return int(bad[0]) + 1 if bad.size else None
 
-    @property
-    def first_cap_violation(self) -> Optional[int]:
-        bad = np.flatnonzero(~self.cap_ok)
-        return int(bad[0]) + 1 if bad.size else None
-
-    @property
-    def first_violation(self) -> Optional[int]:
-        firsts = [v for v in (self.first_ratio_violation, self.first_cap_violation) if v is not None]
-        return min(firsts) if firsts else None
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(self.ratio_ok.all() and self.cap_ok.all())
-
 
 def check_schedule(
     schedule: StepSchedule,
     constants: ProblemConstants,
     horizon: int,
-    gamma_cap: float,
 ) -> ScheduleReport:
-    """Verify the structurally checkable step-size conditions over 1..K.
+    """Verify the ratio condition gamma_{k-1}/gamma_k <= 1 + gamma_k *
+    mu_tilde / 4 for every k in 1..horizon.
 
-    Checks, for every k in 1..horizon:
-
-    * ratio condition  gamma_{k-1}/gamma_k <= 1 + gamma_k * mu_tilde / 4,
-    * cap condition    gamma_k <= gamma_cap.
-
-    ``gamma_cap`` stands in for the analysis-only minimum bound whose
-    constants cannot be computed from data and must be supplied by the
-    caller. ``gamma_0`` is evaluated from the schedule formula (infinite for
-    an inverse schedule with c1 = 0, which makes the k = 1 ratio check fail).
+    ``gamma_0`` is evaluated from the schedule formula (infinite for an
+    inverse schedule with c1 = 0, which makes the k = 1 ratio check fail).
 
     Raises ``ValueError`` if the schedule is increasing anywhere in 1..K.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    if not gamma_cap > 0:
-        raise ValueError("gamma_cap must be positive")
     mu_tilde = constants.require_contraction()
 
     gammas = np.asarray(schedule.gamma(np.arange(0, horizon + 1)), dtype=float)
@@ -190,9 +165,7 @@ def check_schedule(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = gammas[:-1] / steps
     ratio_ok = ratios <= 1.0 + steps * mu_tilde / 4.0
-    cap_ok = steps <= gamma_cap
-    return ScheduleReport(horizon=horizon, gamma_cap=gamma_cap,
-                          ratio_ok=ratio_ok, cap_ok=cap_ok)
+    return ScheduleReport(horizon=horizon, ratio_ok=ratio_ok)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
 """Experiment harness: presets, sweeps, multi-trial orchestration, file output.
 
 An experiment is described by an :class:`ExperimentSpec` (usually loaded from
-a JSON config). For every sweep point the harness resolves the stable point
-via the oracle. Points that differ only in Gaussian problem parameters that
-leave the step schedule alone form one group, and each group runs as one
-trial-batched ``sa_run`` over all its trials; the groups run on a fork
-process pool, or in-process with ``workers: 1``. Each point gets a trace
-of its own trials, from which the harness aggregates mean and 5th/95th
-percentile error per recorded iteration; it writes plot-ready ``trace.csv``
-plus a ``summary.json`` that makes the figures reproducible from the file
-alone.
+a JSON config). Each sweep point carries its problem (a ``GaussianEnv`` or
+an ``AgentPool``), its stable point from the oracle, and its kernel class,
+built as ``kernel(problem, trials=n)``. Points that differ only in Gaussian
+problem parameters that leave the step schedule alone form one group, and
+each group runs as one trial-batched ``sa_run`` over all its trials; the
+groups run on a fork process pool, or in-process with ``workers: 1``. Each
+point gets a trace of its own trials, from which the harness aggregates
+mean and 5th/95th percentile error per recorded iteration; it writes
+plot-ready ``trace.csv`` plus a ``summary.json`` that makes the figures
+reproducible from the file alone.
 """
 from __future__ import annotations
 
@@ -22,16 +23,15 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                      ExactBestResponseKernel, GaussianEnv, IidGaussianKernel,
                      LogisticUtility, QuadraticUtility)
-from .core import ConstantSchedule, InverseSchedule, ProblemConstants, as_param
+from .core import ConstantSchedule, InverseSchedule, as_param
 from .data import generate_synthetic
 from .losses import LogisticLoss, QuadraticLoss, logistic_constants
 from .oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
@@ -100,6 +100,10 @@ _PRESET_FAMILY = {
     "strat_class_logistic": ("pool", "logistic"),
     "custom": (None, None),
 }
+
+# (family, kernel field) -> the kernel class that samples the point's problem
+_KERNELS = {("gaussian", "ar"): ArGaussianKernel, ("gaussian", "iid"): IidGaussianKernel,
+            ("pool", "pool"): AdaptedBestResponseKernel, ("pool", "iid"): ExactBestResponseKernel}
 
 # The integer run fields and their least values; the first four may be swept.
 _RUN_FIELDS = {"batch": 1, "br_per_iter": 1, "learner_iters_per_agent_round": 1, "trials": 1,
@@ -247,7 +251,8 @@ class ResolvedPoint:
     label: str
     overrides: dict
     loss: object
-    kernel_factory: Callable
+    problem: object  # the GaussianEnv or AgentPool the oracle solved
+    kernel: type     # kernel(problem, trials=n) samples it in n trials
     config: RunConfig
     trials: int
     theta_ps: np.ndarray
@@ -267,24 +272,20 @@ def _make_schedule(params: dict, default_c0: float, default_c1: float):
 
 
 def _resolve_gaussian(params: dict) -> tuple:
-    """The Gaussian point's ``(loss, kernel_factory, schedule, theta_ps, problem_desc)``."""
+    """The Gaussian point's ``(loss, env, schedule, theta_ps, problem_desc)``."""
     env = GaussianEnv(z_bar=float(params["z_bar"]), epsilon=float(params["epsilon"]),
-                      sigma=float(params["sigma"]), rho=float(params["rho"]))
+                      sigma=float(params["sigma"]), rho=float(params["rho"]), z0=params["z0"])
     loss = QuadraticLoss()
-    constants = ProblemConstants(mu=loss.mu, lipschitz=loss.lipschitz,
-                                 sensitivity=env.epsilon, sigma_noise=env.sigma)
-    mu_tilde = constants.require_contraction()
+    mu_tilde = loss.mu - loss.lipschitz * env.epsilon  # > 0: GaussianEnv keeps epsilon < 1
     schedule = _make_schedule(params, 500.0 / mu_tilde, 800.0 / mu_tilde ** 2)
     theta_ps = np.array([theta_ps_gaussian(env)])
-    kernel_factory = (partial(ArGaussianKernel, env, params["z0"]) if params["kernel"] == "ar"
-                      else partial(IidGaussianKernel, env))
     desc = {k: params[k] for k in ("z_bar", "sigma", "epsilon", "rho", "kernel")}
-    desc.update(mu=constants.mu, lipschitz=constants.lipschitz, mu_tilde=mu_tilde)
-    return loss, kernel_factory, schedule, theta_ps, desc
+    desc.update(mu=loss.mu, lipschitz=loss.lipschitz, mu_tilde=mu_tilde)
+    return loss, env, schedule, theta_ps, desc
 
 
 def _resolve_pool(params: dict) -> tuple:
-    """The pool point's ``(loss, kernel_factory, schedule, theta_ps, problem_desc)``."""
+    """The pool point's ``(loss, pool, schedule, theta_ps, problem_desc)``."""
     dataset = generate_synthetic(d=params["d"], m=params["m"], seed=params["data_seed"],
                                  separation=float(params["separation"]))
     epsilon = float(params["epsilon"])
@@ -301,13 +302,11 @@ def _resolve_pool(params: dict) -> tuple:
                           "the problem is outside the contraction regime")
     schedule = _make_schedule(params, 100.0 / mu_tilde, 8.0 * lipschitz ** 2 / mu_tilde ** 2)
     theta_ps = theta_ps_fixed_point(loss, pool)
-    kernel = {"pool": AdaptedBestResponseKernel, "iid": ExactBestResponseKernel}[params["kernel"]]
-    kernel_factory = partial(kernel, pool)
     desc = {"d": dataset.dim, "m": dataset.size, "data_seed": params["data_seed"],
             "utility": params["utility"], "epsilon": epsilon, "beta": beta, "alpha": alpha,
             "participation": params["participation"], "kernel": params["kernel"],
             "lipschitz_est": lipschitz, "mu_tilde_est": mu_tilde}
-    return loss, kernel_factory, schedule, theta_ps, desc
+    return loss, pool, schedule, theta_ps, desc
 
 
 def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> ResolvedPoint:
@@ -326,7 +325,7 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> Res
     if key not in problems:
         resolve = _resolve_gaussian if params["family"] == "gaussian" else _resolve_pool
         problems[key] = resolve(params)
-    loss, kernel_factory, schedule, theta_ps, desc = problems[key]
+    loss, problem, schedule, theta_ps, desc = problems[key]
     if params["family"] == "pool" and run_fields["batch"] > desc["m"]:
         raise ConfigError(f"batch = {run_fields['batch']} exceeds the pool's m = {desc['m']} agents")
     d = theta_ps.shape[0]
@@ -335,8 +334,8 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> Res
     config = RunConfig(theta0=theta0, schedule=schedule, horizon=spec.horizon,
                        seed=spec.seed, **run_fields)
     return ResolvedPoint(label=_point_label(overrides), overrides=overrides, loss=loss,
-                         kernel_factory=kernel_factory, config=config, trials=trials,
-                         theta_ps=theta_ps, problem_desc=desc)
+                         problem=problem, kernel=_KERNELS[params["family"], params["kernel"]],
+                         config=config, trials=trials, theta_ps=theta_ps, problem_desc=desc)
 
 
 def resolve_points(spec: ExperimentSpec) -> list:
@@ -367,9 +366,8 @@ def _group_key(point: ResolvedPoint) -> tuple:
     """Points with equal keys run their trials in one block: they share their
     ``RunConfig``, and a kernel class that stacks the rows of several
     problems (a pool kernel's point is a group of its own)."""
-    kind = point.kernel_factory.func
     c = point.config
-    return (kind if hasattr(kind, "stack") else point.label, c.theta0.tobytes(),
+    return (point.kernel if hasattr(point.kernel, "stack") else point.label, c.theta0.tobytes(),
             c.schedule, c.horizon, c.batch, c.br_per_iter, c.learner_iters_per_agent_round, c.seed)
 
 
@@ -378,7 +376,7 @@ def _run_group(job) -> list:
     own rows alone, with ``failures`` keyed by the point's trial numbers."""
     points, grid = job
     counts = [point.trials for point in points]
-    kernels = [point.kernel_factory(trials=n) for point, n in zip(points, counts)]
+    kernels = [point.kernel(point.problem, trials=n) for point, n in zip(points, counts)]
     kernel = kernels[0] if len(kernels) == 1 else type(kernels[0]).stack(kernels)
     # the group shares its loss and run fields; its rows go point by point, trial by trial
     block = sa_run(points[0].loss, kernel, points[0].config,

@@ -237,7 +237,7 @@ def test_c6_lazy_deploy_ordering():
         cfg = RunConfig(theta0=point.config.theta0, schedule=point.config.schedule,
                         horizon=horizon, seed=spec.seed,
                         learner_iters_per_agent_round=inner)
-        trace = sa_run(point.loss, point.kernel_factory(trials=10), cfg, point.theta_ps)
+        trace = sa_run(point.loss, point.kernel(point.problem, trials=10), cfg, point.theta_ps)
         return trace.errors.mean(axis=0), trace.agent_updates
 
     err_1, agents_1 = mean_curve(1)
@@ -266,13 +266,13 @@ def test_c7_one_step_contraction():
     constants = ProblemConstants(mu=1.0, lipschitz=1.0, sensitivity=env.epsilon,
                                  sigma_noise=env.sigma)
     theta_ps = np.array([theta_ps_gaussian(env)])
-    gamma_cap = constants.mu_tilde / (2.0 * constants.lipschitz ** 2)
+    gamma_max = constants.mu_tilde / (2.0 * constants.lipschitz ** 2)
     rng = RngStream(2718).generator()
     kernel = IidGaussianKernel(env)
     violations = []
     for _ in range(50):
         theta = theta_ps + rng.uniform(-20.0, 20.0, size=1)
-        gamma = rng.uniform(1e-3, gamma_cap)
+        gamma = rng.uniform(1e-3, gamma_max)
         r = one_step_contraction_probe(QuadraticLoss(), kernel, constants, theta,
                                        theta_ps, gamma, 10_000, rng)
         if r.lhs > r.rhs + 3.0 * r.stderr:
@@ -381,12 +381,12 @@ def test_c9_property_suites(tmp_path):
     # schedule checker: constant passes, diminishing preset passes, c1 = 0 fails
     constants = ProblemConstants(mu=1.0, lipschitz=1.0, sensitivity=0.1, sigma_noise=0.0)
     mu_tilde = constants.mu_tilde
-    sched_ok = check_schedule(ConstantSchedule(0.1), constants, 10_000, gamma_cap=0.1).all_ok
+    sched_ok = check_schedule(ConstantSchedule(0.1), constants, 10_000).ratio_ok.all()
     sched_ok &= check_schedule(InverseSchedule(c0=500 / mu_tilde, c1=800 / mu_tilde ** 2),
-                               constants, 10_000, gamma_cap=1.0).all_ok
+                               constants, 10_000).ratio_ok.all()
     weak = ProblemConstants(mu=1.0, lipschitz=1.0, sensitivity=0.99, sigma_noise=0.0)
-    sched_ok &= (check_schedule(InverseSchedule(c0=1.0, c1=0.0), weak, 10,
-                                gamma_cap=10.0).first_ratio_violation == 1)
+    sched_ok &= (check_schedule(InverseSchedule(c0=1.0, c1=0.0), weak, 10)
+                 .first_ratio_violation == 1)
     notes.append(f"schedule checker {'ok' if sched_ok else 'BAD'}")
 
     ok = fd_ok and convex_ok and determinism_ok and sched_ok

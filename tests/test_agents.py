@@ -41,6 +41,19 @@ class TestGaussianEnv:
         with pytest.raises(ValueError):
             GaussianEnv(z_bar=0.0, epsilon=0.1, sigma=1.0, rho=0.0)
 
+    @pytest.mark.parametrize("field", [{"z_bar": math.nan}, {"z_bar": -math.inf},
+                                       {"sigma": math.inf}, {"sigma": math.nan},
+                                       {"z0": math.nan}, {"z0": math.inf}])
+    def test_rejects_non_finite(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianEnv(**{"z_bar": 0.0, "epsilon": 0.1, "sigma": 1.0, **field})
+
+    @pytest.mark.parametrize("kernel", [IidGaussianKernel, ArGaussianKernel])
+    def test_trials_is_keyword_only(self, kernel):
+        # a positional second argument is refused, not run as a trial count
+        with pytest.raises(TypeError):
+            kernel(GaussianEnv(z_bar=0.0, epsilon=0.1, sigma=1.0), 3)
+
     def test_stationary_variance_formula(self):
         env = GaussianEnv(z_bar=0.0, epsilon=0.1, sigma=3.0, rho=0.5)
         assert env.stationary_variance() == pytest.approx(9.0 * 0.5 / 1.5)
@@ -88,8 +101,8 @@ class TestArKernel:
         assert np.array_equal(ar_vals, iid_vals)
 
     def test_noiseless_midpoint(self):
-        env = GaussianEnv(z_bar=4.0, epsilon=0.0, sigma=0.0, rho=0.5)
-        kern = ArGaussianKernel(env, z0=0.0)
+        env = GaussianEnv(z_bar=4.0, epsilon=0.0, sigma=0.0, rho=0.5, z0=0.0)
+        kern = ArGaussianKernel(env)
         out = advance_then_emit(kern, np.array([0.0]), RngStream(5).generator())
         assert out == 2.0
 
@@ -102,10 +115,10 @@ class TestArKernel:
     def test_noiseless_geometric_mixing(self):
         # Without noise the gap to the shifted mean contracts by exactly
         # (1 - rho) per transition.
-        env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=0.0, rho=0.3)
+        env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=0.0, rho=0.3, z0=0.0)
         theta = np.array([5.0])
         target = env.shifted_mean(theta)
-        kern = ArGaussianKernel(env, z0=0.0)
+        kern = ArGaussianKernel(env)
         rng = RngStream(7).generator()
         gap = 0.0 - target
         for _ in range(30):
@@ -115,15 +128,15 @@ class TestArKernel:
 
     def test_monte_carlo_mean_approach(self):
         # |E[z_k] - shifted mean| halves every ceil(log 2 / rho) transitions.
-        env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=1.0, rho=0.2)
+        env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=1.0, rho=0.2, z0=-10.0)
         theta = np.array([5.0])
         target = env.shifted_mean(theta)
         half_steps = math.ceil(math.log(2.0) / env.rho)
-        n_chains, z0 = 4000, -10.0
+        n_chains = 4000
         rngs = [RngStream(8).substream(i).generator() for i in range(n_chains)]
-        kern = ArGaussianKernel(env, z0=z0, trials=n_chains)
+        kern = ArGaussianKernel(env, trials=n_chains)
         thetas = np.tile(theta, (n_chains, 1))
-        gap0 = abs(z0 - target)
+        gap0 = abs(env.z0 - target)
         for stage in range(1, 4):
             for _ in range(half_steps):
                 kern.advance(thetas, rngs)
@@ -295,10 +308,11 @@ class TestLogisticBestResponseRoot:
     def test_root_within_floor_of_bisection(self, epsilon):
         # every row's root lies within its rounding floor 4 eps (|a| + c) of the
         # bracket that a scalar bisection closes to adjacent doubles, and the
-        # reply is the one at that root
+        # reply is the one at that root; at scale 1e60 the certificate's
+        # coefficient overflows, which must raise no numpy warning
         util = LogisticUtility(epsilon=epsilon)
         rng = RngStream(23).generator()
-        for scale in 10.0 ** np.arange(-3, 4):
+        for scale in [*10.0 ** np.arange(-3, 4), 1e60]:
             X, y, theta = random_agents(rng, scale, m=100)
             a, c = dot(X, theta), epsilon * (theta @ theta)
             u = _logistic_root(a, c, y)
@@ -329,7 +343,7 @@ class TestLogisticBestResponseRoot:
         # for the whole pool of the strat_class_logistic preset at its theta_PS
         spec = ExperimentSpec.from_dict({"preset": "strat_class_logistic", "out": "unused"})
         point = resolve_points(spec)[0]
-        pool = point.kernel_factory().pool
+        pool = point.problem
         calls = []
 
         def counting(u):

@@ -58,9 +58,9 @@ class TestScheduleValidation:
 
 class TestCheckSchedule:
     def test_constant_always_passes_ratio(self):
-        report = check_schedule(ConstantSchedule(0.3), make_constants(), 1000, gamma_cap=0.3)
-        assert report.all_ok
-        assert report.first_violation is None
+        report = check_schedule(ConstantSchedule(0.3), make_constants(), 1000)
+        assert report.ratio_ok.all()
+        assert report.first_ratio_violation is None
 
     def test_inverse_preset_passes_full_scan(self):
         # The checker itself is the oracle: a direct inequality scan over
@@ -68,23 +68,18 @@ class TestCheckSchedule:
         mu_tilde = 0.9
         for c1 in (1.0, 800.0 / mu_tilde ** 2):
             sched = InverseSchedule(c0=500.0 / mu_tilde, c1=c1)
-            report = check_schedule(sched, make_constants(), 1_000_000,
-                                    gamma_cap=float(sched.gamma(1)))
+            report = check_schedule(sched, make_constants(), 1_000_000)
             assert report.ratio_ok.all()
-            assert report.cap_ok.all()
 
     def test_inverse_without_offset_fails_ratio_at_one(self):
         constants = make_constants(mu=1.0, lipschitz=1.0, sensitivity=0.99)
         assert constants.mu_tilde == pytest.approx(0.01)
-        report = check_schedule(InverseSchedule(c0=1.0, c1=0.0), constants, 10, gamma_cap=10.0)
+        report = check_schedule(InverseSchedule(c0=1.0, c1=0.0), constants, 10)
         assert report.first_ratio_violation == 1
 
-    def test_cap_violations_reported(self):
-        report = check_schedule(InverseSchedule(c0=6.0, c1=2.0), make_constants(mu=4.0),
-                                10, gamma_cap=1.6)
-        assert report.first_cap_violation == 1  # gamma_1 = 2.0 > 1.6
-        assert report.cap_ok[1:].all()          # gamma_2 = 1.5 <= 1.6
-        assert report.ratio_ok.all()            # mu_tilde = 3.9 keeps the ratio bound loose
+    def test_strong_contraction_passes_ratio(self):
+        report = check_schedule(InverseSchedule(c0=6.0, c1=2.0), make_constants(mu=4.0), 10)
+        assert report.ratio_ok.all()  # mu_tilde = 3.9 keeps the ratio bound loose
 
     def test_increasing_schedule_rejected(self):
         class Increasing:
@@ -92,12 +87,12 @@ class TestCheckSchedule:
                 return 0.1 * (1.0 + np.asarray(k, dtype=float))
 
         with pytest.raises(ValueError, match="increasing"):
-            check_schedule(Increasing(), make_constants(), 10, gamma_cap=10.0)
+            check_schedule(Increasing(), make_constants(), 10)
 
     def test_requires_contraction_regime(self):
         bad = make_constants(mu=1.0, lipschitz=2.0, sensitivity=0.6)
         with pytest.raises(ValueError, match="mu_tilde"):
-            check_schedule(ConstantSchedule(0.1), bad, 10, gamma_cap=1.0)
+            check_schedule(ConstantSchedule(0.1), bad, 10)
 
 
 class TestProblemConstants:

@@ -13,7 +13,10 @@ the pools stopped drawing distinct agents with one ``Generator.choice`` call
 per trial and step and began drawing them in per-trial blocks by rank-select:
 the adapting agents and every minibatch of distinct agents changed, so their
 ``trace.csv`` bytes moved; no ``theta_ps`` bit moved, and the three Gaussian
-pins passed unchanged. The cases cover greedy runs with several agent
+pins passed unchanged. ``gaussian_ar_z0`` was pinned from the code in which
+the AR chain's start ``z0`` was a kernel argument, before it became a
+``GaussianEnv`` field; its chains of two starts and two values of rho run
+in one block. The cases cover greedy runs with several agent
 transitions per update, lazy deployment with a horizon that is not a
 multiple of the inner count, the adapted agent pool, exact best responses
 with minibatches, and minibatches drawn from the i.i.d. Gaussian kernel and
@@ -62,6 +65,10 @@ CASES = {
         "preset": "strat_class_linear", "seed": 17, "trials": 2, "horizon": 1500,
         "sweep": [["batch", [1, 3]]],
     },
+    "gaussian_ar_z0": {
+        "preset": "gaussian_ar", "seed": 18, "trials": 2, "horizon": 1500,
+        "sweep": [["z0", [None, -40.0]], ["rho", [0.2, 1.0]]],
+    },
 }
 
 # name -> (SHA-256 of trace.csv, float.hex of every theta_ps entry per point)
@@ -85,6 +92,15 @@ GOLDEN = {
         [
             ["0x1.638e38e38e38ep+3"],
             ["0x1.638e38e38e38ep+3"],
+            ["0x1.638e38e38e38ep+3"],
+            ["0x1.638e38e38e38ep+3"],
+            ["0x1.638e38e38e38ep+3"],
+            ["0x1.638e38e38e38ep+3"],
+        ],
+    ),
+    "gaussian_ar_z0": (
+        "156bbae32078c7c7f3698a854d20706a2624d005ece39a0d15d4f16780b30d59",
+        [
             ["0x1.638e38e38e38ep+3"],
             ["0x1.638e38e38e38ep+3"],
             ["0x1.638e38e38e38ep+3"],

@@ -6,7 +6,6 @@ import itertools
 import json
 import os
 import tempfile
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from perfsim.agents import AdaptedBestResponseKernel, ArGaussianKernel
+from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
+                            ExactBestResponseKernel, GaussianEnv, IidGaussianKernel)
 from perfsim.cli import main as cli_main
 from perfsim.data import generate_synthetic, load_csv
 from perfsim import harness
 from perfsim.harness import (ConfigError, ExperimentSpec, _execute_points, _group_key,
                              record_grid, resolve_points, run_experiment)
-from perfsim.losses import LogisticLoss
-from perfsim.oracle import minimize_empirical_risk, theta_ps_fixed_point
+from perfsim.losses import LogisticLoss, mean_grad
+from perfsim.oracle import TOL, minimize_empirical_risk, theta_ps_fixed_point, theta_ps_gaussian
 from perfsim.solver import sa_run
 
 
@@ -204,14 +204,13 @@ class TestRunExperiment:
         spec = ExperimentSpec.from_dict({"preset": "strat_class_linear", "seed": 5,
                                          "trials": 3, "horizon": 300, "out": "unused"})
         point = resolve_points(spec)[0]
-        poisoned = dataclasses.replace(
-            point, kernel_factory=partial(PoisonedPool, *point.kernel_factory.args))
+        poisoned = dataclasses.replace(point, kernel=PoisonedPool)
         grid = record_grid(spec.horizon)
         (trace,) = _execute_points([poisoned], grid, workers=1)
         assert trace.failures == {
             1: {"trial": 1, "iteration": 120, "kind": "AgentDivergenceError"}}
         for trial in (0, 2):
-            alone = sa_run(point.loss, point.kernel_factory(), point.config, point.theta_ps,
+            alone = sa_run(point.loss, point.kernel(point.problem), point.config, point.theta_ps,
                            trials=[trial], record=grid)
             assert np.array_equal(trace.errors[trial], alone.errors[0])
             assert np.array_equal(trace.final_theta[trial], alone.final_theta[0])
@@ -228,7 +227,7 @@ class TestRunExperiment:
             points = resolve_points(spec)
             assert len({_group_key(point) for point in points}) == 1
             grid = record_grid(spec.horizon)
-            alone = [sa_run(point.loss, point.kernel_factory(trials=3), point.config,
+            alone = [sa_run(point.loss, point.kernel(point.problem, trials=3), point.config,
                             point.theta_ps, record=grid) for point in points]
             for workers in (1, 4):
                 for one, trace in zip(alone, _execute_points(points, grid, workers)):
@@ -251,15 +250,13 @@ class TestRunExperiment:
 
         spec = gaussian_spec(sweep=[["rho", [0.5, 1.0]]])
         points = resolve_points(spec)
-        poisoned = [dataclasses.replace(
-            point, kernel_factory=partial(PoisonedChain, *point.kernel_factory.args))
-            for point in points]
+        poisoned = [dataclasses.replace(point, kernel=PoisonedChain) for point in points]
         grid = record_grid(spec.horizon)
         traces = _execute_points(poisoned, grid, workers=1)
         assert [trace.failures for trace in traces] == [
             {}, {1: {"trial": 1, "iteration": 120, "kind": "DivergenceError"}}]
         for point, trace in zip(points, traces):
-            alone = sa_run(point.loss, point.kernel_factory(trials=3), point.config,
+            alone = sa_run(point.loss, point.kernel(point.problem, trials=3), point.config,
                            point.theta_ps, record=grid)
             for trial in range(point.trials):
                 if trial in trace.failures:
@@ -282,9 +279,8 @@ class TestRunExperiment:
                 return super().advance(theta, rngs)
 
         spec = gaussian_spec(out=str(tmp_path))
-        poisoned = [dataclasses.replace(
-            point, kernel_factory=partial(PoisonedChain, *point.kernel_factory.args))
-            for point in resolve_points(spec)]
+        poisoned = [dataclasses.replace(point, kernel=PoisonedChain)
+                    for point in resolve_points(spec)]
         monkeypatch.setattr(harness, "resolve_points", lambda spec: poisoned)
         (point,) = run_experiment(spec)["points"]
         assert point["diverged"] == [
@@ -336,7 +332,7 @@ class TestRunExperiment:
         with open(tmp_path / "trace.csv") as fh:
             rows = list(csv.DictReader(fh))
         point = resolve_points(spec)[0]
-        trace = sa_run(point.loss, point.kernel_factory(), point.config, point.theta_ps)
+        trace = sa_run(point.loss, point.kernel(point.problem), point.config, point.theta_ps)
         for i, row in enumerate(rows):
             assert float(row["err_mean"]) == trace.errors[0, i]
 
@@ -439,6 +435,28 @@ class TestRunExperiment:
         assert len({_group_key(point) for point in points}) == 4
         summary = run_experiment(spec)
         assert [len(p["diverged"]) for p in summary["points"]] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("preset, kernel, problem_type, kernel_type", [
+        ("gaussian_ar", "ar", GaussianEnv, ArGaussianKernel),
+        ("gaussian_ar", "iid", GaussianEnv, IidGaussianKernel),
+        ("strat_class_logistic", "pool", AgentPool, AdaptedBestResponseKernel),
+        ("strat_class_linear", "iid", AgentPool, ExactBestResponseKernel),
+    ])
+    def test_point_carries_its_problem_and_kernel(self, preset, kernel, problem_type,
+                                                  kernel_type):
+        spec = ExperimentSpec.from_dict({"preset": preset, "seed": 3, "trials": 2,
+                                         "horizon": 20, "out": "unused",
+                                         "problem": {"kernel": kernel}})
+        (point,) = resolve_points(spec)
+        assert type(point.problem) is problem_type and point.kernel is kernel_type
+        trace = sa_run(point.loss, point.kernel(point.problem, trials=2), point.config,
+                       point.theta_ps)
+        assert trace.errors.shape[0] == 2 and not trace.failures
+        if problem_type is GaussianEnv:
+            assert theta_ps_gaussian(point.problem) == point.theta_ps
+        else:
+            batch = point.problem.response_dataset(point.theta_ps)
+            assert np.linalg.norm(mean_grad(point.loss, point.theta_ps, batch)) <= 10 * TOL
 
     def test_divergent_trials_flagged(self, tmp_path):
         spec = gaussian_spec(trials=2, horizon=50, out=str(tmp_path),
