@@ -57,7 +57,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -189,14 +188,17 @@ class LogisticUtility:
 
     def grad(self, xp, base_x, y, theta):
         # theta is (d,), or (T, 1, d) for a trial batch of agents (T, p, d)
-        u = xp @ theta if theta.ndim == 1 else (xp @ np.swapaxes(theta, -1, -2))[..., 0]
-        coef = np.asarray(y - sigmoid(u))[..., None]
+        u = xp @ theta if theta.ndim == 1 else (xp @ theta.swapaxes(-1, -2))[..., 0]
+        coef = (y - sigmoid(u))[..., None]
         return coef * theta - (np.asarray(xp) - np.asarray(base_x)) / self.epsilon
 
     def best_response(self, base_x, y, theta):
         x, theta = np.asarray(base_x, dtype=float), np.asarray(theta, dtype=float)
-        u = _logistic_root(dot(x, theta), self.epsilon * dot(theta, theta), y)
-        return x + (self.epsilon * (y - sigmoid(u)))[..., None] * theta
+        y = np.asarray(y, dtype=float)
+        # past ||theta|| ~ 1e154 c overflows to inf, which never certifies; a NaN row freezes
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = _logistic_root(dot(x, theta), self.epsilon * dot(theta, theta), y)
+            return x + (self.epsilon * (y - sigmoid(u)))[..., None] * theta
 
 
 def _logistic_root(a, c, y):
@@ -353,7 +355,8 @@ class _GaussianRows:
 
     ``ROWS`` names the per-trial arrays; ``stack`` joins fresh kernels of
     one class into one kernel holding their trials in order. The noise
-    ``sigma * N(0, 1)`` is drawn in blocks, each trial scaled by its sigma.
+    ``sigma * N(0, 1)`` is drawn in blocks, each trial scaled by its sigma
+    in place.
     """
 
     ROWS = ()
@@ -362,7 +365,7 @@ class _GaussianRows:
         self.trials = trials
         for name in ("z_bar", "epsilon", "sigma"):
             setattr(self, name, np.full(trials, getattr(env, name)))
-        self._noise = _BlockDraws(_normal, partial(np.multiply, self.sigma))
+        self._noise = _BlockDraws(_normal, lambda block: np.multiply(self.sigma, block, out=block))
 
     @classmethod
     def stack(cls, kernels):
@@ -372,7 +375,7 @@ class _GaussianRows:
         out.trials = sum(k.trials for k in kernels)
         for name in cls.ROWS:
             setattr(out, name, np.concatenate([getattr(k, name) for k in kernels]))
-        out._noise = _BlockDraws(_normal, partial(np.multiply, out.sigma))
+        out._noise = _BlockDraws(_normal, lambda block: np.multiply(out.sigma, block, out=block))
         return out
 
 
@@ -411,11 +414,12 @@ class ArGaussianKernel(_GaussianRows):
 
     def advance(self, theta, rngs):
         target = (self.z_bar + self.epsilon * theta[:, 0]) + self._noise.take(rngs, 1)[0]
+        # rebound, never written in place: emit may have returned a view of the old state
         self.z = self.stay * self.z + self.rho * target
         return None
 
     def emit(self, theta, rngs, n: int = 1):
-        return self.z[:, None].repeat(n, axis=1)
+        return self.z[:, None] if n == 1 else self.z[:, None].repeat(n, axis=1)
 
 
 class _PoolKernel:
@@ -446,7 +450,8 @@ class ExactBestResponseKernel(_Memoryless, _PoolKernel):
     def emit(self, theta, rngs, n: int = 1):
         idx = self.draw_agents(rngs, n)
         labels = self._labels[idx]
-        X = self.pool.utility.best_response(self.pool.base_features[idx], labels, theta[:, None, :])
+        X = self.pool.utility.best_response(self.pool.base_features.take(idx, axis=0), labels,
+                                            theta[:, None, :])
         return X, labels
 
 
@@ -457,7 +462,8 @@ class AdaptedBestResponseKernel(_PoolKernel):
     moves their submitted features by ``alpha`` times the utility gradient
     evaluated at their current features; emission then draws agents uniformly
     from the post-update pool. A trial fails when its moved features are not
-    finite.
+    finite. Agents are read and written through ``_flat``, a (T m, d) view of
+    ``features``, at the rows ``idx + _offsets``.
     """
 
     failure = AgentDivergenceError
@@ -465,19 +471,22 @@ class AdaptedBestResponseKernel(_PoolKernel):
     def __init__(self, pool: AgentPool, *, trials: int = 1):
         super().__init__(pool, trials=trials)
         self.features = np.tile(pool.base_features, (trials, 1, 1))
-        self._rows = np.arange(trials)[:, None]
+        self._flat = self.features.reshape(-1, pool.dim)
+        self._offsets = pool.size * np.arange(trials)[:, None]
         self._participants = _distinct_agents(pool.size, pool.participation)
 
     def advance(self, theta, rngs):
         pool = self.pool
         idx = self._participants.take(rngs, 1)[0]
-        xp = self.features[self._rows, idx]
-        g = pool.utility.grad(xp, pool.base_features[idx], self._labels[idx], theta[:, None, :])
-        updated = xp + pool.alpha * g
-        self.features[self._rows, idx] = updated
-        failed = ~np.isfinite(updated).all(axis=(1, 2))
-        return failed if failed.any() else None
+        rows = idx + self._offsets
+        xp = self._flat.take(rows, axis=0)
+        g = pool.utility.grad(xp, pool.base_features.take(idx, axis=0), self._labels[idx],
+                              theta[:, None, :])
+        g *= pool.alpha
+        g += xp  # now the moved features xp + alpha g
+        self._flat[rows] = g
+        return None if np.isfinite(g).all() else ~np.isfinite(g).all(axis=(1, 2))
 
     def emit(self, theta, rngs, n: int = 1):
         idx = self.draw_agents(rngs, n)
-        return self.features[self._rows, idx], self._labels[idx]
+        return self._flat.take(idx + self._offsets, axis=0), self._labels[idx]

@@ -14,8 +14,8 @@ stable-point oracle's datasets are one-trial batches (T = 1).
 each trial's mean loss, shape (T,): the per-sample values summed left to
 right and divided by n. ``smoothness`` is the smoothness constant of a
 one-trial dataset's averaged gradient map. Dot products go through
-:func:`dot`, one ``matmul`` row at a time, which gives the same bits as a
-1-D dot.
+:func:`dot`, one ``np.vecdot`` call (numpy >= 2.0), which gives the same bits
+as the 1-D ``a @ b`` of each row.
 """
 from __future__ import annotations
 
@@ -35,10 +35,10 @@ __all__ = [
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products along the last axis, broadcast over the leading axes.
 
-    Each product is a one-row ``matmul``, which gives the same bits as the
-    1-D ``a @ b`` of that row; a batched ``gemv`` does not.
+    One ``np.vecdot`` call, which gives the same bits as the 1-D ``a @ b``
+    of each row; a batched ``gemv`` does not.
     """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def _batch_mean(g: np.ndarray) -> np.ndarray:
@@ -80,7 +80,7 @@ class QuadraticLoss:
         return _batch_mean(0.5 * r * r)
 
     def grad(self, theta: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-        return _batch_mean(theta[:, None, :] - scalars[:, :, None])
+        return _batch_mean((theta - scalars)[:, :, None])
 
     def smoothness(self, scalars: np.ndarray) -> float:
         _require_samples(scalars)

@@ -202,7 +202,7 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
                 err = dot(gap, gap)
                 if failures:
                     err[~alive] = 0.0  # a failed row is NaN after the loop anyway
-                if not err.max() <= DIVERGENCE_CAP:
+                if not np.maximum.reduce(err) <= DIVERGENCE_CAP:
                     fail(~(err <= DIVERGENCE_CAP), k + 1, DivergenceError)
                 if k + 1 == slots[slot]:
                     errors[:, slot] = err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ class TestArKernel:
         kern = ArGaussianKernel(env)
         out = advance_then_emit(kern, np.array([0.5]), RngStream(6).generator())
         assert out == kern.z[0]
+
+    def test_sample_keeps_its_value_across_advance(self):
+        # emit(n=1) may return a view of the state, so advance must rebind the
+        # state, never write it
+        env = GaussianEnv(z_bar=1.0, epsilon=0.2, sigma=3.0, rho=0.4)
+        kern = ArGaussianKernel(env, trials=4)
+        theta = np.full((4, 1), 0.5)
+        rngs = trial_rngs(40, 4)
+        kern.advance(theta, rngs)
+        sample = kern.emit(theta, rngs)
+        kept = sample.copy()
+        kern.advance(theta, rngs)
+        assert np.array_equal(sample, kept)
+        assert not np.array_equal(kern.emit(theta, rngs), kept)
 
     def test_noiseless_geometric_mixing(self):
         # Without noise the gap to the shifted mean contracts by exactly
@@ -299,6 +314,21 @@ class TestLogisticBestResponseRoot:
                 assert np.array_equal(stacked[t, j], alone)
         pool = self.util.best_response(X[-1], y[-1], theta[-1, 0])
         assert np.array_equal(pool, stacked[-1])
+
+    def test_list_labels_give_the_array_bits(self):
+        X, y, theta = random_agents(RngStream(24).generator(), 3.0, m=8)
+        got = self.util.best_response(X, y.tolist(), theta)
+        expected = self.util.best_response(X, y, theta)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_no_warning_where_norm_squared_overflows(self):
+        # at ||theta||^2 ~ 3e320 the coefficient c is inf: it never certifies a
+        # row, and no numpy warning escapes
+        X, y, _ = random_agents(RngStream(25).generator(), 1.0, m=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.util.best_response(X, y, np.full(3, 1e160))
+        assert got.shape == X.shape
 
     def test_zero_theta_is_base(self):
         X = np.array([[1.0, -2.0], [0.5, 0.0]])
@@ -539,6 +569,22 @@ class TestAdaptedPool:
             outs.append((out[0], kern.features[0].copy()))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
+
+    def test_in_place_feature_writes_reach_emission(self):
+        # advance and emit go through one flat view of features, so a write
+        # into kern.features is what the next emission returns
+        pool, trials = small_pool(), 3
+        kern = AdaptedBestResponseKernel(pool, trials=trials)
+        assert np.shares_memory(kern._flat, kern.features)
+        rngs = trial_rngs(41, trials)
+        draws = [distinct_agent_draws(rng, pool.size, 2) for rng in trial_rngs(41, trials)]
+        theta = np.zeros((trials, 3))
+        for step in range(5):
+            kern.features[...] = step + np.arange(kern.features.size).reshape(kern.features.shape)
+            X, y = kern.emit(theta, rngs, 2)
+            idx = np.array([next(d) for d in draws])
+            assert np.array_equal(X, kern.features[np.arange(trials)[:, None], idx])
+            assert np.array_equal(y, pool.labels[idx])
 
     def test_minibatch_emission_distinct(self):
         pool = small_pool()

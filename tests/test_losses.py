@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from perfsim.core import RngStream
-from perfsim.losses import LogisticLoss, QuadraticLoss, logistic_constants, mean_grad, sigmoid
+from perfsim.losses import (LogisticLoss, QuadraticLoss, dot, logistic_constants, mean_grad,
+                            sigmoid)
 
 finite_floats = st.floats(-20.0, 20.0)
 
@@ -39,6 +41,34 @@ def fd_gradient(fn, theta, h=1e-6):
         e[i] = h
         g[i] = (fn(theta + e) - fn(theta - e)) / (2.0 * h)
     return g
+
+
+# Entries of either sign from 1e-150 to 1e150, zeros, infinities and NaN.
+wide_floats = st.one_of(st.floats(1e-150, 1e150), st.floats(-1e150, -1e-150),
+                        st.sampled_from([0.0, np.inf, -np.inf, np.nan]))
+
+
+@st.composite
+def dot_operands(draw):
+    """A pair of operands in one of the layouts the engine dots: rows against
+    rows, a trial batch (T, n, d) against its models (T, 1, d), and agents
+    (m, d) against one model (d,)."""
+    d = draw(st.sampled_from([1, 3, 50]))
+    t, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shapes = draw(st.sampled_from([((n, d), (n, d)), ((t, n, d), (t, 1, d)), ((n, d), (d,))]))
+    return tuple(draw(hnp.arrays(float, s, elements=wide_floats)) for s in shapes)
+
+
+class TestDot:
+    @settings(max_examples=200, deadline=None)
+    @given(dot_operands())
+    def test_matches_one_row_matmul_bit_for_bit(self, operands):
+        a, b = operands
+        with np.errstate(all="ignore"):
+            got = dot(a, b)
+            rows = (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+        assert got.shape == rows.shape
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(rows).view(np.int64))
 
 
 class TestQuadratic:
