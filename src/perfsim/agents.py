@@ -312,6 +312,14 @@ class _BlockDraws:
         self.pos += count
         return self.buf[self.pos - count:self.pos]
 
+    def step(self, rngs) -> np.ndarray:
+        """The next step of every trial, shape (T, ...): ``take(rngs, 1)[0]``."""
+        pos = self.pos
+        if self.buf is None or pos == self.buf.shape[0]:
+            return self.take(rngs, 1)[0]
+        self.pos = pos + 1
+        return self.buf[pos]
+
 
 def _rank_select(ranks: np.ndarray) -> np.ndarray:
     """Map ranks (..., p), entry i in [0, m - i), to distinct agents: entry i
@@ -413,7 +421,7 @@ class ArGaussianKernel(_GaussianRows):
         self.z = np.full(trials, env.z_bar if env.z0 is None else float(env.z0))
 
     def advance(self, theta, rngs):
-        target = (self.z_bar + self.epsilon * theta[:, 0]) + self._noise.take(rngs, 1)[0]
+        target = (self.z_bar + self.epsilon * theta[:, 0]) + self._noise.step(rngs)
         # rebound, never written in place: emit may have returned a view of the old state
         self.z = self.stay * self.z + self.rho * target
         return None
@@ -441,7 +449,7 @@ class _PoolKernel:
         draws = self._emissions.get(n)
         if draws is None:
             draws = self._emissions[n] = _distinct_agents(self.pool.size, n)
-        return draws.take(rngs, 1)[0]
+        return draws.step(rngs)
 
 
 class ExactBestResponseKernel(_Memoryless, _PoolKernel):
@@ -477,7 +485,7 @@ class AdaptedBestResponseKernel(_PoolKernel):
 
     def advance(self, theta, rngs):
         pool = self.pool
-        idx = self._participants.take(rngs, 1)[0]
+        idx = self._participants.step(rngs)
         rows = idx + self._offsets
         xp = self._flat.take(rows, axis=0)
         g = pool.utility.grad(xp, pool.base_features.take(idx, axis=0), self._labels[idx],

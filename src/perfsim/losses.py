@@ -80,6 +80,8 @@ class QuadraticLoss:
         return _batch_mean(0.5 * r * r)
 
     def grad(self, theta: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+        if scalars.shape[1] == 1:
+            return theta - scalars  # the bits of the mean of one sample
         return _batch_mean((theta - scalars)[:, :, None])
 
     def smoothness(self, scalars: np.ndarray) -> float:

@@ -13,6 +13,7 @@ the stable point itself, lives in :mod:`perfsim.oracle`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,13 @@ SAMPLE_STREAM = 1
 
 # Squared-error guard corresponding to an iterate norm around 1e12.
 DIVERGENCE_CAP = 1e24
+
+# Share of sqrt(DIVERGENCE_CAP) kept by sa_run's guard as a margin for rounding.
+GUARD_SLACK = 1e-6
+
+# Steps whose step sizes are evaluated at once: a list over the whole horizon
+# would take 38 MiB at K = 1e6.
+GAMMA_CHUNK = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -112,6 +120,15 @@ def _map_batch(fn, batch):
     return tuple(fn(a) for a in batch) if isinstance(batch, tuple) else fn(batch)
 
 
+def _steps(schedule, K: int):
+    """The pairs (k, gamma_{k+1}) for k < K, as Python floats, which scale faster
+    than array elements; the schedule is evaluated ``GAMMA_CHUNK`` steps at a time."""
+    for start in range(0, K, GAMMA_CHUNK):
+        stop = min(start + GAMMA_CHUNK, K)
+        gam = np.asarray(schedule.gamma(np.arange(start + 1, stop + 1)), dtype=float)
+        yield from zip(range(start, stop), gam.tolist())
+
+
 class _BlockEmpty(Exception):
     """Every trial of the block has failed."""
 
@@ -141,6 +158,12 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     A failed trial keeps its row; its later errors and ``final_theta`` are
     NaN. Rows never interact, so the other trials go on unchanged; the block
     ends early only when every trial has failed.
+
+    The per-row errors are computed only at the record iterations and on
+    the steps where one guard on the whole block, ``vdot(theta, theta)``
+    against a bound set by ``DIVERGENCE_CAP`` and ``theta_ps``, cannot rule
+    out a failure; elsewhere no row can fail, so the failures are those of
+    a check on every step.
     """
     K = config.horizon
     T = kernel.trials
@@ -156,11 +179,21 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
         raise ValueError(f"theta_ps must be finite with shape {(d,)} or {(T, d)}, "
                          f"got {target.shape}")
     target = np.broadcast_to(target, (T, d))
-    gam = np.atleast_1d(np.asarray(config.schedule.gamma(np.arange(1, K + 1)), dtype=float))
-    gam = gam.tolist()  # Python floats index faster than array elements
     streams = [_trial_rngs(config, int(t)) for t in trials]
     agent_rngs = [agent for agent, _ in streams]
     sample_rngs = [sample for _, sample in streams]
+
+    # No row can fail a step on which vdot(theta, theta) <= limit, with limit =
+    # (r (1 - GUARD_SLACK) - max_r ||t_r||)^2 and r = sqrt(DIVERGENCE_CAP): exactly,
+    # ||theta_r - t_r|| <= ||theta_r|| + ||t_r|| <= ||theta||_F + max_r ||t_r||. The
+    # margin GUARD_SLACK r absorbs rounding: the T d-term vdot moves the norm by at most
+    # T d eps / 2 of itself, the d-term dots of max ||t_r|| and of a row's error by d eps
+    # of r, the other operations by a few eps of r; so 1e-6 holds up to T d ~ 3e9 terms
+    # (a 24 GB theta). NaN or inf compares false and takes the exact path, as does every
+    # step when the root is <= 0 (limit -1).
+    reach = math.sqrt(float(np.maximum.reduce(dot(target, target), initial=0.0)))
+    root = math.sqrt(DIVERGENCE_CAP) * (1.0 - GUARD_SLACK) - reach
+    limit = root * root if root > 0.0 else -1.0
 
     theta = np.tile(config.theta0, (T, 1))
     errors = np.full((T, record.shape[0]), np.nan)
@@ -183,30 +216,34 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
         errors[:, 0] = dot(gap, gap)
         slot = 1
     br = config.br_per_iter
+    transitions = range(br)
     batch = config.batch
     inner = config.learner_iters_per_agent_round
     advance = kernel.advance
     emit = kernel.emit
     grad = loss.grad
+    vdot = np.vdot
     # a failed row's values may overflow: they are discarded, so are their warnings
     with np.errstate(all="ignore"):
         try:
-            for k in range(K):
+            for k, gamma in _steps(config.schedule, K):
                 if k % inner == 0:
-                    for _ in range(br):
+                    for _ in transitions:
                         failed = advance(theta, agent_rngs)
                         if failed is not None:
                             fail(failed, k + 1, kernel.failure)
-                theta = theta - gam[k] * grad(theta, emit(theta, sample_rngs, batch))
-                gap = theta - target
-                err = dot(gap, gap)
-                if failures:
-                    err[~alive] = 0.0  # a failed row is NaN after the loop anyway
-                if not np.maximum.reduce(err) <= DIVERGENCE_CAP:
-                    fail(~(err <= DIVERGENCE_CAP), k + 1, DivergenceError)
-                if k + 1 == slots[slot]:
-                    errors[:, slot] = err
-                    slot += 1
+                theta = theta - gamma * grad(theta, emit(theta, sample_rngs, batch))
+                recorded = k + 1 == slots[slot]
+                if recorded or not vdot(theta, theta) <= limit:
+                    gap = theta - target
+                    err = dot(gap, gap)
+                    if failures:
+                        err[~alive] = 0.0  # a failed row is NaN after the loop anyway
+                    if not np.maximum.reduce(err) <= DIVERGENCE_CAP:
+                        fail(~(err <= DIVERGENCE_CAP), k + 1, DivergenceError)
+                    if recorded:
+                        errors[:, slot] = err
+                        slot += 1
         except _BlockEmpty:
             pass
     final_theta = theta

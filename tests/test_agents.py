@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, AgentDivergenceError,
+from perfsim.agents import (BLOCK, AdaptedBestResponseKernel, AgentPool, AgentDivergenceError,
                             ArGaussianKernel, ExactBestResponseKernel, GaussianEnv,
-                            IidGaussianKernel, LogisticUtility, QuadraticUtility, _logistic_root)
+                            IidGaussianKernel, LogisticUtility, QuadraticUtility,
+                            _distinct_agents, _logistic_root)
 from perfsim.core import RngStream
 from perfsim.data import generate_synthetic
 from perfsim.harness import ExperimentSpec, resolve_points
@@ -399,6 +400,22 @@ def assert_uniform_sets(sets, m, p):
     for freq, q in ((sets.mean(axis=0), p / m),
                     ((sets.T @ sets)[np.triu_indices(m, 1)] / n, p * (p - 1) / (m * (m - 1)))):
         assert np.all(np.abs(freq - q) <= 3.0 * math.sqrt(q * (1.0 - q) / n))
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("draws", [
+        lambda: ArGaussianKernel(GaussianEnv(z_bar=1.0, epsilon=0.1, sigma=2.0, rho=0.5),
+                                 trials=3)._noise,
+        lambda: _distinct_agents(20, 1),
+        lambda: _distinct_agents(20, 5),
+    ], ids=["normals", "rank_select_p1", "rank_select_p5"])
+    def test_step_is_take_of_one(self, draws):
+        stepped, taken = draws(), draws()
+        rngs, same = trial_rngs(40, 3), trial_rngs(40, 3)
+        for _ in range(BLOCK + 5):  # across a block refill
+            step, take = stepped.step(rngs), taken.take(same, 1)[0]
+            assert step.shape == take.shape and step.dtype == take.dtype
+            assert step.tobytes() == take.tobytes()
 
 
 class TestDistinctAgents:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from perfsim.core import ConstantSchedule, InverseSchedule, ProblemConstants, Rn
 from perfsim.data import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss
 from perfsim.oracle import theta_ps_gaussian
-from perfsim.solver import (AGENT_STREAM, SAMPLE_STREAM, RunConfig, one_step_contraction_probe,
-                            sa_run)
+from perfsim.solver import (AGENT_STREAM, GAMMA_CHUNK, SAMPLE_STREAM, RunConfig, _steps,
+                            one_step_contraction_probe, sa_run)
 
 
 class ZeroSchedule:
@@ -130,6 +132,111 @@ class TestSaRun:
         for row, it in ((0, 30), (1, 20), (2, 10)):
             assert np.isfinite(trace.errors[row, :it]).all()
             assert np.isnan(trace.errors[row, it:]).all()
+
+    @staticmethod
+    def assert_sparse_record_matches_dense(loss, kernel, cfg, target):
+        """``record=[0, K]`` gives the failures of the dense record, in order, the
+        same errors at 0 and K and the same ``final_theta``; returns the dense
+        trace and the dense and sparse runs' kernels."""
+        dense_kernel, sparse_kernel = kernel(), kernel()
+        dense = sa_run(loss, dense_kernel, cfg, target)
+        sparse = sa_run(loss, sparse_kernel, cfg, target, record=[0, cfg.horizon])
+        assert list(sparse.failures.items()) == list(dense.failures.items())
+        assert np.array_equal(sparse.errors, dense.errors[:, [0, -1]], equal_nan=True)
+        assert np.array_equal(sparse.final_theta, dense.final_theta, equal_nan=True)
+        return dense, dense_kernel, sparse_kernel
+
+    def test_sparse_record_divergence(self):
+        # constant step 50 multiplies the gap by -49 per step: every row
+        # diverges between the record iterations 0 and 500
+        env, tps = gaussian_setup(sigma=1.0)
+        cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(50.0), horizon=500, seed=3)
+        dense, _, _ = self.assert_sparse_record_matches_dense(
+            QuadraticLoss(), lambda: IidGaussianKernel(env, trials=3), cfg, tps)
+        assert len(dense.failures) == 3
+        assert all(1 < f["iteration"] < 500 and f["kind"] == "DivergenceError"
+                   for f in dense.failures.values())
+
+    @pytest.mark.parametrize("poison", [{0: 30, 1: 20, 2: 10}, {1: 20}])
+    def test_sparse_record_poisoned_rows(self, poison):
+        class PoisonedChain(ArGaussianKernel):
+            """Sets the chain of block row r to NaN at advance number poison[r]."""
+
+            calls = 0
+
+            def advance(self, theta, rngs):
+                self.calls += 1
+                for row, call in poison.items():
+                    if self.calls == call:
+                        self.z[row] = np.nan
+                return super().advance(theta, rngs)
+
+        env, tps = gaussian_setup(sigma=1.0)
+        cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(0.1), horizon=100,
+                        seed=3)
+        dense, dense_kernel, sparse_kernel = self.assert_sparse_record_matches_dense(
+            QuadraticLoss(), lambda: PoisonedChain(env, trials=3), cfg, tps)
+        assert dense.failures == {r: {"trial": r, "iteration": it, "kind": "DivergenceError"}
+                                  for r, it in poison.items()}
+        assert sparse_kernel.calls == dense_kernel.calls == (30 if len(poison) == 3 else 100)
+
+    def test_sparse_record_agent_failure(self):
+        class PoisonedPool(AdaptedBestResponseKernel):
+            """Makes the agents of block row 1 non-finite at advance number 120."""
+
+            calls = 0
+
+            def advance(self, theta, rngs):
+                self.calls += 1
+                if self.calls == 120:
+                    self.features[1] = np.nan
+                return super().advance(theta, rngs)
+
+        pool, loss = pool_setup()
+        cfg = RunConfig(theta0=np.zeros(3), schedule=InverseSchedule(c0=5.0, c1=50.0),
+                        horizon=300, seed=4)
+        dense, _, _ = self.assert_sparse_record_matches_dense(
+            loss, lambda: PoisonedPool(pool, trials=3), cfg, np.zeros(3))
+        assert dense.failures == {1: {"trial": 1, "iteration": 120,
+                                      "kind": "AgentDivergenceError"}}
+
+    def test_stable_point_beyond_the_cap(self):
+        # ||theta_ps|| > 1e12: no norm passes the guard, and every trial fails at once
+        env, _ = gaussian_setup(sigma=1.0)
+        cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(0.1), horizon=50, seed=3)
+        dense, _, _ = self.assert_sparse_record_matches_dense(
+            QuadraticLoss(), lambda: ArGaussianKernel(env, trials=3), cfg, np.array([2e12]))
+        assert dense.failures == {r: {"trial": r, "iteration": 1, "kind": "DivergenceError"}
+                                  for r in range(3)}
+
+    def test_step_sizes_by_chunk(self):
+        # the chunks give the bits of one evaluation over the horizon, and the
+        # memory of a run with a sparse record does not grow with the horizon
+        sched = InverseSchedule(c0=3.0, c1=7.0)
+        K = 2 * GAMMA_CHUNK + 3
+        assert list(_steps(sched, K)) == list(enumerate(sched.gamma(np.arange(1, K + 1)).tolist()))
+
+        class StoppingKernel(CountingKernel):
+            """Fails its trial at the first advance of the third chunk of steps,
+            which ends the run: tracing every allocation is slow."""
+
+            failure = RuntimeError
+            stop = 2 * GAMMA_CHUNK + 1
+
+            def advance(self, theta, rngs):
+                super().advance(theta, rngs)
+                return np.array([True]) if self.advances == self.stop else None
+
+        K = 200_000
+        cfg = RunConfig(theta0=np.zeros(1), schedule=sched, horizon=K, seed=3)
+        tracemalloc.start()
+        try:
+            trace = sa_run(QuadraticLoss(), StoppingKernel(), cfg, np.zeros(1), record=[0, K])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.failures[0]["iteration"] == StoppingKernel.stop
+        assert peak < 1 << 20  # a horizon-sized list of step sizes would take 6.4 MB
 
     def test_kernel_trial_count_checked(self):
         env, tps = gaussian_setup()
