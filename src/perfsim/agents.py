@@ -73,7 +73,6 @@ __all__ = [
     "ArGaussianKernel",
     "ExactBestResponseKernel",
     "AdaptedBestResponseKernel",
-    "AgentDivergenceError",
 ]
 
 # Steps of draws taken from one stream at a time.
@@ -84,11 +83,6 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 # Newton on the logistic root leaves an error of at most _NEWTON_K c e^2 after a
 # step from error e (see _logistic_root).
 _NEWTON_K = 1.0 / (12.0 * np.sqrt(3.0))
-
-
-class AgentDivergenceError(RuntimeError):
-    """Failure kind of a trial whose agent features became non-finite
-    (response rate too large)."""
 
 
 @dataclass(frozen=True)
@@ -474,7 +468,9 @@ class AdaptedBestResponseKernel(_PoolKernel):
     ``features``, at the rows ``idx + _offsets``.
     """
 
-    failure = AgentDivergenceError
+    # failure kind of a trial whose agent features became non-finite (response
+    # rate too large)
+    failure = "AgentDivergenceError"
 
     def __init__(self, pool: AgentPool, *, trials: int = 1):
         super().__init__(pool, trials=trials)

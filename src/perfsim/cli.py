@@ -55,7 +55,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "presets":
-            for name, desc in PRESETS.items():
+            for name, (desc, _, _) in PRESETS.items():
                 print(f"{name}: {desc}")
             return 0
         if args.command == "oracle":

@@ -1,4 +1,4 @@
-"""Shared numeric types: problem constants, step-size schedules, RNG plumbing.
+"""Shared numeric types: step-size schedules and their check, RNG plumbing.
 
 Conventions used throughout the package:
 
@@ -17,11 +17,9 @@ import numpy as np
 
 __all__ = [
     "as_param",
-    "ProblemConstants",
     "ConstantSchedule",
     "InverseSchedule",
     "StepSchedule",
-    "ScheduleReport",
     "check_schedule",
     "RngStream",
 ]
@@ -41,41 +39,6 @@ def as_param(values, d: Optional[int] = None) -> np.ndarray:
     if d is not None and theta.shape[0] != d:
         raise ValueError(f"decision vector has length {theta.shape[0]}, expected {d}")
     return theta
-
-
-@dataclass(frozen=True)
-class ProblemConstants:
-    """Declared regularity constants of a performative learning problem.
-
-    ``mu_tilde = mu - lipschitz * sensitivity`` is always stored derived;
-    rate-guaranteed runs require it to be positive (the stability regime
-    ``sensitivity < mu / lipschitz``).
-    """
-
-    mu: float
-    lipschitz: float
-    sensitivity: float
-    sigma_noise: float = 0.0
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.lipschitz < 0 or self.sensitivity < 0 or self.sigma_noise < 0:
-            raise ValueError("lipschitz, sensitivity and sigma_noise must be >= 0")
-
-    @property
-    def mu_tilde(self) -> float:
-        return self.mu - self.lipschitz * self.sensitivity
-
-    def require_contraction(self) -> float:
-        """Return ``mu_tilde``, raising if the stability condition fails."""
-        mt = self.mu_tilde
-        if mt <= 0:
-            raise ValueError(
-                f"mu_tilde = {mt:.6g} <= 0: sensitivity {self.sensitivity} is not "
-                f"below mu/L = {self.mu / max(self.lipschitz, 1e-300):.6g}"
-            )
-        return mt
 
 
 @dataclass(frozen=True)
@@ -121,40 +84,20 @@ class InverseSchedule:
 StepSchedule = Union[ConstantSchedule, InverseSchedule]
 
 
-@dataclass
-class ScheduleReport:
-    """Outcome of :func:`check_schedule` over a horizon of K steps.
-
-    ``ratio_ok[k-1]`` holds the verdict for iteration ``k``: the ratio
-    condition at ``k`` compares gamma_{k-1}/gamma_k against
-    ``1 + gamma_k * mu_tilde / 4``.
-    """
-
-    horizon: int
-    ratio_ok: np.ndarray
-
-    @property
-    def first_ratio_violation(self) -> Optional[int]:
-        bad = np.flatnonzero(~self.ratio_ok)
-        return int(bad[0]) + 1 if bad.size else None
-
-
-def check_schedule(
-    schedule: StepSchedule,
-    constants: ProblemConstants,
-    horizon: int,
-) -> ScheduleReport:
-    """Verify the ratio condition gamma_{k-1}/gamma_k <= 1 + gamma_k *
-    mu_tilde / 4 for every k in 1..horizon.
+def check_schedule(schedule: StepSchedule, mu_tilde: float, horizon: int) -> Optional[int]:
+    """The first k in 1..horizon that breaks the ratio condition
+    gamma_{k-1}/gamma_k <= 1 + gamma_k * mu_tilde / 4, or None.
 
     ``gamma_0`` is evaluated from the schedule formula (infinite for an
     inverse schedule with c1 = 0, which makes the k = 1 ratio check fail).
 
-    Raises ``ValueError`` if the schedule is increasing anywhere in 1..K.
+    Raises ``ValueError`` if ``mu_tilde`` is not positive, or if the
+    schedule is increasing anywhere in 1..K.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    mu_tilde = constants.require_contraction()
+    if not mu_tilde > 0:
+        raise ValueError(f"mu_tilde must be positive, got {mu_tilde!r}")
 
     gammas = np.asarray(schedule.gamma(np.arange(0, horizon + 1)), dtype=float)
     steps = gammas[1:]
@@ -164,8 +107,8 @@ def check_schedule(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = gammas[:-1] / steps
-    ratio_ok = ratios <= 1.0 + steps * mu_tilde / 4.0
-    return ScheduleReport(horizon=horizon, ratio_ok=ratio_ok)
+    bad = np.flatnonzero(~(ratios <= 1.0 + steps * mu_tilde / 4.0))
+    return int(bad[0]) + 1 if bad.size else None
 
 
 @dataclass(frozen=True)

@@ -87,19 +87,15 @@ _FAMILIES = {
     },
 }
 
+# preset -> (description, family, utility); a custom problem names both itself
 PRESETS = {
-    "gaussian_ar": "scalar Gaussian mean estimation with an autoregressive agent chain",
-    "strat_class_linear": "strategic classification, linear-gain agent utility",
-    "strat_class_logistic": "strategic classification, logistic-gain agent utility",
-    "custom": "fully explicit problem description (see README)",
-}
-
-# preset -> (family, utility); a custom problem names both itself
-_PRESET_FAMILY = {
-    "gaussian_ar": ("gaussian", None),
-    "strat_class_linear": ("pool", "quadratic"),
-    "strat_class_logistic": ("pool", "logistic"),
-    "custom": (None, None),
+    "gaussian_ar": ("scalar Gaussian mean estimation with an autoregressive agent chain",
+                    "gaussian", None),
+    "strat_class_linear": ("strategic classification, linear-gain agent utility",
+                           "pool", "quadratic"),
+    "strat_class_logistic": ("strategic classification, logistic-gain agent utility",
+                             "pool", "logistic"),
+    "custom": ("fully explicit problem description (see README)", None, None),
 }
 
 # (family, kernel field) -> the kernel class that samples the point's problem
@@ -132,7 +128,7 @@ def _check(name: str, value, kind, least=None):
 
 def _fields(preset: str, problem: dict) -> dict:
     """The problem fields ``preset`` takes: name -> (default, kind)."""
-    family, _ = _PRESET_FAMILY[preset]
+    _, family, _ = PRESETS[preset]
     if family is None:  # custom: the family is a field, and so is a pool's utility
         family = problem.get("family", "gaussian")
         _check("problem parameter family", family, tuple(_FAMILIES))
@@ -314,7 +310,7 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> Res
     """The point of ``spec`` with ``overrides``; ``problems`` caches the
     resolved problem by its parameters, so points that differ only in run
     fields share one dataset and one stable-point solve."""
-    family, utility = _PRESET_FAMILY[spec.preset]
+    _, family, utility = PRESETS[spec.preset]
     params = {"family": family, "utility": utility}
     params.update((name, default) for name, (default, _) in
                   _fields(spec.preset, spec.problem).items())

@@ -24,7 +24,6 @@ from .losses import LossModel, dot
 __all__ = [
     "RunConfig",
     "RunTrace",
-    "DivergenceError",
     "sa_run",
     "ProbeResult",
     "one_step_contraction_probe",
@@ -45,10 +44,9 @@ GUARD_SLACK = 1e-6
 # would take 38 MiB at K = 1e6.
 GAMMA_CHUNK = 4096
 
-
-class DivergenceError(RuntimeError):
-    """Failure kind of a trial whose iterate left the finite range; the step
-    size is too aggressive."""
+# Failure kind of a trial whose iterate left the finite range; the step size
+# is too aggressive.
+DIVERGENCE = "DivergenceError"
 
 
 @dataclass(frozen=True)
@@ -115,11 +113,6 @@ def _trial_rngs(config: RunConfig, trial: int):
             root.substream(SAMPLE_STREAM).generator())
 
 
-def _map_batch(fn, batch):
-    """Apply ``fn`` to the array, or to each array of the tuple, ``batch``."""
-    return tuple(fn(a) for a in batch) if isinstance(batch, tuple) else fn(batch)
-
-
 def _steps(schedule, K: int):
     """The pairs (k, gamma_{k+1}) for k < K, as Python floats, which scale faster
     than array elements; the schedule is evaluated ``GAMMA_CHUNK`` steps at a time."""
@@ -153,8 +146,8 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     and the kernel's initial state, whatever else runs in its block.
 
     A trial fails when its squared error exceeds ``DIVERGENCE_CAP`` or is
-    not a number (kind :class:`DivergenceError`), or when the kernel's
-    ``advance`` reports its agents failed (the kernel's ``failure`` kind).
+    not a number (kind ``DIVERGENCE``), or when the kernel's ``advance``
+    reports its agents failed (the kernel's ``failure`` kind, a string).
     A failed trial keeps its row; its later errors and ``final_theta`` are
     NaN. Rows never interact, so the other trials go on unchanged; the block
     ends early only when every trial has failed.
@@ -163,7 +156,8 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     the steps where one guard on the whole block, ``vdot(theta, theta)``
     against a bound set by ``DIVERGENCE_CAP`` and ``theta_ps``, cannot rule
     out a failure; elsewhere no row can fail, so the failures are those of
-    a check on every step.
+    a check on every step. Once a trial has failed, the guard reads only
+    the rows still alive.
     """
     K = config.horizon
     T = kernel.trials
@@ -198,16 +192,19 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     theta = np.tile(config.theta0, (T, 1))
     errors = np.full((T, record.shape[0]), np.nan)
     alive = np.ones(T, dtype=bool)
+    live = None  # the rows the guard reads once a trial has failed
     failures = {}
 
     def fail(failed, iteration, kind):
         # record each trial's first failure; its row runs on and is masked after the loop
+        nonlocal live
         new = np.flatnonzero(failed & alive)
         failures.update((r, {"trial": int(trials[r]), "iteration": iteration,
-                             "kind": kind.__name__}) for r in new.tolist())
+                             "kind": kind}) for r in new.tolist())
         alive[new] = False
         if not alive.any():
             raise _BlockEmpty
+        live = np.flatnonzero(alive)
 
     slots = record.tolist() + [-1]
     slot = 0
@@ -234,13 +231,15 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
                             fail(failed, k + 1, kernel.failure)
                 theta = theta - gamma * grad(theta, emit(theta, sample_rngs, batch))
                 recorded = k + 1 == slots[slot]
-                if recorded or not vdot(theta, theta) <= limit:
+                # a failed row stays NaN or huge and would fail the guard on every step
+                rows = theta if live is None else theta.take(live, axis=0)
+                if recorded or not vdot(rows, rows) <= limit:
                     gap = theta - target
                     err = dot(gap, gap)
                     if failures:
                         err[~alive] = 0.0  # a failed row is NaN after the loop anyway
                     if not np.maximum.reduce(err) <= DIVERGENCE_CAP:
-                        fail(~(err <= DIVERGENCE_CAP), k + 1, DivergenceError)
+                        fail(~(err <= DIVERGENCE_CAP), k + 1, DIVERGENCE)
                     if recorded:
                         errors[:, slot] = err
                         slot += 1
@@ -265,30 +264,37 @@ class ProbeResult:
     stderr: float
 
 
-def one_step_contraction_probe(loss: LossModel, kernel, constants, theta, theta_ps,
-                               gamma: float, n_mc: int, rng) -> ProbeResult:
+def one_step_contraction_probe(loss: LossModel, kernel, theta, theta_ps, gamma: float,
+                               n_mc: int, rng, *, mu_tilde: float, lipschitz: float,
+                               sigma: float) -> ProbeResult:
     """Estimate the expected post-step squared error and its one-step bound.
 
     Requires a memoryless (i.i.d.) kernel so the stochastic gradient is
     conditionally unbiased; the ``n_mc`` samples are one emission from it. Returns the Monte Carlo estimate of
     E||theta' - theta_ps||^2 over ``n_mc`` fresh samples (``lhs``), the bound
     ``(1 - 2 gamma mu_tilde + 2 L^2 gamma^2) ||theta - theta_ps||^2
-    + 2 sigma^2 gamma^2`` (``rhs``), and the Monte Carlo standard error for
-    the assertion ``lhs <= rhs + 3 stderr``.
+    + 2 sigma^2 gamma^2`` (``rhs``), with ``L = lipschitz`` and the sample
+    noise level ``sigma``, and the Monte Carlo standard error for the
+    assertion ``lhs <= rhs + 3 stderr``. Raises ``ValueError`` unless
+    ``mu_tilde`` is positive.
     """
+    if not mu_tilde > 0:
+        raise ValueError(f"mu_tilde must be positive, got {mu_tilde!r}")
     theta = as_param(theta)
     target = as_param(theta_ps, d=theta.shape[0])
     samples = kernel.emit(theta[None], [rng], n_mc)
     # one single-sample step from theta per draw: the draws become n_mc trials
-    one_each = _map_batch(lambda a: a.swapaxes(0, 1), samples)
+    if isinstance(samples, tuple):
+        one_each = tuple(a.swapaxes(0, 1) for a in samples)
+    else:
+        one_each = samples.swapaxes(0, 1)
     g = loss.grad(np.tile(theta, (n_mc, 1)), one_each)
     gap = theta - gamma * g - target
     sq = dot(gap, gap)
     lhs = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
-    mu_tilde = constants.require_contraction()
     dist = theta - target
     dist2 = float(dist @ dist)
-    rhs = ((1.0 - 2.0 * gamma * mu_tilde + 2.0 * constants.lipschitz ** 2 * gamma ** 2) * dist2
-           + 2.0 * constants.sigma_noise ** 2 * gamma ** 2)
+    rhs = ((1.0 - 2.0 * gamma * mu_tilde + 2.0 * lipschitz ** 2 * gamma ** 2) * dist2
+           + 2.0 * sigma ** 2 * gamma ** 2)
     return ProbeResult(lhs=lhs, rhs=rhs, stderr=stderr)

@@ -14,8 +14,7 @@ import pytest
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                             GaussianEnv, IidGaussianKernel, LogisticUtility,
                             QuadraticUtility)
-from perfsim.core import (ConstantSchedule, InverseSchedule, ProblemConstants,
-                          RngStream, check_schedule)
+from perfsim.core import ConstantSchedule, InverseSchedule, RngStream, check_schedule
 from perfsim.data import generate_synthetic
 from perfsim.harness import (ExperimentSpec, _execute_points, record_grid,
                              resolve_points, run_experiment)
@@ -263,18 +262,18 @@ def test_c6_lazy_deploy_ordering():
 
 def test_c7_one_step_contraction():
     env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=50.0)
-    constants = ProblemConstants(mu=1.0, lipschitz=1.0, sensitivity=env.epsilon,
-                                 sigma_noise=env.sigma)
+    mu_tilde, lipschitz = 1.0 - 1.0 * env.epsilon, 1.0
     theta_ps = np.array([theta_ps_gaussian(env)])
-    gamma_max = constants.mu_tilde / (2.0 * constants.lipschitz ** 2)
+    gamma_max = mu_tilde / (2.0 * lipschitz ** 2)
     rng = RngStream(2718).generator()
     kernel = IidGaussianKernel(env)
     violations = []
     for _ in range(50):
         theta = theta_ps + rng.uniform(-20.0, 20.0, size=1)
         gamma = rng.uniform(1e-3, gamma_max)
-        r = one_step_contraction_probe(QuadraticLoss(), kernel, constants, theta,
-                                       theta_ps, gamma, 10_000, rng)
+        r = one_step_contraction_probe(QuadraticLoss(), kernel, theta, theta_ps, gamma,
+                                       10_000, rng, mu_tilde=mu_tilde, lipschitz=lipschitz,
+                                       sigma=env.sigma)
         if r.lhs > r.rhs + 3.0 * r.stderr:
             violations.append((float(theta[0]), gamma, r))
     ok = not violations
@@ -379,14 +378,12 @@ def test_c9_property_suites(tmp_path):
     notes.append(f"pipeline determinism {'ok' if determinism_ok else 'BAD'}")
 
     # schedule checker: constant passes, diminishing preset passes, c1 = 0 fails
-    constants = ProblemConstants(mu=1.0, lipschitz=1.0, sensitivity=0.1, sigma_noise=0.0)
-    mu_tilde = constants.mu_tilde
-    sched_ok = check_schedule(ConstantSchedule(0.1), constants, 10_000).ratio_ok.all()
+    mu_tilde = 1.0 - 1.0 * 0.1
+    sched_ok = check_schedule(ConstantSchedule(0.1), mu_tilde, 10_000) is None
     sched_ok &= check_schedule(InverseSchedule(c0=500 / mu_tilde, c1=800 / mu_tilde ** 2),
-                               constants, 10_000).ratio_ok.all()
-    weak = ProblemConstants(mu=1.0, lipschitz=1.0, sensitivity=0.99, sigma_noise=0.0)
-    sched_ok &= (check_schedule(InverseSchedule(c0=1.0, c1=0.0), weak, 10)
-                 .first_ratio_violation == 1)
+                               mu_tilde, 10_000) is None
+    weak = 1.0 - 1.0 * 0.99
+    sched_ok &= check_schedule(InverseSchedule(c0=1.0, c1=0.0), weak, 10) == 1
     notes.append(f"schedule checker {'ok' if sched_ok else 'BAD'}")
 
     ok = fd_ok and convex_ok and determinism_ok and sched_ok

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfsim.core import (ConstantSchedule, InverseSchedule, ProblemConstants,
-                          RngStream, as_param, check_schedule)
+from perfsim.core import ConstantSchedule, InverseSchedule, RngStream, as_param, check_schedule
+from perfsim.harness import ExperimentSpec, resolve_points
 
-
-def make_constants(mu=1.0, lipschitz=1.0, sensitivity=0.1, sigma_noise=0.0):
-    return ProblemConstants(mu=mu, lipschitz=lipschitz, sensitivity=sensitivity,
-                            sigma_noise=sigma_noise)
+# mu = 1, L = 1, eps = 0.1
+MU_TILDE = 1.0 - 1.0 * 0.1
 
 
 class TestStepAt:
@@ -58,9 +56,7 @@ class TestScheduleValidation:
 
 class TestCheckSchedule:
     def test_constant_always_passes_ratio(self):
-        report = check_schedule(ConstantSchedule(0.3), make_constants(), 1000)
-        assert report.ratio_ok.all()
-        assert report.first_ratio_violation is None
+        assert check_schedule(ConstantSchedule(0.3), MU_TILDE, 1000) is None
 
     def test_inverse_preset_passes_full_scan(self):
         # The checker itself is the oracle: a direct inequality scan over
@@ -68,18 +64,16 @@ class TestCheckSchedule:
         mu_tilde = 0.9
         for c1 in (1.0, 800.0 / mu_tilde ** 2):
             sched = InverseSchedule(c0=500.0 / mu_tilde, c1=c1)
-            report = check_schedule(sched, make_constants(), 1_000_000)
-            assert report.ratio_ok.all()
+            assert check_schedule(sched, MU_TILDE, 1_000_000) is None
 
     def test_inverse_without_offset_fails_ratio_at_one(self):
-        constants = make_constants(mu=1.0, lipschitz=1.0, sensitivity=0.99)
-        assert constants.mu_tilde == pytest.approx(0.01)
-        report = check_schedule(InverseSchedule(c0=1.0, c1=0.0), constants, 10)
-        assert report.first_ratio_violation == 1
+        mu_tilde = 1.0 - 1.0 * 0.99
+        assert mu_tilde == pytest.approx(0.01)
+        assert check_schedule(InverseSchedule(c0=1.0, c1=0.0), mu_tilde, 10) == 1
 
     def test_strong_contraction_passes_ratio(self):
-        report = check_schedule(InverseSchedule(c0=6.0, c1=2.0), make_constants(mu=4.0), 10)
-        assert report.ratio_ok.all()  # mu_tilde = 3.9 keeps the ratio bound loose
+        # mu_tilde = 3.9 keeps the ratio bound loose
+        assert check_schedule(InverseSchedule(c0=6.0, c1=2.0), 4.0 - 1.0 * 0.1, 10) is None
 
     def test_increasing_schedule_rejected(self):
         class Increasing:
@@ -87,24 +81,27 @@ class TestCheckSchedule:
                 return 0.1 * (1.0 + np.asarray(k, dtype=float))
 
         with pytest.raises(ValueError, match="increasing"):
-            check_schedule(Increasing(), make_constants(), 10)
+            check_schedule(Increasing(), MU_TILDE, 10)
 
     def test_requires_contraction_regime(self):
-        bad = make_constants(mu=1.0, lipschitz=2.0, sensitivity=0.6)
+        bad = 1.0 - 2.0 * 0.6  # mu = 1, L = 2, eps = 0.6
         with pytest.raises(ValueError, match="mu_tilde"):
             check_schedule(ConstantSchedule(0.1), bad, 10)
 
+    @pytest.mark.parametrize("preset", ["gaussian_ar", "strat_class_linear",
+                                        "strat_class_logistic"])
+    def test_presets_pass_ratio(self, preset):
+        # each preset's own schedule and mu_tilde, as the harness resolves them
+        spec = ExperimentSpec.from_dict({"preset": preset, "horizon": 10, "trials": 1})
+        (point,) = resolve_points(spec)
+        desc = point.problem_desc
+        mu_tilde = desc["mu_tilde"] if "mu_tilde" in desc else desc["mu_tilde_est"]
+        assert check_schedule(point.config.schedule, mu_tilde, 10 ** 5) is None
 
-class TestProblemConstants:
-    def test_mu_tilde_is_derived_exactly(self):
-        c = make_constants(mu=2.0, lipschitz=3.0, sensitivity=0.25)
-        assert c.mu_tilde == 2.0 - 3.0 * 0.25
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProblemConstants(mu=0.0, lipschitz=1.0, sensitivity=0.1)
-        with pytest.raises(ValueError):
-            ProblemConstants(mu=1.0, lipschitz=-1.0, sensitivity=0.1)
+    def test_negative_control_fails_at_one(self):
+        # c0 mu_tilde = 0.25 < 1/2, whose error decays slower than O(1/k)
+        sched = InverseSchedule(c0=0.25 / MU_TILDE, c1=10.0)
+        assert check_schedule(sched, MU_TILDE, 10 ** 5) == 1
 
 
 class TestRngStream:

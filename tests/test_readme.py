@@ -1,0 +1,40 @@
+"""The README's examples use the public API as it is: its Python code runs and
+its JSON configs are valid experiment descriptions."""
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import perfsim
+from perfsim.harness import ExperimentSpec
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README, flags=re.S | re.M)
+
+
+def test_readme_has_examples():
+    # a pattern that matched nothing would leave the tests below with no cases
+    assert len(blocks("python")) == 1 and len(blocks("json")) == 2
+
+
+@pytest.mark.parametrize("code", blocks("python"), ids=lambda _: "python")
+def test_python_example_runs(code):
+    # run as a fresh interpreter on the package under test, as a user would
+    src = str(Path(perfsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("text", blocks("json"), ids=lambda _: "json")
+def test_json_example_is_a_valid_config(text):
+    ExperimentSpec.from_dict(json.loads(text))

@@ -5,10 +5,11 @@ import pytest
 
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                             GaussianEnv, IidGaussianKernel, QuadraticUtility)
-from perfsim.core import ConstantSchedule, InverseSchedule, ProblemConstants, RngStream
+from perfsim.core import ConstantSchedule, InverseSchedule, RngStream
 from perfsim.data import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss
 from perfsim.oracle import theta_ps_gaussian
+from perfsim import solver
 from perfsim.solver import (AGENT_STREAM, GAMMA_CHUNK, SAMPLE_STREAM, RunConfig, _steps,
                             one_step_contraction_probe, sa_run)
 
@@ -180,6 +181,33 @@ class TestSaRun:
                                   for r, it in poison.items()}
         assert sparse_kernel.calls == dense_kernel.calls == (30 if len(poison) == 3 else 100)
 
+    def test_guard_reads_live_rows(self, monkeypatch):
+        # row 0 is NaN from advance 10 on; the guard leaves it out, so a sparse
+        # record computes errors only at the failure and the record iterations
+        class PoisonedChain(ArGaussianKernel):
+            calls = 0
+
+            def advance(self, theta, rngs):
+                self.calls += 1
+                if self.calls == 10:
+                    self.z[0] = np.nan
+                return super().advance(theta, rngs)
+
+        env, tps = gaussian_setup()
+        K = 30_000
+        cfg = RunConfig(theta0=np.zeros(1), schedule=InverseSchedule(c0=500 / 0.9, c1=800 / 0.81),
+                        horizon=K, seed=3)
+        dense = sa_run(QuadraticLoss(), PoisonedChain(env, trials=72), cfg, tps)
+        calls = []
+        dot = solver.dot
+        monkeypatch.setattr(solver, "dot", lambda a, b: calls.append(1) or dot(a, b))
+        sparse = sa_run(QuadraticLoss(), PoisonedChain(env, trials=72), cfg, tps, record=[0, K])
+        assert len(calls) == 4  # max ||theta_ps||, iterations 0, 10 and K
+        assert dense.failures == {0: {"trial": 0, "iteration": 10, "kind": "DivergenceError"}}
+        assert list(sparse.failures.items()) == list(dense.failures.items())
+        assert np.array_equal(sparse.errors, dense.errors[:, [0, -1]], equal_nan=True)
+        assert np.array_equal(sparse.final_theta, dense.final_theta, equal_nan=True)
+
     def test_sparse_record_agent_failure(self):
         class PoisonedPool(AdaptedBestResponseKernel):
             """Makes the agents of block row 1 non-finite at advance number 120."""
@@ -220,7 +248,7 @@ class TestSaRun:
             """Fails its trial at the first advance of the third chunk of steps,
             which ends the run: tracing every allocation is slow."""
 
-            failure = RuntimeError
+            failure = "RuntimeError"
             stop = 2 * GAMMA_CHUNK + 1
 
             def advance(self, theta, rngs):
@@ -370,15 +398,14 @@ class TestLazyRun:
 
 class TestContractionProbe:
     def constants(self, env):
-        return ProblemConstants(mu=1.0, lipschitz=1.0, sensitivity=env.epsilon,
-                                sigma_noise=env.sigma)
+        return dict(mu_tilde=1.0 - 1.0 * env.epsilon, lipschitz=1.0, sigma=env.sigma)
 
     def test_zero_gamma_is_exact_identity(self):
         env, tps = gaussian_setup(sigma=2.0)
         theta = tps + 3.0
         r = one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env),
-                                       self.constants(env), theta, tps, 0.0, 500,
-                                       RngStream(20).generator())
+                                       theta, tps, 0.0, 500,
+                                       RngStream(20).generator(), **self.constants(env))
         assert r.lhs == pytest.approx(9.0, rel=1e-12)
         assert r.rhs == pytest.approx(9.0, rel=1e-12)
         assert r.stderr == 0.0
@@ -386,17 +413,25 @@ class TestContractionProbe:
     def test_at_stable_point_without_noise(self):
         env, tps = gaussian_setup(sigma=0.0)
         r = one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env),
-                                       self.constants(env), tps, tps, 0.01, 100,
-                                       RngStream(21).generator())
+                                       tps, tps, 0.01, 100,
+                                       RngStream(21).generator(), **self.constants(env))
         assert r.lhs == pytest.approx(0.0, abs=1e-25)
         assert r.rhs == pytest.approx(0.0, abs=1e-25)
 
     def test_bound_holds_at_reference_point(self):
         env, tps = gaussian_setup()
         r = one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env),
-                                       self.constants(env), tps + 1.0, tps, 0.01,
-                                       20_000, RngStream(22).generator())
+                                       tps + 1.0, tps, 0.01,
+                                       20_000, RngStream(22).generator(), **self.constants(env))
         assert r.lhs <= r.rhs + 3.0 * r.stderr
+
+    @pytest.mark.parametrize("mu_tilde", [0.0, -0.2, float("nan")])
+    def test_rejects_non_contracting_problem(self, mu_tilde):
+        env, tps = gaussian_setup()
+        with pytest.raises(ValueError, match="mu_tilde"):
+            one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env), tps, tps,
+                                       0.01, 100, RngStream(23).generator(),
+                                       mu_tilde=mu_tilde, lipschitz=1.0, sigma=env.sigma)
 
 
 class TestOneStepBoundUnrolled:
