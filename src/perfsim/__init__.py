@@ -11,10 +11,9 @@ from .agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                      ExactBestResponseKernel, GaussianEnv, IidGaussianKernel,
                      LogisticUtility, QuadraticUtility)
 from .core import ConstantSchedule, InverseSchedule, RngStream, check_schedule
-from .data import SyntheticDataset, generate_synthetic, load_csv
-from .harness import ExperimentSpec, run_experiment
+from .harness import ExperimentSpec, generate_synthetic, run_experiment
 from .losses import LogisticLoss, QuadraticLoss, logistic_constants, mean_grad
-from .oracle import RateFit, fit_rate, theta_ps_fixed_point, theta_ps_gaussian
+from .oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
 from .solver import RunConfig, RunTrace, one_step_contraction_probe, sa_run
 
 __version__ = "0.1.0"

@@ -189,7 +189,8 @@ class LogisticUtility:
     def best_response(self, base_x, y, theta):
         x, theta = np.asarray(base_x, dtype=float), np.asarray(theta, dtype=float)
         y = np.asarray(y, dtype=float)
-        # past ||theta|| ~ 1e154 c overflows to inf, which never certifies; a NaN row freezes
+        # past ||theta|| ~ 1e154 c overflows to inf, and past c ~ 1e100 the root's
+        # certificate does (or turns NaN): neither ever certifies a row, and a NaN row freezes
         with np.errstate(over="ignore", invalid="ignore"):
             u = _logistic_root(dot(x, theta), self.epsilon * dot(theta, theta), y)
             return x + (self.epsilon * (y - sigmoid(u)))[..., None] * theta
@@ -206,25 +207,25 @@ def _logistic_root(a, c, y):
     ``|g''| <= c / (6 sqrt 3)`` leave an error of at most ``K c e^2``, ``K = 1 /
     (12 sqrt 3)``, after a step from error e, and ``g' <= 1 + c/4`` gives ``e <=
     (1 + c/4) |delta|``, so the row stops when ``K c (1 + c/4)^2 delta^2 <=
-    floor``. Rows never interact.
+    floor``. Rows never interact. Past c ~ 1e100 the certificate overflows, so
+    the caller enters ``np.errstate(over="ignore", invalid="ignore")``, as
+    ``LogisticUtility.best_response`` does.
     """
     lo, hi = a + c * (y - 1.0), a + c * y
     u, half_last = a + c * (y - sigmoid(a)), c  # the first step is bounded by the bracket alone
     floor = _ROUNDING * (np.abs(a) + c)
     active = np.ones(np.shape(hi), dtype=bool)
-    # past c ~ 1e100 the certificate overflows to inf (or NaN), which never certifies
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = _NEWTON_K * c * (1.0 + 0.25 * c) ** 2  # error left per squared Newton step
-        while active.any():
-            s = sigmoid(u)
-            g = u - a - c * (y - s)
-            lo, hi = np.where(g < 0.0, u, lo), np.where(g > 0.0, u, hi)
-            newton = u - g / (1.0 + c * s * (1.0 - s))
-            ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - u) <= half_last)
-            nxt = np.where(ok, newton, 0.5 * (lo + hi))
-            moved = np.abs(nxt - u)
-            u, half_last = np.where(active, nxt, u), 0.5 * moved
-            active &= (moved > floor) & ~(ok & (bound * moved * moved <= floor))  # NaN freezes too
+    bound = _NEWTON_K * c * (1.0 + 0.25 * c) ** 2  # error left per squared Newton step
+    while active.any():
+        s = sigmoid(u)
+        g = u - a - c * (y - s)
+        lo, hi = np.where(g < 0.0, u, lo), np.where(g > 0.0, u, hi)
+        newton = u - g / (1.0 + c * s * (1.0 - s))
+        ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - u) <= half_last)
+        nxt = np.where(ok, newton, 0.5 * (lo + hi))
+        moved = np.abs(nxt - u)
+        u, half_last = np.where(active, nxt, u), 0.5 * moved
+        active &= (moved > floor) & ~(ok & (bound * moved * moved <= floor))  # NaN freezes too
     return u
 
 

@@ -1,4 +1,4 @@
-"""Experiment harness: presets, sweeps, multi-trial orchestration, file output.
+"""Experiment harness: presets, synthetic data, sweeps, multi-trial orchestration, file output.
 
 An experiment is described by an :class:`ExperimentSpec` (usually loaded from
 a JSON config). Each sweep point carries its problem (a ``GaussianEnv`` or
@@ -32,7 +32,6 @@ from .agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                      ExactBestResponseKernel, GaussianEnv, IidGaussianKernel,
                      LogisticUtility, QuadraticUtility)
 from .core import ConstantSchedule, InverseSchedule, as_param
-from .data import generate_synthetic
 from .losses import LogisticLoss, QuadraticLoss, logistic_constants
 from .oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
 from .solver import RunConfig, RunTrace, sa_run
@@ -41,6 +40,7 @@ __all__ = [
     "ConfigError",
     "ExperimentSpec",
     "PRESETS",
+    "generate_synthetic",
     "record_grid",
     "resolve_points",
     "run_experiment",
@@ -200,8 +200,10 @@ class ExperimentSpec:
         if unknown:
             raise ConfigError(f"unknown problem parameter(s) for {self.preset}: "
                               f"{', '.join(sorted(unknown))}")
-        pairs = self.normalized_sweep() if isinstance(self.sweep, (dict, list, tuple)) else None
-        if pairs is None or not all(len(pair) == 2 and isinstance(pair[0], str) for pair in pairs):
+        pairs = self.sweep
+        if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
+                for pair in pairs):
             raise ConfigError(f"sweep must be a list of [name, values] pairs, got {self.sweep!r}")
         names = [param for param, _ in pairs]
         for param, values in pairs:
@@ -232,13 +234,6 @@ class ExperimentSpec:
                 and 1 <= window[0] < window[1]):
             raise ConfigError("rate_window must be [k_lo, k_hi], two integers with "
                               f"1 <= k_lo < k_hi, got {window!r}")
-
-    def normalized_sweep(self) -> list:
-        """The sweep as ``(param, values)`` pairs; an entry that is not a
-        list or tuple becomes an empty tuple, which ``validate`` rejects."""
-        if isinstance(self.sweep, dict):
-            return list(self.sweep.items())
-        return [tuple(pair) if isinstance(pair, (list, tuple)) else () for pair in self.sweep]
 
 
 @dataclass
@@ -281,25 +276,57 @@ def _resolve_gaussian(params: dict) -> tuple:
     return loss, env, schedule, theta_ps, desc
 
 
+def _standardize(X: np.ndarray) -> np.ndarray:
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std[std == 0.0] = 1.0
+    return (X - mean) / std
+
+
+def generate_synthetic(d: int, m: int, seed: int, separation: float = 1.0) -> tuple:
+    """A balanced two-class Gaussian dataset, standardized per feature: the
+    pair of the (m, d) features and the m 0/1 labels.
+
+    It stands in for real credit-scoring data. Class-conditional means sit
+    at +/- ``separation`` per coordinate with unit covariance; label counts
+    differ by at most one. Reproducible from ``seed``.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    n_pos = m // 2
+    n_neg = m - n_pos
+    X = rng.standard_normal((m, d))
+    y = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(n_neg, dtype=np.int64)])
+    X[:n_pos] += separation
+    X[n_pos:] -= separation
+    order = rng.permutation(m)
+    X, y = X[order], y[order]
+    return _standardize(X), y
+
+
 def _resolve_pool(params: dict) -> tuple:
     """The pool point's ``(loss, pool, schedule, theta_ps, problem_desc)``."""
-    dataset = generate_synthetic(d=params["d"], m=params["m"], seed=params["data_seed"],
-                                 separation=float(params["separation"]))
+    features, labels = generate_synthetic(d=params["d"], m=params["m"], seed=params["data_seed"],
+                                          separation=float(params["separation"]))
+    m, d = features.shape
     epsilon = float(params["epsilon"])
-    beta = float(params["beta"]) if params["beta"] is not None else 1000.0 / dataset.size
+    beta = float(params["beta"]) if params["beta"] is not None else 1000.0 / m
     alpha = float(params["alpha"]) if params["alpha"] is not None else 0.5 * epsilon
     utility = {"quadratic": QuadraticUtility, "logistic": LogisticUtility}[params["utility"]]
-    pool = AgentPool(base_features=dataset.features, labels=dataset.labels,
+    pool = AgentPool(base_features=features, labels=labels,
                      utility=utility(epsilon=epsilon), alpha=alpha,
                      participation=params["participation"])
     loss = LogisticLoss(beta=beta)
-    lipschitz, mu_tilde = logistic_constants(dataset.features, beta=beta, epsilon=epsilon)
+    lipschitz, mu_tilde = logistic_constants(features, beta=beta, epsilon=epsilon)
     if mu_tilde <= 0:
         raise ConfigError(f"estimated mu_tilde = {mu_tilde:.4g} <= 0; "
                           "the problem is outside the contraction regime")
     schedule = _make_schedule(params, 100.0 / mu_tilde, 8.0 * lipschitz ** 2 / mu_tilde ** 2)
     theta_ps = theta_ps_fixed_point(loss, pool)
-    desc = {"d": dataset.dim, "m": dataset.size, "data_seed": params["data_seed"],
+    desc = {"d": d, "m": m, "data_seed": params["data_seed"],
             "utility": params["utility"], "epsilon": epsilon, "beta": beta, "alpha": alpha,
             "participation": params["participation"], "kernel": params["kernel"],
             "lipschitz_est": lipschitz, "mu_tilde_est": mu_tilde}
@@ -338,11 +365,10 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> Res
 def resolve_points(spec: ExperimentSpec) -> list:
     """Expand the sweep into fully resolved run descriptions."""
     spec.validate()
-    sweep = spec.normalized_sweep()
-    names = [param for param, _ in sweep]
+    names = [param for param, _ in spec.sweep]
     problems = {}
     return [_resolve_point(spec, dict(zip(names, combo)), problems)
-            for combo in itertools.product(*(values for _, values in sweep))]
+            for combo in itertools.product(*(values for _, values in spec.sweep))]
 
 
 def record_grid(horizon: int) -> np.ndarray:
@@ -461,9 +487,7 @@ def run_experiment(spec: ExperimentSpec):
             k_lo, k_hi = (spec.rate_window if spec.rate_window is not None
                           else (max(1, spec.horizon // 100), spec.horizon))
             try:
-                fit = fit_rate(grid, err_mean, k_lo, k_hi)
-                rate = {"slope": fit.slope, "intercept": fit.intercept,
-                        "r2": fit.r2, "k_lo": fit.k_range[0], "k_hi": fit.k_range[1]}
+                rate = fit_rate(grid, err_mean, k_lo, k_hi)
             except ValueError as exc:
                 rate_error = str(exc)
         summary_points.append({

@@ -13,9 +13,6 @@ learner's losses take (see :mod:`perfsim.losses`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from .core import as_param
@@ -27,7 +24,6 @@ __all__ = [
     "minimize_empirical_risk",
     "theta_ps_gaussian",
     "theta_ps_fixed_point",
-    "RateFit",
     "fit_rate",
 ]
 
@@ -54,10 +50,9 @@ def theta_ps_gaussian(env) -> float:
     return env.z_bar / (1.0 - env.epsilon)
 
 
-def minimize_empirical_risk(loss: LossModel, dataset, theta0: np.ndarray,
-                            tol: float = TOL) -> np.ndarray:
+def minimize_empirical_risk(loss: LossModel, dataset, theta0: np.ndarray) -> np.ndarray:
     """Full-batch gradient descent on the one-trial batch ``dataset`` to
-    gradient norm <= tol, within ``MAX_INNER`` steps.
+    gradient norm <= ``TOL``, within ``MAX_INNER`` steps.
 
     The step is the inverse of the dataset-averaged smoothness constant, so
     descent is monotone for both loss models.
@@ -66,10 +61,10 @@ def minimize_empirical_risk(loss: LossModel, dataset, theta0: np.ndarray,
     step = 1.0 / loss.smoothness(dataset)
     for _ in range(MAX_INNER):
         g = loss.grad(theta[None], dataset)[0]
-        if float(np.sqrt(g @ g)) <= tol:
+        if float(np.sqrt(g @ g)) <= TOL:
             return theta
         theta -= step * g
-    raise ConvergenceError(f"empirical risk minimization did not reach tol={tol}")
+    raise ConvergenceError(f"empirical risk minimization did not reach tol={TOL}")
 
 
 def theta_ps_fixed_point(loss: LossModel, problem, theta0=None) -> np.ndarray:
@@ -111,21 +106,14 @@ def theta_ps_fixed_point(loss: LossModel, problem, theta0=None) -> np.ndarray:
     return theta
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares fit of log(mean error) against log(iteration)."""
-
-    slope: float
-    intercept: float
-    r2: float
-    k_range: Tuple[int, int]
-
-
-def fit_rate(iterations, mean_errors, k_lo: int, k_hi: int) -> RateFit:
+def fit_rate(iterations, mean_errors, k_lo: int, k_hi: int) -> dict:
     """Fit the decay exponent of trial-averaged errors over a window.
 
     ``iterations`` and ``mean_errors`` are parallel arrays; the fit uses the
     entries with ``k_lo <= k <= k_hi``, which must be strictly positive.
+    Returns the least-squares fit of log(mean error) against log(iteration)
+    as ``{"slope", "intercept", "r2", "k_lo", "k_hi"}``, the ``rate_fit`` of
+    a point in ``summary.json``.
     """
     k = np.asarray(iterations, dtype=float)
     err = np.asarray(mean_errors, dtype=float)
@@ -145,5 +133,5 @@ def fit_rate(iterations, mean_errors, k_lo: int, k_hi: int) -> RateFit:
     ss_res = float(np.sum((loge - pred) ** 2))
     ss_tot = float(np.sum((loge - np.mean(loge)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(slope=float(slope), intercept=float(intercept), r2=r2,
-                   k_range=(int(k_lo), int(k_hi)))
+    return {"slope": float(slope), "intercept": float(intercept), "r2": r2,
+            "k_lo": int(k_lo), "k_hi": int(k_hi)}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, StepSchedule, as_param
+from .core import GAMMA_CHUNK, RngStream, StepSchedule, as_param
 from .losses import LossModel, dot
 
 __all__ = [
@@ -39,10 +39,6 @@ DIVERGENCE_CAP = 1e24
 
 # Share of sqrt(DIVERGENCE_CAP) kept by sa_run's guard as a margin for rounding.
 GUARD_SLACK = 1e-6
-
-# Steps whose step sizes are evaluated at once: a list over the whole horizon
-# would take 38 MiB at K = 1e6.
-GAMMA_CHUNK = 4096
 
 # Failure kind of a trial whose iterate left the finite range; the step size
 # is too aggressive.

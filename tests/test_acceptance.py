@@ -15,7 +15,7 @@ from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKern
                             GaussianEnv, IidGaussianKernel, LogisticUtility,
                             QuadraticUtility)
 from perfsim.core import ConstantSchedule, InverseSchedule, RngStream, check_schedule
-from perfsim.data import generate_synthetic
+from perfsim.harness import generate_synthetic
 from perfsim.harness import (ExperimentSpec, _execute_points, record_grid,
                              resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss, QuadraticLoss, mean_grad
@@ -83,7 +83,7 @@ def test_c1_gaussian_rate(gaussian_study):
     slopes = {}
     for rho, errs in gaussian_study["errors"].items():
         fit = fit_rate(grid, errs.mean(axis=0), 1000, gaussian_study["horizon"])
-        slopes[rho] = fit.slope
+        slopes[rho] = fit["slope"]
     elapsed = gaussian_study["elapsed"]
     in_band = {rho: -1.25 <= s <= -0.75 for rho, s in slopes.items()}
     ok = all(in_band.values()) and elapsed <= 60.0
@@ -157,8 +157,8 @@ def test_c4_stable_point_oracle():
     env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=50.0)
     gauss_gap = abs(theta_ps_fixed_point(QuadraticLoss(), env)[0] - theta_ps_gaussian(env))
 
-    ds = generate_synthetic(d=3, m=200, seed=7)
-    pool = AgentPool(ds.features, ds.labels, QuadraticUtility(epsilon=0.01),
+    features, labels = generate_synthetic(d=3, m=200, seed=7)
+    pool = AgentPool(features, labels, QuadraticUtility(epsilon=0.01),
                      alpha=0.005, participation=5)
     loss = LogisticLoss(beta=1000.0 / 200)
     theta_a = theta_ps_fixed_point(loss, pool, theta0=np.zeros(3))
@@ -288,9 +288,9 @@ def test_c7_one_step_contraction():
 # --------------------------------------------------------------------------
 
 def test_c8_closed_form_best_response():
-    ds = generate_synthetic(d=3, m=200, seed=7)
+    features, labels = generate_synthetic(d=3, m=200, seed=7)
     epsilon = 0.01
-    pool = AgentPool(ds.features, ds.labels, QuadraticUtility(epsilon=epsilon),
+    pool = AgentPool(features, labels, QuadraticUtility(epsilon=epsilon),
                      alpha=0.5 * epsilon, participation=5)
     kernel = AdaptedBestResponseKernel(pool)
     theta = np.array([2.0, -1.0, 0.5])

@@ -9,7 +9,7 @@ from perfsim.agents import (BLOCK, AdaptedBestResponseKernel, AgentPool,
                             IidGaussianKernel, LogisticUtility, QuadraticUtility,
                             _distinct_agents, _logistic_root)
 from perfsim.core import RngStream
-from perfsim.data import generate_synthetic
+from perfsim.harness import generate_synthetic
 from perfsim.harness import ExperimentSpec, resolve_points
 from perfsim.losses import dot, sigmoid
 
@@ -29,10 +29,10 @@ def advance_then_emit(kern, theta, rng):
 
 
 def small_pool(utility=None, m=20, d=3, alpha=None, participation=4, eps=0.05):
-    ds = generate_synthetic(d=d, m=m, seed=5)
+    features, labels = generate_synthetic(d=d, m=m, seed=5)
     utility = utility or QuadraticUtility(epsilon=eps)
     alpha = 0.5 * utility.epsilon if alpha is None else alpha
-    return AgentPool(ds.features, ds.labels, utility, alpha=alpha,
+    return AgentPool(features, labels, utility, alpha=alpha,
                      participation=participation)
 
 
@@ -340,13 +340,14 @@ class TestLogisticBestResponseRoot:
         # every row's root lies within its rounding floor 4 eps (|a| + c) of the
         # bracket that a scalar bisection closes to adjacent doubles, and the
         # reply is the one at that root; at scale 1e60 the certificate's
-        # coefficient overflows, which must raise no numpy warning
+        # coefficient overflows, which best_response must raise no numpy warning for
         util = LogisticUtility(epsilon=epsilon)
         rng = RngStream(23).generator()
         for scale in [*10.0 ** np.arange(-3, 4), 1e60]:
             X, y, theta = random_agents(rng, scale, m=100)
             a, c = dot(X, theta), epsilon * (theta @ theta)
-            u = _logistic_root(a, c, y)
+            with np.errstate(over="ignore", invalid="ignore"):  # as best_response enters it
+                u = _logistic_root(a, c, y)
             floor = 4.0 * self.eps * (np.abs(a) + c)
             for i in range(X.shape[0]):
                 lo, hi = bisect_root(a[i], c, y[i])
@@ -624,11 +625,11 @@ class TestAdaptedPool:
         assert kern.failure == "AgentDivergenceError"
 
     def test_pool_validation(self):
-        ds = generate_synthetic(d=2, m=10, seed=1)
+        features, labels = generate_synthetic(d=2, m=10, seed=1)
         util = QuadraticUtility(epsilon=0.1)
         with pytest.raises(ValueError):
-            AgentPool(ds.features, ds.labels, util, alpha=0.0, participation=2)
+            AgentPool(features, labels, util, alpha=0.0, participation=2)
         with pytest.raises(ValueError):
-            AgentPool(ds.features, ds.labels, util, alpha=0.05, participation=11)
+            AgentPool(features, labels, util, alpha=0.05, participation=11)
         with pytest.raises(ValueError):
-            AgentPool(ds.features, np.full(10, 2), util, alpha=0.05, participation=2)
+            AgentPool(features, np.full(10, 2), util, alpha=0.05, participation=2)

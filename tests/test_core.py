@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfsim.core import ConstantSchedule, InverseSchedule, RngStream, as_param, check_schedule
+from perfsim.core import (GAMMA_CHUNK, ConstantSchedule, InverseSchedule, RngStream, as_param,
+                          check_schedule)
 from perfsim.harness import ExperimentSpec, resolve_points
 
 # mu = 1, L = 1, eps = 0.1
@@ -96,12 +99,45 @@ class TestCheckSchedule:
         (point,) = resolve_points(spec)
         desc = point.problem_desc
         mu_tilde = desc["mu_tilde"] if "mu_tilde" in desc else desc["mu_tilde_est"]
-        assert check_schedule(point.config.schedule, mu_tilde, 10 ** 5) is None
+        for horizon in (10 ** 5, 10 ** 6):
+            assert check_schedule(point.config.schedule, mu_tilde, horizon) is None
 
     def test_negative_control_fails_at_one(self):
         # c0 mu_tilde = 0.25 < 1/2, whose error decays slower than O(1/k)
         sched = InverseSchedule(c0=0.25 / MU_TILDE, c1=10.0)
         assert check_schedule(sched, MU_TILDE, 10 ** 5) == 1
+
+    # k = GAMMA_CHUNK + 1 pairs the last entry of the first window with the
+    # first new entry of the second
+    @pytest.mark.parametrize("at", [GAMMA_CHUNK, GAMMA_CHUNK + 1, 5000, 2 * GAMMA_CHUNK + 1])
+    def test_ratio_break_across_window_seams(self, at):
+        class HalvedFrom:
+            def gamma(self, k):
+                k = np.asarray(k, dtype=float)
+                return np.where(k >= at, 0.5, 1.0) * 10.0 / (10.0 + k)
+
+        assert check_schedule(HalvedFrom(), MU_TILDE, 10 ** 4) == at
+
+    @pytest.mark.parametrize("at", [GAMMA_CHUNK, GAMMA_CHUNK + 1, 2 * GAMMA_CHUNK + 1])
+    def test_increase_across_window_seams(self, at):
+        class DoubledAt:
+            def gamma(self, k):
+                k = np.asarray(k, dtype=float)
+                return np.where(k == at, 2.0, 1.0) * 10.0 / (10.0 + k)
+
+        with pytest.raises(ValueError, match=f"increasing at k = {at}$"):
+            check_schedule(DoubledAt(), MU_TILDE, 10 ** 4)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # a horizon-sized evaluation peaked at 23.8 MiB for K = 1e6
+        sched = InverseSchedule(c0=500.0 / MU_TILDE, c1=800.0 / MU_TILDE ** 2)
+        tracemalloc.start()
+        try:
+            assert check_schedule(sched, MU_TILDE, 10 ** 6) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestRngStream:

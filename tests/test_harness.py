@@ -16,93 +16,46 @@ from hypothesis import strategies as st
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                             ExactBestResponseKernel, GaussianEnv, IidGaussianKernel)
 from perfsim.cli import main as cli_main
-from perfsim.data import generate_synthetic, load_csv
 from perfsim import harness
 from perfsim.harness import (ConfigError, ExperimentSpec, _execute_points, _group_key,
-                             record_grid, resolve_points, run_experiment)
+                             generate_synthetic, record_grid, resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss, mean_grad
-from perfsim.oracle import TOL, minimize_empirical_risk, theta_ps_fixed_point, theta_ps_gaussian
+from perfsim.oracle import (TOL, fit_rate, minimize_empirical_risk, theta_ps_fixed_point,
+                            theta_ps_gaussian)
 from perfsim.solver import sa_run
 
 
 class TestSyntheticData:
     def test_seed_determinism(self):
-        a = generate_synthetic(3, 50, seed=4)
-        b = generate_synthetic(3, 50, seed=4)
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
-        c = generate_synthetic(3, 50, seed=5)
-        assert not np.array_equal(a.features, c.features)
+        a_features, a_labels = generate_synthetic(3, 50, seed=4)
+        b_features, b_labels = generate_synthetic(3, 50, seed=4)
+        assert np.array_equal(a_features, b_features)
+        assert np.array_equal(a_labels, b_labels)
+        c_features, _ = generate_synthetic(3, 50, seed=5)
+        assert not np.array_equal(a_features, c_features)
 
     def test_label_balance(self):
         for m in (10, 11, 201):
-            ds = generate_synthetic(2, m, seed=1)
-            ones = int(ds.labels.sum())
+            _, labels = generate_synthetic(2, m, seed=1)
+            ones = int(labels.sum())
             assert abs(ones - (m - ones)) <= 1
 
     def test_standardization(self):
-        ds = generate_synthetic(4, 300, seed=2)
-        assert np.max(np.abs(ds.features.mean(axis=0))) <= 1e-12
-        assert np.allclose(ds.features.std(axis=0), 1.0, atol=1e-12)
+        features, _ = generate_synthetic(4, 300, seed=2)
+        assert np.max(np.abs(features.mean(axis=0))) <= 1e-12
+        assert np.allclose(features.std(axis=0), 1.0, atol=1e-12)
 
     def test_erm_beats_chance(self):
-        ds = generate_synthetic(3, 200, seed=7)
+        features, labels = generate_synthetic(3, 200, seed=7)
         loss = LogisticLoss(beta=5.0)
-        data = ds.features[None], ds.labels[None].astype(float)
-        theta = minimize_empirical_risk(loss, data, np.zeros(3), tol=1e-8)
-        pred = (ds.features @ theta > 0).astype(int)
-        assert (pred == ds.labels).mean() > 0.5
+        data = features[None], labels[None].astype(float)
+        theta = minimize_empirical_risk(loss, data, np.zeros(3))
+        pred = (features @ theta > 0).astype(int)
+        assert (pred == labels).mean() > 0.5
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             generate_synthetic(3, 1, seed=0)
-
-
-class TestCsvLoader:
-    def write(self, path, header, rows):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-
-    def test_small_fixture(self, tmp_path):
-        p = tmp_path / "d.csv"
-        self.write(p, ["a", "b", "y"], [[1, 10, 0], [2, 20, 1], [3, 30, 1]])
-        ds = load_csv(p, ["a", "b"], "y")
-        assert ds.size == 3 and ds.dim == 2
-        assert np.max(np.abs(ds.features.mean(axis=0))) <= 1e-12
-        assert list(ds.labels) == [0, 1, 1]
-
-    def test_missing_column_named(self, tmp_path):
-        p = tmp_path / "d.csv"
-        self.write(p, ["a", "y"], [[1, 0]])
-        with pytest.raises(ValueError, match="label"):
-            load_csv(p, ["a"], "label")
-
-    def test_bad_row_numbered(self, tmp_path):
-        p = tmp_path / "d.csv"
-        self.write(p, ["a", "y"], [[1, 0], ["oops", 1]])
-        with pytest.raises(ValueError, match="row 2"):
-            load_csv(p, ["a"], "y")
-
-    def test_non_binary_label_rejected(self, tmp_path):
-        p = tmp_path / "d.csv"
-        self.write(p, ["a", "y"], [[1, 2]])
-        with pytest.raises(ValueError, match="row 1"):
-            load_csv(p, ["a"], "y")
-
-    def test_round_trip(self, tmp_path):
-        ds = generate_synthetic(3, 40, seed=9)
-        p = tmp_path / "rt.csv"
-        cols = ["f0", "f1", "f2"]
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols + ["y"])
-            for i in range(ds.size):
-                w.writerow(["%.17g" % v for v in ds.features[i]] + [int(ds.labels[i])])
-        back = load_csv(p, cols, "y")
-        assert np.max(np.abs(back.features - ds.features)) <= 1e-9
-        assert np.array_equal(back.labels, ds.labels)
 
 
 class TestRecordGrid:
@@ -326,6 +279,20 @@ class TestRunExperiment:
         assert point["rate_fit_error"] is None
         assert point["diverged"] == []
 
+    @pytest.mark.parametrize("rate_window", [None, [20, 300]])
+    def test_rate_fit_is_fit_rate_of_the_trace(self, tmp_path, rate_window):
+        # each point's rate_fit is fit_rate's dict over its own err_mean column
+        spec = gaussian_spec(sweep=[["rho", [0.2, 1.0]]], rate_window=rate_window,
+                             out=str(tmp_path))
+        summary = run_experiment(spec)
+        with open(tmp_path / "trace.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        grid = np.array([int(row["k"]) for row in rows])
+        k_lo, k_hi = rate_window or (spec.horizon // 100, spec.horizon)
+        for point in summary["points"]:
+            err_mean = np.array([float(row[f"err_mean[{point['label']}]"]) for row in rows])
+            assert point["rate_fit"] == fit_rate(grid, err_mean, k_lo, k_hi)
+
     def test_float_format_round_trips(self, tmp_path):
         spec = gaussian_spec(trials=1, horizon=5, out=str(tmp_path))
         run_experiment(spec)
@@ -493,7 +460,7 @@ MALFORMED_FIELDS = [
     ({"batch": None}, "batch"),
     ({"br_per_iter": 2.0}, "br_per_iter"),
     ({"learner_iters_per_agent_round": "1"}, "learner_iters_per_agent_round"),
-    ({"sweep": {"trials": [2, "3"]}}, "trials"),
+    ({"sweep": [["trials", [2, "3"]]]}, "trials"),
     ({"sweep": [["batch", [1, False]]]}, "batch"),
     ({"rate_window": [1, "x"]}, "rate_window"),
     ({"rate_window": 5}, "rate_window"),
@@ -554,11 +521,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict({"preset": "gaussian_ar", "rate_window": [50, 10]})
 
-    def test_sweep_accepts_mapping_form(self):
-        spec = ExperimentSpec.from_dict({"preset": "gaussian_ar",
-                                         "sweep": {"rho": [0.2, 0.7]}})
-        assert spec.normalized_sweep() == [("rho", [0.2, 0.7])]
-
 
 def _exit_worker(job):
     """Stands in for ``harness._run_group``: the worker dies, as on an OS kill."""
@@ -611,6 +573,16 @@ class TestCli:
             assert field_name in err[0]
         assert not (tmp_path / "res").exists()
 
+    def test_sweep_mapping_form_exit_code(self, tmp_path, capsys):
+        # the sweep is a list of [name, values] pairs; a mapping is no second form of it
+        out_dir = tmp_path / "res"
+        cfg = self.write_config(tmp_path, {"preset": "gaussian_ar", "horizon": 10,
+                                           "sweep": {"rho": [0.2]}, "out": str(out_dir)})
+        assert cli_main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("perfsim: error: sweep must be a list")
+        assert not out_dir.exists()
+
     def test_oversized_problem_exit_code(self, tmp_path, capsys):
         # a 1e8 x 1e8 feature matrix is 71 PiB: numpy refuses it before allocating
         cfg = self.write_config(tmp_path, {"preset": "strat_class_linear",
@@ -638,7 +610,7 @@ class TestCli:
             out = tmp_path / path.stem
             assert cli_main(["run", "--config", str(path), "--horizon", "300",
                              "--trials", "2", "--out", str(out)]) == 0, path.name
-            sweep = ExperimentSpec.from_json(path).normalized_sweep()
+            sweep = ExperimentSpec.from_json(path).sweep
             names = [name for name, _ in sweep]
             labels = [",".join(f"{name}={value}" for name, value in zip(names, combo))
                       for combo in itertools.product(*(values for _, values in sweep))]

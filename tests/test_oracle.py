@@ -3,7 +3,7 @@ import pytest
 
 from perfsim.agents import AgentPool, ArGaussianKernel, GaussianEnv, IidGaussianKernel, QuadraticUtility
 from perfsim.core import InverseSchedule
-from perfsim.data import generate_synthetic
+from perfsim.harness import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss, mean_grad
 from perfsim.oracle import (ConvergenceError, NonContractionError, fit_rate,
                             minimize_empirical_risk, theta_ps_fixed_point, theta_ps_gaussian)
@@ -29,26 +29,25 @@ class TestFixedPoint:
         assert abs(theta[0] - theta_ps_gaussian(env)) <= 1e-8
 
     def test_no_shift_equals_plain_erm(self):
-        ds = generate_synthetic(d=3, m=60, seed=3)
+        features, labels = generate_synthetic(d=3, m=60, seed=3)
         loss = LogisticLoss(beta=1000.0 / 60)
 
         class NoShift:
             dim = 3
 
             def response_dataset(self, theta):
-                return ds.features[None], ds.labels[None].astype(float)
+                return features[None], labels[None].astype(float)
 
         problem = NoShift()
         theta = theta_ps_fixed_point(loss, problem)
-        erm = minimize_empirical_risk(loss, problem.response_dataset(theta),
-                                      np.zeros(3), tol=1e-12)
+        erm = minimize_empirical_risk(loss, problem.response_dataset(theta), np.zeros(3))
         assert np.linalg.norm(theta - erm) <= 1e-8
         residual = np.linalg.norm(mean_grad(loss, theta, problem.response_dataset(theta)))
         assert residual <= 1e-9
 
     def test_pool_self_consistency_residual(self):
-        ds = generate_synthetic(d=3, m=200, seed=7)
-        pool = AgentPool(ds.features, ds.labels, QuadraticUtility(epsilon=0.01),
+        features, labels = generate_synthetic(d=3, m=200, seed=7)
+        pool = AgentPool(features, labels, QuadraticUtility(epsilon=0.01),
                          alpha=0.005, participation=5)
         loss = LogisticLoss(beta=5.0)
         theta = theta_ps_fixed_point(loss, pool)
@@ -56,8 +55,8 @@ class TestFixedPoint:
         assert residual <= 1e-8
 
     def test_initialization_independence(self):
-        ds = generate_synthetic(d=3, m=80, seed=11)
-        pool = AgentPool(ds.features, ds.labels, QuadraticUtility(epsilon=0.02),
+        features, labels = generate_synthetic(d=3, m=80, seed=11)
+        pool = AgentPool(features, labels, QuadraticUtility(epsilon=0.02),
                          alpha=0.01, participation=5)
         loss = LogisticLoss(beta=1000.0 / 80)
         a = theta_ps_fixed_point(loss, pool, theta0=np.zeros(3))
@@ -127,8 +126,8 @@ class TestRrm:
         assert len(rec.path) <= 3
 
     def test_strategic_iterates_contract(self):
-        ds = generate_synthetic(d=3, m=30, seed=5)
-        pool = AgentPool(ds.features, ds.labels, QuadraticUtility(epsilon=0.05),
+        features, labels = generate_synthetic(d=3, m=30, seed=5)
+        pool = AgentPool(features, labels, QuadraticUtility(epsilon=0.05),
                          alpha=0.025, participation=4)
         rec = Recording(pool)
         theta_ps_fixed_point(LogisticLoss(beta=1000.0 / 30), rec, theta0=np.zeros(3))
@@ -159,20 +158,20 @@ class TestRateFit:
     def test_exact_inverse_law(self):
         k = np.arange(1, 501)
         fit = fit_rate(k, 7.0 / k, 1, 500)
-        assert fit.slope == pytest.approx(-1.0, abs=1e-12)
-        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-        assert fit.intercept == pytest.approx(np.log(7.0), abs=1e-10)
+        assert fit["slope"] == pytest.approx(-1.0, abs=1e-12)
+        assert fit["r2"] == pytest.approx(1.0, abs=1e-12)
+        assert fit["intercept"] == pytest.approx(np.log(7.0), abs=1e-10)
 
     def test_constant_series(self):
         k = np.arange(1, 101)
         fit = fit_rate(k, np.full(100, 3.0), 1, 100)
-        assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        assert fit["slope"] == pytest.approx(0.0, abs=1e-12)
 
     def test_window_restriction(self):
         k = np.arange(1, 1001)
         err = np.where(k < 100, 5.0, 50.0 / k)  # flat head, 1/k tail
         fit = fit_rate(k, err, 100, 1000)
-        assert fit.slope == pytest.approx(-1.0, abs=1e-10)
+        assert fit["slope"] == pytest.approx(-1.0, abs=1e-10)
 
     def test_rejects_nonpositive_errors(self):
         k = np.arange(1, 11)

@@ -6,7 +6,7 @@ import pytest
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                             GaussianEnv, IidGaussianKernel, QuadraticUtility)
 from perfsim.core import ConstantSchedule, InverseSchedule, RngStream
-from perfsim.data import generate_synthetic
+from perfsim.harness import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss
 from perfsim.oracle import theta_ps_gaussian
 from perfsim import solver
@@ -299,12 +299,12 @@ class TestVariants:
         from perfsim.losses import logistic_constants
         from perfsim.oracle import theta_ps_fixed_point
 
-        ds = generate_synthetic(d=3, m=100, seed=7)
+        features, labels = generate_synthetic(d=3, m=100, seed=7)
         eps, beta = 0.01, 10.0
-        pool = AgentPool(ds.features, ds.labels, QuadraticUtility(epsilon=eps),
+        pool = AgentPool(features, labels, QuadraticUtility(epsilon=eps),
                          alpha=0.5 * eps, participation=5)
         loss = LogisticLoss(beta=beta)
-        lipschitz, mu_tilde = logistic_constants(ds.features, beta, eps)
+        lipschitz, mu_tilde = logistic_constants(features, beta, eps)
         sched = InverseSchedule(c0=100.0 / mu_tilde, c1=8.0 * lipschitz ** 2 / mu_tilde ** 2)
         tps = theta_ps_fixed_point(loss, pool)
         floors = {}
@@ -328,9 +328,9 @@ class TestRunConfig:
 
 
 def pool_setup(m=30, seed=5):
-    ds = generate_synthetic(d=3, m=m, seed=seed)
+    features, labels = generate_synthetic(d=3, m=m, seed=seed)
     eps = 0.05
-    pool = AgentPool(ds.features, ds.labels, QuadraticUtility(epsilon=eps),
+    pool = AgentPool(features, labels, QuadraticUtility(epsilon=eps),
                      alpha=0.5 * eps, participation=4)
     return pool, LogisticLoss(beta=1000.0 / m)
 
