@@ -12,11 +12,12 @@ Three sampling regimes are covered:
 An exact best response is the argmax of the agent's utility: ``x + epsilon
 theta`` for the linear gain, ``x + epsilon (y - sigmoid(u)) theta`` for the
 logistic gain, where u is the unique root of a strictly increasing scalar
-function, solved to rounding level (no tolerance, no failure kind) by
-bracketed Newton. Newton starts one fixed-point step from the base score, and
-a row stops as soon as a bound on its remaining error, K c (1 + c/4)^2 times
-the squared Newton step with K = 1 / (12 sqrt 3), is at rounding level; for
-c = epsilon ||theta||^2 << 1 that is after one Newton pass.
+function, solved to rounding level (no tolerance, no failure kind) by one
+Newton step from one fixed-point step past the base score. With c = epsilon
+||theta||^2, an a priori bound puts that step within K c^5 / 16, K = 1 / (12
+sqrt 3), of the root, which is at rounding level for every c <= C = (64 eps /
+K)^(1/4) ~ 7.37e-4; a row with a larger c (or a NaN or inf one) is solved by
+bracketed Newton instead.
 
 Every kernel advances a block of T trials together, each with its own
 random stream, through the same two-phase interface. ``theta`` has shape
@@ -83,6 +84,9 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 # Newton on the logistic root leaves an error of at most _NEWTON_K c e^2 after a
 # step from error e (see _logistic_root).
 _NEWTON_K = 1.0 / (12.0 * np.sqrt(3.0))
+# Up to this c one Newton step from the warm start is certified before it is
+# taken: _NEWTON_K c^5 / 16 <= _ROUNDING c (see _logistic_root), ~7.37e-4.
+_ONE_STEP_C = (16.0 * _ROUNDING / _NEWTON_K) ** 0.25
 
 
 @dataclass(frozen=True)
@@ -161,10 +165,10 @@ class LogisticUtility:
     a - c (y - sigmoid(u)) = 0``, ``a = x . theta``, ``c = epsilon ||theta||^2``.
     As ``g' >= 1`` the root is unique. ``best_response`` solves it to rounding
     level, with no tolerance, for agents (..., d) with labels (...) and a theta
-    that broadcasts against them, e.g. (T, 1, d) for (T, n, d): bracketed
-    Newton from the warm start ``a + c (y - sigmoid(a))``, which stops a row
-    once its Newton step delta has ``K c (1 + c/4)^2 delta^2 <= 4 eps (|a| +
-    c)``, ``K = 1 / (12 sqrt 3)`` (see ``_logistic_root``).
+    that broadcasts against them, e.g. (T, 1, d) for (T, n, d): one Newton
+    step from the warm start ``a + c (y - sigmoid(a))``, certified a priori
+    for ``c <= C = (64 eps / K)^(1/4) ~ 7.37e-4``, ``K = 1 / (12 sqrt 3)``, and
+    bracketed Newton for the rows with a larger c (see ``_logistic_root``).
     """
 
     epsilon: float
@@ -199,17 +203,45 @@ class LogisticUtility:
 def _logistic_root(a, c, y):
     """The root u of ``g(u) = u - a - c (y - sigmoid(u))``, row by row.
 
-    Bracketed Newton from one fixed-point step ``a + c (y - sigmoid(a))``, which
-    lies in the bracket ``[a + c (y - 1), a + c y]`` as sigmoid is in (0, 1). A
-    step that leaves the bracket or does not halve the previous one becomes a
-    bisection. A row freezes once its step moves at most ``floor = 4 eps (|a| +
-    c)``, or once an accepted Newton step delta certifies it: ``g' >= 1`` and
-    ``|g''| <= c / (6 sqrt 3)`` leave an error of at most ``K c e^2``, ``K = 1 /
-    (12 sqrt 3)``, after a step from error e, and ``g' <= 1 + c/4`` gives ``e <=
-    (1 + c/4) |delta|``, so the row stops when ``K c (1 + c/4)^2 delta^2 <=
-    floor``. Rows never interact. Past c ~ 1e100 the certificate overflows, so
-    the caller enters ``np.errstate(over="ignore", invalid="ignore")``, as
-    ``LogisticUtility.best_response`` does.
+    One Newton step from one fixed-point step ``u0 = a + c (y - sigmoid(a))``,
+    certified before it is taken. The root lies within c of a, as ``|y -
+    sigmoid| < 1``, and ``u -> a + c (y - sigmoid(u))`` is c/4-Lipschitz, so
+    ``|u0 - u*| <= c^2 / 4``. As ``g' >= 1`` and ``|g''| <= c / (6 sqrt 3)``, a
+    Newton step from error e leaves at most ``K c e^2``, ``K = 1 / (12 sqrt
+    3)``, so at most ``K c^5 / 16``. That is within the rounding floor ``4 eps
+    (|a| + c)`` for every ``c <= C = (64 eps / K)^(1/4) ~ 7.37e-4``
+    (``_ONE_STEP_C``); the bound is for exact arithmetic, and evaluating the
+    step adds rounding of the floor's order. A row with ``c > C``, or a NaN or
+    inf c, takes ``_bracketed_root``'s value instead, which runs only when the
+    block has such a row; the step is skipped when no row takes it. The
+    step's ops and their order are the bracketed loop's first pass, so where
+    that pass accepts its Newton step and stops, both give the same bits.
+    Rows never interact. The caller enters ``np.errstate(over="ignore",
+    invalid="ignore")``, as ``LogisticUtility.best_response`` does.
+    """
+    one_step = c <= _ONE_STEP_C  # False for NaN
+    every = one_step.all()
+    if not (every or one_step.any()):
+        return _bracketed_root(a, c, y)
+    u = a + c * (y - sigmoid(a))
+    s = sigmoid(u)
+    g = u - a - c * (y - s)
+    u = u - g / (1.0 + c * s * (1.0 - s))
+    return u if every else np.where(one_step, u, _bracketed_root(a, c, y))
+
+
+def _bracketed_root(a, c, y):
+    """The root of ``_logistic_root``'s g by bracketed Newton, for any c.
+
+    Newton from the same warm start, which lies in the bracket ``[a + c (y -
+    1), a + c y]`` as sigmoid is in (0, 1). A step that leaves the bracket or
+    does not halve the previous one becomes a bisection. A row freezes once
+    its step moves at most ``floor = 4 eps (|a| + c)``, or once an accepted
+    Newton step delta certifies it: ``g' <= 1 + c/4`` gives ``e <= (1 + c/4)
+    |delta|``, so with the error ``K c e^2`` left by a step the row stops when
+    ``K c (1 + c/4)^2 delta^2 <= floor``. Past c ~ 1e100 the certificate
+    overflows, and a NaN row freezes; the caller enters ``np.errstate`` as for
+    ``_logistic_root``.
     """
     lo, hi = a + c * (y - 1.0), a + c * y
     u, half_last = a + c * (y - sigmoid(a)), c  # the first step is bounded by the bracket alone

@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from perfsim.agents import (BLOCK, AdaptedBestResponseKernel, AgentPool,
+from perfsim import agents
+from perfsim.agents import (BLOCK, _ONE_STEP_C, AdaptedBestResponseKernel, AgentPool,
                             ArGaussianKernel, ExactBestResponseKernel, GaussianEnv,
                             IidGaussianKernel, LogisticUtility, QuadraticUtility,
-                            _distinct_agents, _logistic_root)
+                            _bracketed_root, _distinct_agents, _logistic_root)
 from perfsim.core import RngStream
 from perfsim.harness import generate_synthetic
-from perfsim.harness import ExperimentSpec, resolve_points
+from perfsim.harness import ExperimentSpec, resolve_points, run_experiment
 from perfsim.losses import dot, sigmoid
 
 from draw_reference import distinct_agent_draws
@@ -302,12 +303,16 @@ class TestLogisticBestResponseRoot:
             assert np.all(gain >= -self.eps * (1.0 + np.abs(a) + c))
 
     def test_stack_equals_rows_bit_for_bit(self):
+        # the block mixes rows solved in one certified step (c <= C) with rows
+        # that take the bracketed loop (c > C)
         rng = RngStream(22).generator()
-        scales = np.array([0.1, 1.0, 3.0, 10.0, 30.0, 1e3])
+        scales = np.array([0.1, 1.0, 3.0, 10.0, 30.0, 1e3, 1e-3, 0.03])
         T, n, d = scales.shape[0], 4, 3
         X = rng.normal(size=(T, n, d))
         y = rng.integers(2, size=(T, n)).astype(float)
         theta = (scales[:, None] * rng.normal(size=(T, d)))[:, None, :]
+        c = self.util.epsilon * np.sum(theta * theta, axis=-1)
+        assert (c <= _ONE_STEP_C).any() and (c > _ONE_STEP_C).any()
         stacked = self.util.best_response(X, y, theta)
         for t in range(T):
             for j in range(n):
@@ -354,6 +359,60 @@ class TestLogisticBestResponseRoot:
                 assert lo - floor[i] <= u[i] <= hi + floor[i]
             expected = X + (epsilon * (y - sigmoid(u)))[:, None] * theta
             assert np.array_equal(util.best_response(X, y, theta), expected)
+
+    # a grid of scores, labels and coefficients up to the one-step bound C
+    GRID = [(a, y, c) for a in (0.0, 1e-3, -1e-3, 1.0, -1.0, 40.0, -40.0, 1e3, -1e3)
+            for y in (0.0, 1.0) for c in (0.0, 1e-12, 1e-6, 0.5 * _ONE_STEP_C, _ONE_STEP_C)]
+
+    def test_one_step_bound_is_derived(self):
+        # C solves K C^5 / 16 = 4 eps C: the one-step error bound meets the floor
+        K = 1.0 / (12.0 * math.sqrt(3.0))
+        assert K * _ONE_STEP_C ** 4 / 16.0 == pytest.approx(4.0 * self.eps, rel=1e-12)
+        assert _ONE_STEP_C == pytest.approx(7.372e-4, rel=1e-4)
+
+    def test_one_step_root_within_floor_of_bisection(self):
+        for a, y, c in self.GRID:
+            u = _logistic_root(np.float64(a), np.float64(c), np.float64(y))
+            lo, hi = bisect_root(a, c, y)
+            floor = 4.0 * self.eps * (abs(a) + c)
+            assert lo - floor <= u <= hi + floor, (a, y, c)
+
+    def test_one_step_equals_one_pass_of_the_loop(self, monkeypatch):
+        # at every grid point the bracketed loop stops after one pass, and the
+        # one-step root has its bits; a pass is a sigmoid call after the warm start
+        calls = []
+
+        def counting(u):
+            calls.append(1)
+            return sigmoid(u)
+
+        monkeypatch.setattr(agents, "sigmoid", counting)
+        for a, y, c in self.GRID:
+            a, y, c = np.float64(a), np.float64(y), np.float64(c)
+            one_step = _logistic_root(a, c, y)
+            calls.clear()
+            looped = _bracketed_root(a, c, y)
+            assert len(calls) == 2, (a, y, c)
+            assert one_step.view(np.int64) == looped.view(np.int64), (a, y, c)
+
+    @pytest.mark.parametrize("epsilon, loops", [(0.01, False), (0.5, True)])
+    def test_exact_best_response_run_enters_the_loop_only_past_c(self, tmp_path, monkeypatch,
+                                                                 epsilon, loops):
+        # at the preset every root of the run and of its oracle is below C;
+        # at epsilon = 0.5 (c ~ 7e-3) the loop runs, which shows the count works
+        calls = []
+
+        def counting(a, c, y):
+            calls.append(1)
+            return _bracketed_root(a, c, y)
+
+        monkeypatch.setattr(agents, "_bracketed_root", counting)
+        spec = ExperimentSpec.from_dict({
+            "preset": "strat_class_logistic", "trials": 2, "horizon": 500, "workers": 1,
+            "problem": {"kernel": "iid", "epsilon": epsilon}, "sweep": [["batch", [1, 4]]],
+            "out": str(tmp_path)})
+        run_experiment(spec)
+        assert (len(calls) > 0) is loops, len(calls)
 
     def test_bracket_ends_cycle_of_plain_newton(self):
         # negative control: at y = 1, a = -c/2, c = 100 undamped Newton from the

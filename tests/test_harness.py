@@ -20,8 +20,8 @@ from perfsim import harness
 from perfsim.harness import (ConfigError, ExperimentSpec, _execute_points, _group_key,
                              generate_synthetic, record_grid, resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss, mean_grad
-from perfsim.oracle import (TOL, fit_rate, minimize_empirical_risk, theta_ps_fixed_point,
-                            theta_ps_gaussian)
+from perfsim.oracle import (TOL, ConvergenceError, NonContractionError, fit_rate,
+                            minimize_empirical_risk, theta_ps_fixed_point, theta_ps_gaussian)
 from perfsim.solver import sa_run
 
 
@@ -581,6 +581,34 @@ class TestCli:
         assert cli_main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("perfsim: error: sweep must be a list")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("error", [ConvergenceError, NonContractionError])
+    def test_stable_point_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        def failing(loss, problem, theta0=None):
+            raise error("the stable-point solve failed")
+
+        monkeypatch.setattr(harness, "theta_ps_fixed_point", failing)
+        out_dir = tmp_path / "res"
+        cfg = self.write_config(tmp_path, {"preset": "strat_class_logistic", "workers": 1,
+                                           "out": str(out_dir)})
+        for command in ("run", "oracle"):
+            assert cli_main([command, "--config", cfg]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "perfsim: error: the stable-point solve failed"], command
+        assert not out_dir.exists()
+
+    def test_mu_tilde_gate_exit_code(self, tmp_path, capsys):
+        out_dir = tmp_path / "res"
+        cfg = self.write_config(tmp_path, {"preset": "strat_class_logistic",
+                                           "problem": {"epsilon": 1.0}, "out": str(out_dir)})
+        for command in ("run", "oracle"):
+            assert cli_main([command, "--config", cfg]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("perfsim: error: "), command
+            assert "mu_tilde = -0.75 <= 0" in err[0]
         assert not out_dir.exists()
 
     def test_oversized_problem_exit_code(self, tmp_path, capsys):
