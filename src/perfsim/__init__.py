@@ -10,7 +10,7 @@ harness.
 from .agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                      ExactBestResponseKernel, GaussianEnv, IidGaussianKernel,
                      LogisticUtility, QuadraticUtility)
-from .core import ConstantSchedule, InverseSchedule, RngStream, check_schedule
+from .core import ConstantSchedule, InverseSchedule, check_schedule
 from .harness import ExperimentSpec, generate_synthetic, run_experiment
 from .losses import LogisticLoss, QuadraticLoss, logistic_constants, mean_grad
 from .oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian

@@ -267,16 +267,16 @@ Utility = Union[QuadraticUtility, LogisticUtility]
 class AgentPool:
     """Immutable description of a finite agent population.
 
-    Holds the unshifted base data (never mutated), the agents' utility, the
-    per-round response rate ``alpha`` and the number of agents
-    ``participation`` that adapt per round. The evolving feature state lives
-    in :class:`AdaptedBestResponseKernel`.
+    Holds the unshifted base data (never mutated; the labels as floats, each
+    0.0 or 1.0), the agents' utility, the per-round response rate ``alpha``
+    and the number of agents ``participation`` that adapt per round. The
+    evolving feature state lives in :class:`AdaptedBestResponseKernel`.
     """
 
     def __init__(self, base_features: np.ndarray, labels: np.ndarray,
                  utility: Utility, alpha: float, participation: int):
         base = np.array(base_features, dtype=float)
-        lab = np.array(labels, dtype=np.int64)
+        lab = np.array(labels, dtype=float)
         if base.ndim != 2:
             raise ValueError("base_features must be an m x d matrix")
         if lab.shape != (base.shape[0],):
@@ -309,7 +309,7 @@ class AgentPool:
         """Exact best-response dataset induced by ``theta`` (labels fixed), as a
         one-trial batch of features (1, m, d) and labels (1, m)."""
         X = self.utility.best_response(self.base_features, self.labels, theta)
-        return X[None], self.labels[None].astype(float)
+        return X[None], self.labels[None]
 
 
 class _BlockDraws:
@@ -468,7 +468,6 @@ class _PoolKernel:
     def __init__(self, pool: AgentPool, *, trials: int = 1):
         self.pool = pool
         self.trials = trials
-        self._labels = pool.labels.astype(float)
         self._emissions = {}
 
     def draw_agents(self, rngs, n: int) -> np.ndarray:
@@ -484,7 +483,7 @@ class ExactBestResponseKernel(_Memoryless, _PoolKernel):
 
     def emit(self, theta, rngs, n: int = 1):
         idx = self.draw_agents(rngs, n)
-        labels = self._labels[idx]
+        labels = self.pool.labels[idx]
         X = self.pool.utility.best_response(self.pool.base_features.take(idx, axis=0), labels,
                                             theta[:, None, :])
         return X, labels
@@ -517,7 +516,7 @@ class AdaptedBestResponseKernel(_PoolKernel):
         idx = self._participants.step(rngs)
         rows = idx + self._offsets
         xp = self._flat.take(rows, axis=0)
-        g = pool.utility.grad(xp, pool.base_features.take(idx, axis=0), self._labels[idx],
+        g = pool.utility.grad(xp, pool.base_features.take(idx, axis=0), pool.labels[idx],
                               theta[:, None, :])
         g *= pool.alpha
         g += xp  # now the moved features xp + alpha g
@@ -526,4 +525,4 @@ class AdaptedBestResponseKernel(_PoolKernel):
 
     def emit(self, theta, rngs, n: int = 1):
         idx = self.draw_agents(rngs, n)
-        return self._flat.take(idx + self._offsets, axis=0), self._labels[idx]
+        return self._flat.take(idx + self._offsets, axis=0), self.pool.labels[idx]

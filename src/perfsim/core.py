@@ -1,15 +1,15 @@
-"""Shared numeric types: step-size schedules and their check, RNG plumbing.
+"""Shared numeric types: step-size schedules and their check.
 
 Conventions used throughout the package:
 
 * a decision vector ``theta`` is a 1-D float64 array of fixed length ``d``,
 * all exposed quantities are finite (NaN/Inf are rejected at boundaries),
-* randomness always flows through :class:`RngStream` so that a run is
-  reproducible from a single 64-bit seed.
+* randomness comes from numpy generators seeded by a
+  ``np.random.SeedSequence``, so that a run is reproducible from a single
+  64-bit seed (a trial's streams: ``solver._trial_rngs``).
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -21,7 +21,6 @@ __all__ = [
     "InverseSchedule",
     "StepSchedule",
     "check_schedule",
-    "RngStream",
 ]
 
 # Steps whose step sizes are evaluated at once, by check_schedule and by the
@@ -120,23 +119,3 @@ def check_schedule(schedule: StepSchedule, mu_tilde: float, horizon: int) -> Opt
         if bad.size:
             return int(bad[0]) + start + 1
     return None
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Deterministic random stream addressed by a seed and a substream path.
-
-    Two streams with equal ``(seed, path)`` replay bit-exactly. Substreams
-    derived with fixed indices let runs that share dynamics share randomness:
-    one root seed per trial, one substream per component.
-    """
-
-    seed: int
-    path: tuple = ()
-
-    def substream(self, index: int) -> "RngStream":
-        return dataclasses.replace(self, path=self.path + (int(index),))
-
-    def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))

@@ -285,7 +285,7 @@ def _standardize(X: np.ndarray) -> np.ndarray:
 
 def generate_synthetic(d: int, m: int, seed: int, separation: float = 1.0) -> tuple:
     """A balanced two-class Gaussian dataset, standardized per feature: the
-    pair of the (m, d) features and the m 0/1 labels.
+    pair of the (m, d) features and the m labels, 0.0 or 1.0.
 
     It stands in for real credit-scoring data. Class-conditional means sit
     at +/- ``separation`` per coordinate with unit covariance; label counts
@@ -295,11 +295,11 @@ def generate_synthetic(d: int, m: int, seed: int, separation: float = 1.0) -> tu
         raise ValueError("d must be >= 1")
     if m < 2:
         raise ValueError("m must be >= 2")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     n_pos = m // 2
     n_neg = m - n_pos
     X = rng.standard_normal((m, d))
-    y = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(n_neg, dtype=np.int64)])
+    y = np.concatenate([np.ones(n_pos), np.zeros(n_neg)])
     X[:n_pos] += separation
     X[n_pos:] -= separation
     order = rng.permutation(m)
@@ -388,10 +388,11 @@ def record_grid(horizon: int) -> np.ndarray:
 def _group_key(point: ResolvedPoint) -> tuple:
     """Points with equal keys run their trials in one block: they share their
     ``RunConfig``, and a kernel class that stacks the rows of several
-    problems (a pool kernel's point is a group of its own)."""
-    c = point.config
-    return (point.kernel if hasattr(point.kernel, "stack") else point.label, c.theta0.tobytes(),
-            c.schedule, c.horizon, c.batch, c.br_per_iter, c.learner_iters_per_agent_round, c.seed)
+    problems (a pool kernel's point is a group of its own). Every
+    ``RunConfig`` field is in the key, ``theta0`` as its bytes."""
+    run = [getattr(point.config, f.name) for f in dataclasses.fields(RunConfig)]
+    return (point.kernel if hasattr(point.kernel, "stack") else point.label,
+            *(v.tobytes() if isinstance(v, np.ndarray) else v for v in run))
 
 
 def _run_group(job) -> list:

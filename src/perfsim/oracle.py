@@ -64,7 +64,8 @@ def minimize_empirical_risk(loss: LossModel, dataset, theta0: np.ndarray) -> np.
         if float(np.sqrt(g @ g)) <= TOL:
             return theta
         theta -= step * g
-    raise ConvergenceError(f"empirical risk minimization did not reach tol={TOL}")
+    raise ConvergenceError(f"empirical risk minimization of {loss!r} did not reach "
+                           f"tol={TOL} in {MAX_INNER} steps")
 
 
 def theta_ps_fixed_point(loss: LossModel, problem, theta0=None) -> np.ndarray:

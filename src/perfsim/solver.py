@@ -18,19 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GAMMA_CHUNK, RngStream, StepSchedule, as_param
+from .core import GAMMA_CHUNK, StepSchedule, as_param
 from .losses import LossModel, dot
 
 __all__ = [
     "RunConfig",
     "RunTrace",
     "sa_run",
-    "ProbeResult",
     "one_step_contraction_probe",
 ]
 
-# Substream indices: agent-state transitions and learner-side sample draws
-# use separate streams so variants sharing dynamics share randomness.
+# Last spawn-key entries of a trial's two streams, (trial, AGENT_STREAM) and
+# (trial, SAMPLE_STREAM): agent-state transitions and learner-side sample
+# draws use separate streams so variants sharing dynamics share randomness.
 AGENT_STREAM = 0
 SAMPLE_STREAM = 1
 
@@ -104,9 +104,10 @@ class RunTrace:
 
 
 def _trial_rngs(config: RunConfig, trial: int):
-    root = RngStream(config.seed).substream(trial)
-    return (root.substream(AGENT_STREAM).generator(),
-            root.substream(SAMPLE_STREAM).generator())
+    """A trial's (agent, sample) generators: the children of
+    ``SeedSequence(seed, spawn_key=(trial,))``, in spawn-key order."""
+    agent, sample = np.random.SeedSequence(config.seed, spawn_key=(trial,)).spawn(2)
+    return np.random.default_rng(agent), np.random.default_rng(sample)
 
 
 def _steps(schedule, K: int):
@@ -251,27 +252,18 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
                     agent_updates=br * rounds, final_theta=final_theta, failures=failures)
 
 
-@dataclass
-class ProbeResult:
-    """Monte Carlo one-step inequality check: lhs vs analytic rhs."""
-
-    lhs: float
-    rhs: float
-    stderr: float
-
-
 def one_step_contraction_probe(loss: LossModel, kernel, theta, theta_ps, gamma: float,
                                n_mc: int, rng, *, mu_tilde: float, lipschitz: float,
-                               sigma: float) -> ProbeResult:
+                               sigma: float) -> tuple:
     """Estimate the expected post-step squared error and its one-step bound.
 
     Requires a memoryless (i.i.d.) kernel so the stochastic gradient is
-    conditionally unbiased; the ``n_mc`` samples are one emission from it. Returns the Monte Carlo estimate of
-    E||theta' - theta_ps||^2 over ``n_mc`` fresh samples (``lhs``), the bound
-    ``(1 - 2 gamma mu_tilde + 2 L^2 gamma^2) ||theta - theta_ps||^2
-    + 2 sigma^2 gamma^2`` (``rhs``), with ``L = lipschitz`` and the sample
-    noise level ``sigma``, and the Monte Carlo standard error for the
-    assertion ``lhs <= rhs + 3 stderr``. Raises ``ValueError`` unless
+    conditionally unbiased; the ``n_mc`` samples are one emission from it. Returns the tuple
+    ``(lhs, rhs, stderr)``: the Monte Carlo estimate of E||theta' -
+    theta_ps||^2 over ``n_mc`` fresh samples, the bound ``(1 - 2 gamma
+    mu_tilde + 2 L^2 gamma^2) ||theta - theta_ps||^2 + 2 sigma^2 gamma^2``,
+    with ``L = lipschitz`` and the sample noise level ``sigma``, and the Monte
+    Carlo standard error for the assertion ``lhs <= rhs + 3 stderr``. Raises ``ValueError`` unless
     ``mu_tilde`` is positive.
     """
     if not mu_tilde > 0:
@@ -293,4 +285,4 @@ def one_step_contraction_probe(loss: LossModel, kernel, theta, theta_ps, gamma: 
     dist2 = float(dist @ dist)
     rhs = ((1.0 - 2.0 * gamma * mu_tilde + 2.0 * lipschitz ** 2 * gamma ** 2) * dist2
            + 2.0 * sigma ** 2 * gamma ** 2)
-    return ProbeResult(lhs=lhs, rhs=rhs, stderr=stderr)
+    return lhs, rhs, stderr

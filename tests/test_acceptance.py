@@ -14,7 +14,7 @@ import pytest
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                             GaussianEnv, IidGaussianKernel, LogisticUtility,
                             QuadraticUtility)
-from perfsim.core import ConstantSchedule, InverseSchedule, RngStream, check_schedule
+from perfsim.core import ConstantSchedule, InverseSchedule, check_schedule
 from perfsim.harness import generate_synthetic
 from perfsim.harness import (ExperimentSpec, _execute_points, record_grid,
                              resolve_points, run_experiment)
@@ -127,7 +127,7 @@ def test_c3_ar_stationary_law():
     for rho in (0.25, 0.5, 1.0):
         env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=2.0, rho=rho)
         kernel = ArGaussianKernel(env)
-        rngs = [RngStream(42).substream(int(rho * 100)).generator()]
+        rngs = [np.random.default_rng(np.random.SeedSequence(42, spawn_key=(int(rho * 100),)))]
         for _ in range(10_000):
             kernel.advance(theta, rngs)
         zs = np.empty(100_000)
@@ -265,17 +265,17 @@ def test_c7_one_step_contraction():
     mu_tilde, lipschitz = 1.0 - 1.0 * env.epsilon, 1.0
     theta_ps = np.array([theta_ps_gaussian(env)])
     gamma_max = mu_tilde / (2.0 * lipschitz ** 2)
-    rng = RngStream(2718).generator()
+    rng = np.random.default_rng(2718)
     kernel = IidGaussianKernel(env)
     violations = []
     for _ in range(50):
         theta = theta_ps + rng.uniform(-20.0, 20.0, size=1)
         gamma = rng.uniform(1e-3, gamma_max)
-        r = one_step_contraction_probe(QuadraticLoss(), kernel, theta, theta_ps, gamma,
-                                       10_000, rng, mu_tilde=mu_tilde, lipschitz=lipschitz,
-                                       sigma=env.sigma)
-        if r.lhs > r.rhs + 3.0 * r.stderr:
-            violations.append((float(theta[0]), gamma, r))
+        lhs, rhs, stderr = one_step_contraction_probe(
+            QuadraticLoss(), kernel, theta, theta_ps, gamma, 10_000, rng, mu_tilde=mu_tilde,
+            lipschitz=lipschitz, sigma=env.sigma)
+        if lhs > rhs + 3.0 * stderr:
+            violations.append((float(theta[0]), gamma, (lhs, rhs, stderr)))
     ok = not violations
     report("7 one-step contraction probe", ok,
            f"{50 - len(violations)}/50 random (theta, gamma) points satisfy "
@@ -296,8 +296,8 @@ def test_c8_closed_form_best_response():
     theta = np.array([2.0, -1.0, 0.5])
     target = pool.base_features + epsilon * theta
     factor = 1.0 - pool.alpha / epsilon
-    rng = RngStream(11).generator()
-    draws = distinct_agent_draws(RngStream(11).generator(), pool.size, pool.participation)
+    rng = np.random.default_rng(11)
+    draws = distinct_agent_draws(np.random.default_rng(11), pool.size, pool.participation)
     counts = np.zeros(pool.size, dtype=np.int64)
     max_dev = 0.0
     for _ in range(3000):
@@ -319,7 +319,7 @@ def test_c8_closed_form_best_response():
 # --------------------------------------------------------------------------
 
 def test_c9_property_suites(tmp_path):
-    rng = RngStream(99).generator()
+    rng = np.random.default_rng(99)
     notes = []
 
     # gradient / finite-difference agreement (loss and utility)

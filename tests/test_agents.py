@@ -9,7 +9,6 @@ from perfsim.agents import (BLOCK, _ONE_STEP_C, AdaptedBestResponseKernel, Agent
                             ArGaussianKernel, ExactBestResponseKernel, GaussianEnv,
                             IidGaussianKernel, LogisticUtility, QuadraticUtility,
                             _bracketed_root, _distinct_agents, _logistic_root)
-from perfsim.core import RngStream
 from perfsim.harness import generate_synthetic
 from perfsim.harness import ExperimentSpec, resolve_points, run_experiment
 from perfsim.losses import dot, sigmoid
@@ -66,13 +65,13 @@ class TestIidKernels:
     def test_noiseless_emission_is_shifted_mean(self):
         env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=0.0)
         kern = IidGaussianKernel(env)
-        out = advance_then_emit(kern, np.array([1.0]), RngStream(1).generator())
+        out = advance_then_emit(kern, np.array([1.0]), np.random.default_rng(1))
         assert out == pytest.approx(10.1, rel=1e-15)
 
     def test_monte_carlo_mean(self):
         env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=2.0)
         kern = IidGaussianKernel(env)
-        rng = RngStream(2).generator()
+        rng = np.random.default_rng(2)
         theta = np.array([4.0])
         n = 100_000
         zs = kern.emit(theta[None], [rng], n)[0]
@@ -82,7 +81,7 @@ class TestIidKernels:
         pool = small_pool()
         kern = ExactBestResponseKernel(pool)
         theta = np.array([1.0, -2.0, 0.5])
-        features, label = advance_then_emit(kern, theta, RngStream(3).generator())
+        features, label = advance_then_emit(kern, theta, np.random.default_rng(3))
         shifted = pool.base_features + pool.utility.epsilon * theta
         matches = np.all(np.isclose(shifted, features, rtol=0, atol=1e-15), axis=1)
         assert matches.any()
@@ -96,8 +95,8 @@ class TestArKernel:
         ar = ArGaussianKernel(env)
         iid = IidGaussianKernel(env)
         ar_vals, iid_vals = [], []
-        rng_a = RngStream(4).generator()
-        rng_b = RngStream(4).generator()
+        rng_a = np.random.default_rng(4)
+        rng_b = np.random.default_rng(4)
         for _ in range(50):
             ar_vals.append(advance_then_emit(ar, theta, rng_a))
             iid_vals.append(advance_then_emit(iid, theta, rng_b))
@@ -106,13 +105,13 @@ class TestArKernel:
     def test_noiseless_midpoint(self):
         env = GaussianEnv(z_bar=4.0, epsilon=0.0, sigma=0.0, rho=0.5, z0=0.0)
         kern = ArGaussianKernel(env)
-        out = advance_then_emit(kern, np.array([0.0]), RngStream(5).generator())
+        out = advance_then_emit(kern, np.array([0.0]), np.random.default_rng(5))
         assert out == 2.0
 
     def test_emission_equals_post_advance_state(self):
         env = GaussianEnv(z_bar=1.0, epsilon=0.2, sigma=3.0, rho=0.4)
         kern = ArGaussianKernel(env)
-        out = advance_then_emit(kern, np.array([0.5]), RngStream(6).generator())
+        out = advance_then_emit(kern, np.array([0.5]), np.random.default_rng(6))
         assert out == kern.z[0]
 
     def test_sample_keeps_its_value_across_advance(self):
@@ -136,7 +135,7 @@ class TestArKernel:
         theta = np.array([5.0])
         target = env.shifted_mean(theta)
         kern = ArGaussianKernel(env)
-        rng = RngStream(7).generator()
+        rng = np.random.default_rng(7)
         gap = 0.0 - target
         for _ in range(30):
             kern.advance(theta[None], [rng])
@@ -150,7 +149,8 @@ class TestArKernel:
         target = env.shifted_mean(theta)
         half_steps = math.ceil(math.log(2.0) / env.rho)
         n_chains = 4000
-        rngs = [RngStream(8).substream(i).generator() for i in range(n_chains)]
+        rngs = [np.random.default_rng(np.random.SeedSequence(8, spawn_key=(i,)))
+                for i in range(n_chains)]
         kern = ArGaussianKernel(env, trials=n_chains)
         thetas = np.tile(theta, (n_chains, 1))
         gap0 = abs(env.z0 - target)
@@ -166,7 +166,7 @@ class TestArKernel:
         env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=2.0, rho=0.5)
         theta = np.array([5.0])
         kern = ArGaussianKernel(env)
-        rng = RngStream(9).generator()
+        rng = np.random.default_rng(9)
         for _ in range(2000):
             kern.advance(theta[None], [rng])
         zs = np.empty(20_000)
@@ -188,7 +188,7 @@ class TestUtilities:
 
     def test_logistic_gradient_matches_finite_differences(self):
         util = LogisticUtility(epsilon=0.05)
-        rng = RngStream(10).generator()
+        rng = np.random.default_rng(10)
         for _ in range(20):
             base = rng.normal(size=3)
             xp = base + 0.1 * rng.normal(size=3)
@@ -215,7 +215,7 @@ class TestUtilities:
 
     def test_logistic_best_response_self_certifying(self):
         util = LogisticUtility(epsilon=0.05)
-        rng = RngStream(11).generator()
+        rng = np.random.default_rng(11)
         for _ in range(10):
             base = rng.normal(size=3)
             theta = rng.normal(size=3)
@@ -277,7 +277,7 @@ class TestLogisticBestResponseRoot:
 
     @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
     def test_matches_gradient_ascent(self, scale):
-        rng = RngStream(20).generator()
+        rng = np.random.default_rng(20)
         for _ in range(10):
             X, y, theta = random_agents(rng, scale, m=5)
             got = self.util.best_response(X, y, theta)
@@ -289,7 +289,7 @@ class TestLogisticBestResponseRoot:
     def test_first_order_and_improvement_where_ascent_fails(self, scale):
         # here the reference ascent fails for some agents: it contracts only
         # while epsilon ||theta||^2 < 12
-        rng = RngStream(21).generator()
+        rng = np.random.default_rng(21)
         for _ in range(10):
             X, y, theta = random_agents(rng, scale, m=20)
             x = self.util.best_response(X, y, theta)
@@ -305,7 +305,7 @@ class TestLogisticBestResponseRoot:
     def test_stack_equals_rows_bit_for_bit(self):
         # the block mixes rows solved in one certified step (c <= C) with rows
         # that take the bracketed loop (c > C)
-        rng = RngStream(22).generator()
+        rng = np.random.default_rng(22)
         scales = np.array([0.1, 1.0, 3.0, 10.0, 30.0, 1e3, 1e-3, 0.03])
         T, n, d = scales.shape[0], 4, 3
         X = rng.normal(size=(T, n, d))
@@ -322,7 +322,7 @@ class TestLogisticBestResponseRoot:
         assert np.array_equal(pool, stacked[-1])
 
     def test_list_labels_give_the_array_bits(self):
-        X, y, theta = random_agents(RngStream(24).generator(), 3.0, m=8)
+        X, y, theta = random_agents(np.random.default_rng(24), 3.0, m=8)
         got = self.util.best_response(X, y.tolist(), theta)
         expected = self.util.best_response(X, y, theta)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
@@ -330,7 +330,7 @@ class TestLogisticBestResponseRoot:
     def test_no_warning_where_norm_squared_overflows(self):
         # at ||theta||^2 ~ 3e320 the coefficient c is inf: it never certifies a
         # row, and no numpy warning escapes
-        X, y, _ = random_agents(RngStream(25).generator(), 1.0, m=6)
+        X, y, _ = random_agents(np.random.default_rng(25), 1.0, m=6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = self.util.best_response(X, y, np.full(3, 1e160))
@@ -347,7 +347,7 @@ class TestLogisticBestResponseRoot:
         # reply is the one at that root; at scale 1e60 the certificate's
         # coefficient overflows, which best_response must raise no numpy warning for
         util = LogisticUtility(epsilon=epsilon)
-        rng = RngStream(23).generator()
+        rng = np.random.default_rng(23)
         for scale in [*10.0 ** np.arange(-3, 4), 1e60]:
             X, y, theta = random_agents(rng, scale, m=100)
             a, c = dot(X, theta), epsilon * (theta @ theta)
@@ -447,7 +447,8 @@ class TestLogisticBestResponseRoot:
 
 
 def trial_rngs(seed, trials):
-    return [RngStream(seed).substream(t).generator() for t in range(trials)]
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+            for t in range(trials)]
 
 
 def assert_uniform_sets(sets, m, p):
@@ -543,9 +544,9 @@ class TestDistinctAgents:
         # participation == batch: each draw still follows its own stream
         pool = small_pool(participation=4)
         kern = AdaptedBestResponseKernel(pool)
-        agent, sample = RngStream(36).generator(), RngStream(37).generator()
-        moves = distinct_agent_draws(RngStream(36).generator(), pool.size, 4)
-        emissions = distinct_agent_draws(RngStream(37).generator(), pool.size, 4)
+        agent, sample = np.random.default_rng(36), np.random.default_rng(37)
+        moves = distinct_agent_draws(np.random.default_rng(36), pool.size, 4)
+        emissions = distinct_agent_draws(np.random.default_rng(37), pool.size, 4)
         theta = np.array([[1.0, 2.0, -1.0]])
         for _ in range(1100):
             kern.features[0] = pool.base_features
@@ -557,7 +558,7 @@ class TestDistinctAgents:
     def test_more_agents_than_the_pool_rejected(self):
         kern = ExactBestResponseKernel(small_pool(m=20))
         with pytest.raises(ValueError, match="21 distinct agents"):
-            kern.emit(np.zeros((1, 3)), [RngStream(38).generator()], 21)
+            kern.emit(np.zeros((1, 3)), [np.random.default_rng(38)], 21)
 
 
 class TestAdaptedPool:
@@ -565,8 +566,8 @@ class TestAdaptedPool:
         pool = small_pool()
         kern = AdaptedBestResponseKernel(pool)
         theta = np.array([1.0, -1.0, 2.0])
-        rng = RngStream(12).generator()
-        rng_clone = RngStream(12).generator()
+        rng = np.random.default_rng(12)
+        rng_clone = np.random.default_rng(12)
         expected_idx = next(distinct_agent_draws(rng_clone, pool.size, pool.participation))
         kern.advance(theta[None], [rng])
         moved = np.flatnonzero(np.any(kern.features[0] != pool.base_features, axis=1))
@@ -584,8 +585,8 @@ class TestAdaptedPool:
         target = pool.base_features + eps * theta
         factor = 1.0 - pool.alpha / eps
         counts = np.zeros(pool.size, dtype=int)
-        rng = RngStream(13).generator()
-        draws = distinct_agent_draws(RngStream(13).generator(), pool.size, pool.participation)
+        rng = np.random.default_rng(13)
+        draws = distinct_agent_draws(np.random.default_rng(13), pool.size, pool.participation)
         for _ in range(200):
             idx = next(draws)
             kern.advance(theta[None], [rng])
@@ -600,8 +601,8 @@ class TestAdaptedPool:
         needed = math.ceil(math.log(1.0 / tol) / math.log(1.0 / abs(1.0 - pool.alpha / eps)))
         theta = np.array([1.0, 1.0, -1.0])
         kern = AdaptedBestResponseKernel(pool)
-        rng = RngStream(14).generator()
-        draws = distinct_agent_draws(RngStream(14).generator(), pool.size, pool.participation)
+        rng = np.random.default_rng(14)
+        draws = distinct_agent_draws(np.random.default_rng(14), pool.size, pool.participation)
         counts = np.zeros(pool.size, dtype=int)
         while counts.min() < needed:
             counts[next(draws)] += 1
@@ -614,7 +615,7 @@ class TestAdaptedPool:
         base_copy = pool.base_features.copy()
         labels_copy = pool.labels.copy()
         kern = AdaptedBestResponseKernel(pool)
-        rng = RngStream(15).generator()
+        rng = np.random.default_rng(15)
         theta = np.array([1.0, 2.0, 3.0])
         for _ in range(50):
             advance_then_emit(kern, theta, rng)
@@ -627,7 +628,7 @@ class TestAdaptedPool:
         pool = small_pool()
         kern = AdaptedBestResponseKernel(pool)
         theta = np.array([0.5, 0.5, 0.5])
-        rng = RngStream(16).generator()
+        rng = np.random.default_rng(16)
         for _ in range(10):
             features, label = advance_then_emit(kern, theta, rng)
             row = np.all(kern.features[0] == features, axis=1)
@@ -640,7 +641,7 @@ class TestAdaptedPool:
         outs = []
         for _ in range(2):
             kern = AdaptedBestResponseKernel(pool)
-            rng = RngStream(17).generator()
+            rng = np.random.default_rng(17)
             for _ in range(5):
                 out = advance_then_emit(kern, theta, rng)
             outs.append((out[0], kern.features[0].copy()))
@@ -666,7 +667,7 @@ class TestAdaptedPool:
     def test_minibatch_emission_distinct(self):
         pool = small_pool()
         kern = AdaptedBestResponseKernel(pool)
-        features, _ = kern.emit(np.zeros((1, 3)), [RngStream(18).generator()], n=pool.size)
+        features, _ = kern.emit(np.zeros((1, 3)), [np.random.default_rng(18)], n=pool.size)
         rows = [np.flatnonzero(np.all(kern.features[0] == x, axis=1))[0] for x in features[0]]
         assert sorted(rows) == list(range(pool.size))
 
@@ -674,7 +675,7 @@ class TestAdaptedPool:
     def test_divergent_alpha_detected(self):
         pool = small_pool(alpha=500.0, participation=20)
         kern = AdaptedBestResponseKernel(pool)
-        rng = RngStream(19).generator()
+        rng = np.random.default_rng(19)
         theta = np.array([[1.0, 1.0, 1.0]])
         for _ in range(500):
             failed = kern.advance(theta, [rng])
@@ -692,3 +693,18 @@ class TestAdaptedPool:
             AgentPool(features, labels, util, alpha=0.05, participation=11)
         with pytest.raises(ValueError):
             AgentPool(features, np.full(10, 2), util, alpha=0.05, participation=2)
+
+    @pytest.mark.parametrize("labels", [[0.5, 0.0, 1.0], [1.9, 0.0, 1.0], [0.5, 1.9, 0.0]])
+    def test_fractional_labels_rejected(self, labels):
+        # an integer cast would truncate them to valid labels
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            AgentPool(np.zeros((3, 2)), labels, QuadraticUtility(0.1), alpha=0.05,
+                      participation=1)
+
+    def test_labels_are_read_only_floats(self):
+        pool = AgentPool(np.zeros((3, 2)), [1, 0, True], QuadraticUtility(0.1), alpha=0.05,
+                         participation=1)
+        assert pool.labels.dtype == np.float64
+        assert pool.labels.tolist() == [1.0, 0.0, 1.0]
+        with pytest.raises(ValueError):
+            pool.labels[0] = 0.0

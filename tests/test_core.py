@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfsim.core import (GAMMA_CHUNK, ConstantSchedule, InverseSchedule, RngStream, as_param,
-                          check_schedule)
+from perfsim.core import GAMMA_CHUNK, ConstantSchedule, InverseSchedule, as_param, check_schedule
 from perfsim.harness import ExperimentSpec, resolve_points
 
 # mu = 1, L = 1, eps = 0.1
@@ -138,23 +137,6 @@ class TestCheckSchedule:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-
-
-class TestRngStream:
-    def test_equal_seeds_replay_bit_exactly(self):
-        a = RngStream(123).generator().standard_normal(10_000)
-        b = RngStream(123).generator().standard_normal(10_000)
-        assert np.array_equal(a, b)
-
-    def test_substreams_are_distinct_and_reproducible(self):
-        root = RngStream(9)
-        s0 = root.substream(0).generator().standard_normal(100)
-        s1 = root.substream(1).generator().standard_normal(100)
-        assert not np.array_equal(s0, s1)
-        assert np.array_equal(s0, RngStream(9).substream(0).generator().standard_normal(100))
-
-    def test_nested_paths(self):
-        assert RngStream(5).substream(2).substream(3).path == (2, 3)
 
 
 class TestAsParam:

@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                             ExactBestResponseKernel, GaussianEnv, IidGaussianKernel)
 from perfsim.cli import main as cli_main
-from perfsim import harness
+from perfsim.core import ConstantSchedule
+from perfsim import harness, oracle
 from perfsim.harness import (ConfigError, ExperimentSpec, _execute_points, _group_key,
                              generate_synthetic, record_grid, resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss, mean_grad
 from perfsim.oracle import (TOL, ConvergenceError, NonContractionError, fit_rate,
                             minimize_empirical_risk, theta_ps_fixed_point, theta_ps_gaussian)
-from perfsim.solver import sa_run
+from perfsim.solver import RunConfig, sa_run
 
 
 class TestSyntheticData:
@@ -187,6 +188,19 @@ class TestRunExperiment:
                     assert not trace.failures
                     assert np.array_equal(trace.errors, one.errors)
                     assert np.array_equal(trace.final_theta, one.final_theta)
+
+    def test_group_key_covers_every_run_field(self):
+        # points that differ in any RunConfig field must not share a block,
+        # which would run them all under the first point's config
+        point = resolve_points(gaussian_spec())[0]
+        other = {"theta0": point.config.theta0 + 1.0, "schedule": ConstantSchedule(0.01),
+                 "horizon": 401, "batch": 2, "br_per_iter": 2,
+                 "learner_iters_per_agent_round": 2, "seed": 12}
+        assert set(other) == {f.name for f in dataclasses.fields(RunConfig)}
+        for name, value in other.items():
+            config = dataclasses.replace(point.config, **{name: value})
+            changed = dataclasses.replace(point, config=config)
+            assert _group_key(changed) != _group_key(point), name
 
     def test_grouped_failure_is_attributed_to_its_point(self):
         class PoisonedChain(ArGaussianKernel):
@@ -610,6 +624,16 @@ class TestCli:
             assert len(err) == 1 and err[0].startswith("perfsim: error: "), command
             assert "mu_tilde = -0.75 <= 0" in err[0]
         assert not out_dir.exists()
+
+    def test_inner_minimization_failure_names_the_loss(self, tmp_path, capsys, monkeypatch):
+        # a nearly unregularized, well-separated pool: the 1/L descent is slow
+        monkeypatch.setattr(oracle, "MAX_INNER", 50)
+        cfg = self.write_config(tmp_path, {"preset": "strat_class_logistic", "problem": {
+            "beta": 1e-7, "epsilon": 1e-9, "separation": 3.0}})
+        assert cli_main(["oracle", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("perfsim: error: ")
+        assert "LogisticLoss(beta=1e-07)" in err[0] and "in 50 steps" in err[0]
 
     def test_oversized_problem_exit_code(self, tmp_path, capsys):
         # a 1e8 x 1e8 feature matrix is 71 PiB: numpy refuses it before allocating

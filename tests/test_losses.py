@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from perfsim.core import RngStream
 from perfsim.losses import (LogisticLoss, QuadraticLoss, dot, logistic_constants, mean_grad,
                             sigmoid)
 
@@ -131,7 +130,7 @@ class TestLogistic:
 
 class TestGradientProperties:
     def test_fd_agreement_random_inputs(self):
-        rng = RngStream(31).generator()
+        rng = np.random.default_rng(31)
         loss = LogisticLoss(beta=0.7)
         for _ in range(25):
             theta = rng.normal(size=4)
@@ -141,7 +140,7 @@ class TestGradientProperties:
             assert np.max(np.abs(g - fd)) <= 1e-5 * (1.0 + np.max(np.abs(g)))
 
     def test_strong_convexity_witness(self):
-        rng = RngStream(32).generator()
+        rng = np.random.default_rng(32)
         cases = [(QuadraticLoss(), 1.0, lambda: sample(z=float(rng.normal()))),
                  (LogisticLoss(beta=2.5), 2.5,
                   lambda: sample(x=rng.normal(size=3), y=int(rng.integers(2))))]
@@ -168,7 +167,7 @@ class TestGradientProperties:
         assert loss1(loss, t1, s) >= lower - 1e-7 * (1.0 + abs(lower))
 
     def test_gradient_lipschitz_witness(self):
-        rng = RngStream(33).generator()
+        rng = np.random.default_rng(33)
         loss = LogisticLoss(beta=1.5)
         for _ in range(40):
             x = rng.normal(size=3)
@@ -201,7 +200,7 @@ class TestMeanGrad:
     def test_trial_batch_matches_single_trials_bit_for_bit(self):
         # each trial's row of a (T, n) batch is that trial's minibatch mean,
         # summed left to right: the same bits as the trial on its own
-        rng = RngStream(37).generator()
+        rng = np.random.default_rng(37)
         loss = LogisticLoss(beta=0.9)
         theta = rng.normal(size=(4, 3))
         features = rng.normal(size=(4, 5, 3))
@@ -220,7 +219,7 @@ class TestMeanGrad:
                                    + (theta[:, :1] - z[:, 2:])) / 3)
 
     def test_matches_average_of_individual_calls(self):
-        rng = RngStream(34).generator()
+        rng = np.random.default_rng(34)
         loss = LogisticLoss(beta=0.9)
         theta = rng.normal(size=3)
         xs, ys = rng.normal(size=(100, 3)), rng.integers(2, size=100)
@@ -228,7 +227,7 @@ class TestMeanGrad:
         assert np.max(np.abs(mean_grad(loss, theta, dataset(xs, ys)) - avg)) <= 1e-12
 
     def test_batch_loss_matches_average(self):
-        rng = RngStream(36).generator()
+        rng = np.random.default_rng(36)
         loss = LogisticLoss(beta=2.0)
         theta = rng.normal(size=2)
         xs, ys = rng.normal(size=(30, 2)), rng.integers(2, size=30)
@@ -238,7 +237,7 @@ class TestMeanGrad:
     def test_smoothness_matches_per_sample_average_bit_for_bit(self):
         # reference: the per-sample constants beta + x.x / 4 (1-D dot),
         # summed left to right from 0 and divided by n
-        rng = RngStream(38).generator()
+        rng = np.random.default_rng(38)
         loss = LogisticLoss(beta=0.37)
         for n in (1, 2, 7, 200):
             xs = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
@@ -261,7 +260,7 @@ class TestMeanGrad:
 
 class TestLogisticConstants:
     def test_matches_manual_formulas(self):
-        rng = RngStream(35).generator()
+        rng = np.random.default_rng(35)
         X = rng.normal(size=(50, 4))
         beta, eps = 2.0, 0.05
         L, mu_tilde = logistic_constants(X, beta, eps)

@@ -5,13 +5,13 @@ import pytest
 
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                             GaussianEnv, IidGaussianKernel, QuadraticUtility)
-from perfsim.core import ConstantSchedule, InverseSchedule, RngStream
+from perfsim.core import ConstantSchedule, InverseSchedule
 from perfsim.harness import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss
 from perfsim.oracle import theta_ps_gaussian
 from perfsim import solver
 from perfsim.solver import (AGENT_STREAM, GAMMA_CHUNK, SAMPLE_STREAM, RunConfig, _steps,
-                            one_step_contraction_probe, sa_run)
+                            _trial_rngs, one_step_contraction_probe, sa_run)
 
 
 class ZeroSchedule:
@@ -327,6 +327,40 @@ class TestRunConfig:
             RunConfig(theta0=np.array([np.inf]), schedule=ConstantSchedule(0.1), horizon=5)
 
 
+class TestTrialRngs:
+    """A trial's agent and sample streams, spawn keys (trial, AGENT_STREAM) and
+    (trial, SAMPLE_STREAM) under the run's seed."""
+
+    @staticmethod
+    def streams(seed, trial):
+        cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(0.1), horizon=1, seed=seed)
+        return _trial_rngs(cfg, trial)
+
+    def draws(self, seed, trial, n=100):
+        return [rng.random(n) for rng in self.streams(seed, trial)]
+
+    def test_equal_seed_and_trial_replay_bit_for_bit(self):
+        for a, b in zip(self.draws(9, 2), self.draws(9, 2)):
+            assert np.array_equal(a, b)
+
+    def test_agent_and_sample_streams_differ(self):
+        agent, sample = self.draws(9, 2)
+        assert (agent != sample).all()
+
+    def test_trials_differ(self):
+        for a, b in zip(self.draws(9, 2), self.draws(9, 3)):
+            assert (a != b).all()
+
+    def test_first_draws_pinned(self):
+        # every trace.csv and golden file was drawn from these streams; the
+        # values were pinned from an earlier construction of the same keys
+        agent, sample = self.draws(9, 2, n=4)
+        assert [x.hex() for x in agent] == ["0x1.bc2baa6354d20p-6", "0x1.f7fe5d2be92e4p-1",
+                                            "0x1.a978b8930b322p-2", "0x1.0626d7f2b85c0p-6"]
+        assert [x.hex() for x in sample] == ["0x1.7053ce0f22268p-1", "0x1.b577109a0dd33p-1",
+                                             "0x1.ccc4602980ef0p-1", "0x1.e2beb018388d0p-4"]
+
+
 def pool_setup(m=30, seed=5):
     features, labels = generate_synthetic(d=3, m=m, seed=seed)
     eps = 0.05
@@ -345,9 +379,8 @@ class TestLazyRun:
                         learner_iters_per_agent_round=1)
         trace = sa_run(loss, AdaptedBestResponseKernel(pool), cfg, np.zeros(3), trials=[2])
 
-        root = RngStream(9).substream(2)
-        agent_rng = root.substream(AGENT_STREAM).generator()
-        sample_rng = root.substream(SAMPLE_STREAM).generator()
+        agent_rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(2, AGENT_STREAM)))
+        sample_rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(2, SAMPLE_STREAM)))
         kernel = AdaptedBestResponseKernel(pool)
         theta = np.zeros((1, 3))
         errors = [0.0]
@@ -403,34 +436,36 @@ class TestContractionProbe:
     def test_zero_gamma_is_exact_identity(self):
         env, tps = gaussian_setup(sigma=2.0)
         theta = tps + 3.0
-        r = one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env),
-                                       theta, tps, 0.0, 500,
-                                       RngStream(20).generator(), **self.constants(env))
-        assert r.lhs == pytest.approx(9.0, rel=1e-12)
-        assert r.rhs == pytest.approx(9.0, rel=1e-12)
-        assert r.stderr == 0.0
+        lhs, rhs, stderr = one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env),
+                                                      theta, tps, 0.0, 500,
+                                                      np.random.default_rng(20),
+                                                      **self.constants(env))
+        assert lhs == pytest.approx(9.0, rel=1e-12)
+        assert rhs == pytest.approx(9.0, rel=1e-12)
+        assert stderr == 0.0
 
     def test_at_stable_point_without_noise(self):
         env, tps = gaussian_setup(sigma=0.0)
-        r = one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env),
-                                       tps, tps, 0.01, 100,
-                                       RngStream(21).generator(), **self.constants(env))
-        assert r.lhs == pytest.approx(0.0, abs=1e-25)
-        assert r.rhs == pytest.approx(0.0, abs=1e-25)
+        lhs, rhs, _ = one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env),
+                                                 tps, tps, 0.01, 100,
+                                                 np.random.default_rng(21), **self.constants(env))
+        assert lhs == pytest.approx(0.0, abs=1e-25)
+        assert rhs == pytest.approx(0.0, abs=1e-25)
 
     def test_bound_holds_at_reference_point(self):
         env, tps = gaussian_setup()
-        r = one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env),
-                                       tps + 1.0, tps, 0.01,
-                                       20_000, RngStream(22).generator(), **self.constants(env))
-        assert r.lhs <= r.rhs + 3.0 * r.stderr
+        lhs, rhs, stderr = one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env),
+                                                      tps + 1.0, tps, 0.01, 20_000,
+                                                      np.random.default_rng(22),
+                                                      **self.constants(env))
+        assert lhs <= rhs + 3.0 * stderr
 
     @pytest.mark.parametrize("mu_tilde", [0.0, -0.2, float("nan")])
     def test_rejects_non_contracting_problem(self, mu_tilde):
         env, tps = gaussian_setup()
         with pytest.raises(ValueError, match="mu_tilde"):
             one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env), tps, tps,
-                                       0.01, 100, RngStream(23).generator(),
+                                       0.01, 100, np.random.default_rng(23),
                                        mu_tilde=mu_tilde, lipschitz=1.0, sigma=env.sigma)
 
 
