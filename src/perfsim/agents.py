@@ -141,8 +141,8 @@ class QuadraticUtility:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
 
     def value(self, xp, base_x, y, theta):
         move = np.asarray(xp) - np.asarray(base_x)
@@ -174,8 +174,8 @@ class LogisticUtility:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
 
     def value(self, xp, base_x, y, theta):
         u = xp @ theta
@@ -285,8 +285,8 @@ class AgentPool:
             raise ValueError("base features must be finite")
         if not np.isin(lab, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("alpha must be finite and positive")
         if not 1 <= participation <= base.shape[0]:
             raise ValueError("participation must lie in [1, m]")
         base.setflags(write=False)

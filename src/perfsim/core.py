@@ -10,6 +10,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -51,8 +52,8 @@ class ConstantSchedule:
     gamma_value: float
 
     def __post_init__(self):
-        if not self.gamma_value > 0:
-            raise ValueError("constant step size must be positive")
+        if not 0 < self.gamma_value < math.inf:
+            raise ValueError("constant step size must be finite and positive")
 
     def gamma(self, k):
         if np.ndim(k) == 0:
@@ -71,8 +72,8 @@ class InverseSchedule:
     c1: float
 
     def __post_init__(self):
-        if not self.c0 > 0 or self.c1 < 0:
-            raise ValueError("inverse schedule requires c0 > 0 and c1 >= 0")
+        if not (0 < self.c0 < math.inf and 0 <= self.c1 < math.inf):
+            raise ValueError("inverse schedule requires finite c0 > 0 and c1 >= 0")
 
     def gamma(self, k):
         k = np.asarray(k, dtype=float)

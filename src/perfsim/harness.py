@@ -66,7 +66,7 @@ _FAMILIES = {
         "rho": (0.5, float),
         "kernel": ("ar", ("ar", "iid")),      # "iid": memoryless (greedy deploy)
         "z0": (None, float),                  # initial chain state; z_bar
-        "gamma": (None, float),               # a constant step size instead of c0/c1
+        "gamma": (None, float),               # a constant step size; c0, c1 then null
         "c0": (None, float),                  # 500/mu_tilde
         "c1": (None, float),                  # 800/mu_tilde^2
     },
@@ -80,14 +80,13 @@ _FAMILIES = {
         "participation": (5, int),
         "alpha": (None, float),               # 0.5 * epsilon
         "kernel": ("pool", ("pool", "iid")),  # adapted BR, or exact BR (greedy deploy)
-        "utility": ("quadratic", ("quadratic", "logistic")),
         "gamma": (None, float),
         "c0": (None, float),                  # 100/mu_tilde
         "c1": (None, float),                  # 8 L^2/mu_tilde^2
     },
 }
 
-# preset -> (description, family, utility); a custom problem names both itself
+# preset -> (description, family, utility); the preset alone decides both
 PRESETS = {
     "gaussian_ar": ("scalar Gaussian mean estimation with an autoregressive agent chain",
                     "gaussian", None),
@@ -95,7 +94,6 @@ PRESETS = {
                            "pool", "quadratic"),
     "strat_class_logistic": ("strategic classification, logistic-gain agent utility",
                              "pool", "logistic"),
-    "custom": ("fully explicit problem description (see README)", None, None),
 }
 
 # (family, kernel field) -> the kernel class that samples the point's problem
@@ -124,16 +122,6 @@ def _check(name: str, value, kind, least=None):
         ok, want = value in kind, "one of " + ", ".join(kind)
     if not ok:
         raise ConfigError(f"{name} must be {want}, got {value!r}")
-
-
-def _fields(preset: str, problem: dict) -> dict:
-    """The problem fields ``preset`` takes: name -> (default, kind)."""
-    _, family, _ = PRESETS[preset]
-    if family is None:  # custom: the family is a field, and so is a pool's utility
-        family = problem.get("family", "gaussian")
-        _check("problem parameter family", family, tuple(_FAMILIES))
-        return {"family": (family, tuple(_FAMILIES)), **_FAMILIES[family]}
-    return {name: field for name, field in _FAMILIES[family].items() if name != "utility"}
 
 
 @dataclass
@@ -195,7 +183,7 @@ class ExperimentSpec:
             _check("theta0 entry", value, float)
         if not isinstance(self.problem, dict):
             raise ConfigError(f"problem must be an object, got {self.problem!r}")
-        fields = _fields(self.preset, self.problem)
+        fields = _FAMILIES[PRESETS[self.preset][1]]
         unknown = set(self.problem) - set(fields)
         if unknown:
             raise ConfigError(f"unknown problem parameter(s) for {self.preset}: "
@@ -207,8 +195,7 @@ class ExperimentSpec:
             raise ConfigError(f"sweep must be a list of [name, values] pairs, got {self.sweep!r}")
         names = [param for param, _ in pairs]
         for param, values in pairs:
-            # the family selects the field table, so it is not swept
-            if param == "family" or (param not in fields and param not in _RUN_FIELD_SWEEPS):
+            if param not in fields and param not in _RUN_FIELD_SWEEPS:
                 raise ConfigError(f"sweep parameter {param!r} does not name a field "
                                   "that can be swept")
             if names.count(param) > 1:
@@ -255,11 +242,24 @@ def _point_label(overrides: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in overrides.items())
 
 
-def _make_schedule(params: dict, default_c0: float, default_c1: float):
-    if params.get("gamma") is not None:
+def _make_schedule(params: dict, mu_tilde: float, c0_scale: float, c1_scale: float):
+    """The point's steps: the constant ``gamma``, else ``c0/(c1 + k)``, where a
+    null c0 is ``c0_scale/mu_tilde`` and a null c1 is ``c1_scale/mu_tilde^2``.
+    A ConfigError if gamma is set with c0 or c1, or if a derived constant is
+    not a finite number."""
+    c0, c1 = params["c0"], params["c1"]
+    if params["gamma"] is not None:
+        if c0 is not None or c1 is not None:
+            raise ConfigError("gamma sets a constant step size, so c0 and c1 must be null")
         return ConstantSchedule(float(params["gamma"]))
-    c0 = params["c0"] if params["c0"] is not None else default_c0
-    c1 = params["c1"] if params["c1"] is not None else default_c1
+    if c0 is None:
+        c0 = c0_scale / mu_tilde
+    if c1 is None:
+        c1 = c1_scale / mu_tilde ** 2 if mu_tilde ** 2 else math.inf
+    for name, value in (("c0", c0), ("c1", c1)):
+        if not math.isfinite(value):
+            raise ConfigError(f"the derived {name} = {value} is not a finite number "
+                              f"(mu_tilde_est = {mu_tilde:.4g}); set c0 and c1")
     return InverseSchedule(c0=float(c0), c1=float(c1))
 
 
@@ -269,7 +269,7 @@ def _resolve_gaussian(params: dict) -> tuple:
                       sigma=float(params["sigma"]), rho=float(params["rho"]), z0=params["z0"])
     loss = QuadraticLoss()
     mu_tilde = loss.mu - loss.lipschitz * env.epsilon  # > 0: GaussianEnv keeps epsilon < 1
-    schedule = _make_schedule(params, 500.0 / mu_tilde, 800.0 / mu_tilde ** 2)
+    schedule = _make_schedule(params, mu_tilde, 500.0, 800.0)
     theta_ps = np.array([theta_ps_gaussian(env)])
     desc = {k: params[k] for k in ("z_bar", "sigma", "epsilon", "rho", "kernel")}
     desc.update(mu=loss.mu, lipschitz=loss.lipschitz, mu_tilde=mu_tilde)
@@ -324,7 +324,7 @@ def _resolve_pool(params: dict) -> tuple:
     if mu_tilde <= 0:
         raise ConfigError(f"estimated mu_tilde = {mu_tilde:.4g} <= 0; "
                           "the problem is outside the contraction regime")
-    schedule = _make_schedule(params, 100.0 / mu_tilde, 8.0 * lipschitz ** 2 / mu_tilde ** 2)
+    schedule = _make_schedule(params, mu_tilde, 100.0, 8.0 * lipschitz ** 2)
     theta_ps = theta_ps_fixed_point(loss, pool)
     desc = {"d": d, "m": m, "data_seed": params["data_seed"],
             "utility": params["utility"], "epsilon": epsilon, "beta": beta, "alpha": alpha,
@@ -338,19 +338,18 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> Res
     resolved problem by its parameters, so points that differ only in run
     fields share one dataset and one stable-point solve."""
     _, family, utility = PRESETS[spec.preset]
-    params = {"family": family, "utility": utility}
-    params.update((name, default) for name, (default, _) in
-                  _fields(spec.preset, spec.problem).items())
+    params = {"utility": utility}
+    params.update((name, default) for name, (default, _) in _FAMILIES[family].items())
     params.update(spec.problem)
     run_fields = {name: getattr(spec, name) for name in _RUN_FIELD_SWEEPS}
     for key, value in overrides.items():
         (run_fields if key in _RUN_FIELD_SWEEPS else params)[key] = value
     key = tuple(sorted(params.items()))
     if key not in problems:
-        resolve = _resolve_gaussian if params["family"] == "gaussian" else _resolve_pool
+        resolve = _resolve_gaussian if family == "gaussian" else _resolve_pool
         problems[key] = resolve(params)
     loss, problem, schedule, theta_ps, desc = problems[key]
-    if params["family"] == "pool" and run_fields["batch"] > desc["m"]:
+    if family == "pool" and run_fields["batch"] > desc["m"]:
         raise ConfigError(f"batch = {run_fields['batch']} exceeds the pool's m = {desc['m']} agents")
     d = theta_ps.shape[0]
     theta0 = as_param(spec.theta0 if spec.theta0 is not None else np.zeros(d), d=d)
@@ -358,7 +357,7 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> Res
     config = RunConfig(theta0=theta0, schedule=schedule, horizon=spec.horizon,
                        seed=spec.seed, **run_fields)
     return ResolvedPoint(label=_point_label(overrides), overrides=overrides, loss=loss,
-                         problem=problem, kernel=_KERNELS[params["family"], params["kernel"]],
+                         problem=problem, kernel=_KERNELS[family, params["kernel"]],
                          config=config, trials=trials, theta_ps=theta_ps, problem_desc=desc)
 
 

@@ -102,8 +102,8 @@ class LogisticLoss:
     """
 
     def __init__(self, beta: float):
-        if beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0 <= beta < np.inf:
+            raise ValueError("beta must be finite and >= 0")
         self.beta = float(beta)
 
     @property

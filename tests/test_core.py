@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfsim.agents import AgentPool, LogisticUtility, QuadraticUtility
 from perfsim.core import GAMMA_CHUNK, ConstantSchedule, InverseSchedule, as_param, check_schedule
 from perfsim.harness import ExperimentSpec, resolve_points
+from perfsim.losses import LogisticLoss
 
 # mu = 1, L = 1, eps = 0.1
 MU_TILDE = 1.0 - 1.0 * 0.1
@@ -54,6 +56,27 @@ class TestScheduleValidation:
     def test_inverse_requires_positive_c0(self):
         with pytest.raises(ValueError):
             InverseSchedule(c0=0.0, c1=1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_CALLS = {
+    "LogisticLoss(nan)": lambda: LogisticLoss(NAN),
+    "LogisticLoss(inf)": lambda: LogisticLoss(INF),
+    "InverseSchedule(c1=nan)": lambda: InverseSchedule(c0=1.0, c1=NAN),
+    "InverseSchedule(c0=inf)": lambda: InverseSchedule(c0=INF, c1=1.0),
+    "InverseSchedule(c1=inf)": lambda: InverseSchedule(c0=1.0, c1=INF),
+    "ConstantSchedule(inf)": lambda: ConstantSchedule(INF),
+    "QuadraticUtility(inf)": lambda: QuadraticUtility(INF),
+    "LogisticUtility(inf)": lambda: LogisticUtility(INF),
+    "AgentPool(alpha=inf)": lambda: AgentPool(np.zeros((2, 1)), [0.0, 1.0], QuadraticUtility(0.1),
+                                              alpha=INF, participation=1),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_constructors_reject_non_finite_numbers(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 class TestCheckSchedule:

@@ -10,13 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                             ExactBestResponseKernel, GaussianEnv, IidGaussianKernel)
 from perfsim.cli import main as cli_main
-from perfsim.core import ConstantSchedule
+from perfsim.core import ConstantSchedule, InverseSchedule
 from perfsim import harness, oracle
 from perfsim.harness import (ConfigError, ExperimentSpec, _execute_points, _group_key,
                              generate_synthetic, record_grid, resolve_points, run_experiment)
@@ -350,30 +350,6 @@ class TestRunExperiment:
         summary = run_experiment(spec)
         assert summary["points"][0]["schedule"] == {"kind": "constant", "gamma": 0.05}
 
-    def test_custom_pool_preset(self, tmp_path):
-        spec = ExperimentSpec.from_dict({
-            "preset": "custom", "seed": 3, "trials": 1, "horizon": 20,
-            "workers": 1, "out": str(tmp_path),
-            "problem": {"family": "pool", "utility": "quadratic", "m": 30,
-                        "participation": 3},
-        })
-        summary = run_experiment(spec)
-        assert summary["points"][0]["problem"]["utility"] == "quadratic"
-
-    def test_custom_families_match_their_presets(self, tmp_path):
-        # a custom problem takes its family's defaults, not those of another family
-        cases = (("gaussian_ar", {"family": "gaussian"}),
-                 ("strat_class_logistic", {"family": "pool", "utility": "logistic"}))
-        for preset, problem in cases:
-            runs = []
-            for name, extra in (("preset", {"preset": preset}),
-                                ("custom", {"preset": "custom", "problem": problem})):
-                out = tmp_path / preset / name
-                summary = run_experiment(gaussian_spec(trials=2, horizon=300, out=str(out),
-                                                       **extra))
-                runs.append(((out / "trace.csv").read_bytes(), summary["points"]))
-            assert runs[0] == runs[1], preset
-
     def test_batch_and_br_sweeps_affect_counters(self, tmp_path):
         spec = ExperimentSpec.from_dict({
             "preset": "strat_class_linear", "seed": 3, "trials": 1, "horizon": 8,
@@ -499,12 +475,26 @@ MALFORMED_FIELDS = [
     ({"problem": {"z_bar": None}}, "z_bar"),
     ({"preset": "strat_class_linear", "problem": {"d": None}}, "parameter d"),
     ({"preset": "strat_class_linear", "sweep": [["m", [None]]]}, "value of m"),
-    ({"preset": "custom", "problem": {"family": "gaussian", "m": 200}}, "custom: m"),
-    ({"preset": "custom", "problem": {"family": "pool", "z_bar": 1}}, "custom: z_bar"),
+    ({"preset": "custom"}, "preset"),
+    ({"problem": {"family": "pool"}}, "family"),
     # a repeated name would run only its last values, a repeated value would
     # write two trace columns with the same name
     ({"sweep": [["rho", [0.1]], ["rho", [0.5]]]}, "sweep parameter 'rho'"),
     ({"sweep": [["rho", [0.5, 0.5]]]}, "sweep values for 'rho'"),
+]
+
+
+# Configs whose step sizes cannot take effect, each with the words its error
+# names: gamma with c0/c1, and a mu_tilde so small that the derived c1 is
+# infinite (mu_tilde^2 underflows to 0 at beta 1e-200; at 1e-160 the
+# quotient overflows, and every step would be 0).
+STEP_SIZE_CONFIGS = [
+    ({"preset": "gaussian_ar", "problem": {"gamma": 0.01, "c0": 5.0, "c1": 3.0}},
+     ("gamma", "c0", "c1")),
+    ({"preset": "strat_class_linear", "problem": {"beta": 1e-200, "epsilon": 1e-300}},
+     ("c1 = inf", "mu_tilde_est = 1e-200", "set c0 and c1")),
+    ({"preset": "strat_class_linear", "problem": {"beta": 1e-160, "epsilon": 1e-300}},
+     ("c1 = inf", "mu_tilde_est = 1e-160", "set c0 and c1")),
 ]
 
 
@@ -513,6 +503,16 @@ class TestConfigValidation:
     def test_malformed_integer_field_named(self, override, field_name):
         with pytest.raises(ConfigError, match=field_name):
             ExperimentSpec.from_dict({"preset": "gaussian_ar", **override})
+
+    def test_explicit_step_constants_need_no_derived_ones(self):
+        # a null gamma leaves c0 and c1 in force, and with both set a mu_tilde
+        # too small for the derived c1 (see STEP_SIZE_CONFIGS) does not matter
+        spec = ExperimentSpec.from_dict({
+            "preset": "strat_class_linear", "trials": 1, "horizon": 20,
+            "problem": {"beta": 1e-200, "epsilon": 1e-300, "c0": 10.0, "c1": 100.0},
+            "sweep": [["gamma", [None]]]})
+        [point] = resolve_points(spec)
+        assert point.config.schedule == InverseSchedule(c0=10.0, c1=100.0)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
@@ -549,8 +549,8 @@ class TestCli:
 
     def test_presets_command(self, capsys):
         assert cli_main(["presets"]) == 0
-        out = capsys.readouterr().out
-        assert "gaussian_ar" in out and "strat_class_logistic" in out
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out] == list(harness.PRESETS)
 
     def test_oracle_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"preset": "gaussian_ar", "trials": 1,
@@ -699,6 +699,19 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("perfsim: error: a worker process died")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("config,words", STEP_SIZE_CONFIGS)
+    def test_unusable_step_size_exit_code(self, tmp_path, capsys, config, words):
+        out_dir = tmp_path / "res"
+        cfg = self.write_config(tmp_path, {**config, "workers": 1, "out": str(out_dir)})
+        for command in ("run", "oracle"):
+            assert cli_main([command, "--config", cfg]) == 1
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert len(err) == 1 and err[0].startswith("perfsim: error: "), command
+            assert all(word in err[0] for word in words), err[0]
+        assert not out_dir.exists()
+
     def test_pool_batch_above_m_rejected_before_any_trial(self, tmp_path, capsys):
         out_dir = tmp_path / "res"
         cfg = self.write_config(tmp_path, {
@@ -730,7 +743,7 @@ class TestCli:
 # apart, and workers is fixed at 1, so every run stays small and in this
 # process. Problem keys are mostly those of the drawn preset, so that many
 # configs get past validation.
-_NAMES = st.sampled_from(["ar", "iid", "pool", "gaussian", "quadratic", "logistic", "x", "0.1"])
+_NAMES = st.sampled_from(["ar", "iid", "pool", "x", "0.1"])
 _NUMBERS = st.one_of(st.integers(1, 50), st.floats(0.0, 50.0))
 _ODD = st.one_of(st.none(), st.booleans(), _NAMES, st.integers(-3, 0), st.floats(-3.0, 0.0),
                  st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308]),
@@ -740,8 +753,7 @@ _GAUSSIAN_KEYS = ["kernel", "z_bar", "sigma", "epsilon", "rho", "z0", "gamma", "
 _POOL_KEYS = ["kernel", "d", "m", "data_seed", "separation", "epsilon", "beta",
               "participation", "alpha", "gamma", "c0", "c1"]
 _PRESET_KEYS = {"gaussian_ar": _GAUSSIAN_KEYS, "strat_class_linear": _POOL_KEYS,
-                "strat_class_logistic": _POOL_KEYS,
-                "custom": ["family", "utility"] + _GAUSSIAN_KEYS + _POOL_KEYS}
+                "strat_class_logistic": _POOL_KEYS}
 _RUN_KEYS = ["batch", "br_per_iter", "learner_iters_per_agent_round", "trials", "horizon"]
 
 
@@ -751,7 +763,7 @@ def _mostly(valid):
 
 
 def _value(name):
-    if name in ("kernel", "family", "utility"):
+    if name == "kernel":
         return _mostly(_NAMES)
     return _mostly(st.integers(1, 2) if name in ("trials", "horizon") else _NUMBERS)
 
@@ -763,7 +775,7 @@ def _entry(name):
 @st.composite
 def _configs(draw):
     preset = draw(_mostly(st.sampled_from(sorted(_PRESET_KEYS))))
-    keys = st.sampled_from(_PRESET_KEYS.get(str(preset), _PRESET_KEYS["custom"]))
+    keys = st.sampled_from(_PRESET_KEYS.get(str(preset), _GAUSSIAN_KEYS + _POOL_KEYS))
     config = {"preset": preset, "trials": draw(_mostly(st.integers(1, 2))),
               "horizon": draw(_mostly(st.integers(0, 20)))}
     optional = {
@@ -786,6 +798,10 @@ def _configs(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(config=_configs(), command=st.sampled_from(["oracle", "run"]))
+@example(config={"preset": "custom", "trials": 1, "horizon": 20}, command="run")
+@example(config={**STEP_SIZE_CONFIGS[0][0], "trials": 1, "horizon": 20}, command="run")
+@example(config={**STEP_SIZE_CONFIGS[1][0], "trials": 1, "horizon": 20}, command="run")
+@example(config={**STEP_SIZE_CONFIGS[2][0], "trials": 1, "horizon": 20}, command="run")
 def test_cli_fuzz_exits_cleanly(config, command):
     # any config built from the known keys ends in exit 0, 1 or 2, never a traceback
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,7 @@
 """The README's examples use the public API as it is: its Python code runs and
-its JSON configs are valid experiment descriptions."""
+its JSON configs are valid experiment descriptions; its schema tables list
+the presets and problem fields the harness takes."""
+import itertools
 import json
 import os
 import re
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import perfsim
-from perfsim.harness import ExperimentSpec
+from perfsim.harness import _FAMILIES, PRESETS, ExperimentSpec
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -38,3 +40,23 @@ def test_python_example_runs(code):
 @pytest.mark.parametrize("text", blocks("json"), ids=lambda _: "json")
 def test_json_example_is_a_valid_config(text):
     ExperimentSpec.from_dict(json.loads(text))
+
+
+def table(header):
+    """The rows of the README table under ``header``, as lists of cells with
+    their backticks stripped."""
+    lines = README.split(header + "\n", 1)[1].splitlines()[1:]  # past the |---| row
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines)
+    return [[cell.strip().strip("`") for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_presets_table_lists_every_preset():
+    assert [row[0] for row in table("| preset | problem | defaults |")] == list(PRESETS)
+
+
+def test_family_table_lists_every_field():
+    fields, family = {}, None
+    for row in table("| family | field | default | type |"):
+        family = row[0] or family  # a family's first row names it, the rest leave it blank
+        fields.setdefault(family, []).append(row[1])
+    assert fields == {name: list(names) for name, names in _FAMILIES.items()}
