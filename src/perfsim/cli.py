@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on configuration errors (an allocation too
 large for memory and a size beyond a 64-bit integer included), when the
-stable-point solve does not converge or does not contract, and when a worker
-process dies, 2 when every trial of some sweep point diverged.
+stable-point solve does not converge, and when a worker process dies, 2
+when every trial of some sweep point diverged.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 
 from .harness import PRESETS, ConfigError, ExperimentSpec, resolve_points, run_experiment
-from .oracle import ConvergenceError, NonContractionError
+from .oracle import ConvergenceError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,8 +80,7 @@ def main(argv=None) -> int:
             print(f"error: all trials diverged for: {', '.join(all_dead)}", file=sys.stderr)
             return 2
         return 0
-    except (ConfigError, ValueError, OSError, OverflowError, ConvergenceError,
-            NonContractionError) as exc:
+    except (ConfigError, ValueError, OSError, OverflowError, ConvergenceError) as exc:
         print(f"perfsim: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # no size field has an upper bound

@@ -255,7 +255,10 @@ def _make_schedule(params: dict, mu_tilde: float, c0_scale: float, c1_scale: flo
     if c0 is None:
         c0 = c0_scale / mu_tilde
     if c1 is None:
-        c1 = c1_scale / mu_tilde ** 2 if mu_tilde ** 2 else math.inf
+        try:
+            c1 = c1_scale / mu_tilde ** 2 if mu_tilde ** 2 else math.inf
+        except OverflowError:  # mu_tilde ** 2 is beyond the float range
+            c1 = math.nan
     for name, value in (("c0", c0), ("c1", c1)):
         if not math.isfinite(value):
             raise ConfigError(f"the derived {name} = {value} is not a finite number "

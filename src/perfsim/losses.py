@@ -12,10 +12,9 @@ stable-point oracle's datasets are one-trial batches (T = 1).
 
 ``grad`` returns each trial's minibatch gradient, shape (T, d), and ``loss``
 each trial's mean loss, shape (T,): the per-sample values summed left to
-right and divided by n. ``smoothness`` is the smoothness constant of a
-one-trial dataset's averaged gradient map. Dot products go through
-:func:`dot`, one ``np.vecdot`` call (numpy >= 2.0), which gives the same bits
-as the 1-D ``a @ b`` of each row.
+right and divided by n. Dot products go through :func:`dot`, one
+``np.vecdot`` call (numpy >= 2.0), which gives the same bits as the 1-D
+``a @ b`` of each row.
 """
 from __future__ import annotations
 
@@ -84,10 +83,6 @@ class QuadraticLoss:
             return theta - scalars  # the bits of the mean of one sample
         return _batch_mean((theta - scalars)[:, :, None])
 
-    def smoothness(self, scalars: np.ndarray) -> float:
-        _require_samples(scalars)
-        return 1.0
-
     def __repr__(self):
         return "QuadraticLoss()"
 
@@ -97,8 +92,8 @@ class LogisticLoss:
 
     ``loss(theta; (x, y)) = beta/2 ||theta||^2 + log(1 + exp(<theta, x>)) - y <theta, x>``
 
-    The model is ``beta``-strongly convex in theta; its per-sample gradient
-    smoothness is ``beta + ||x||^2 / 4``.
+    The model is ``beta``-strongly convex in theta, and its per-sample
+    gradient is ``(beta + ||x||^2 / 4)``-Lipschitz.
     """
 
     def __init__(self, beta: float):
@@ -121,11 +116,6 @@ class LogisticLoss:
         x, y = batch
         u = dot(x, theta[:, None, :])
         return _batch_mean(self.beta * theta[:, None, :] + (sigmoid(u) - y)[..., None] * x)
-
-    def smoothness(self, batch) -> float:
-        _require_samples(batch)
-        x = batch[0]
-        return float(_batch_mean(self.beta + dot(x, x) / 4.0)[0])
 
     def __repr__(self):
         return f"LogisticLoss(beta={self.beta!r})"

@@ -1,14 +1,15 @@
 """Ground-truth stable points and convergence-rate estimation.
 
-The performative stable point is the fixed point at which the model
-minimizes the risk under the very distribution it induces. For the scalar
-Gaussian environment it is closed form; for agent pools
-``theta_ps_fixed_point`` computes it by repeated risk minimization (RRM)
-against exact best-response data, which contracts whenever the sensitivity
-is below mu / L: each pass minimizes the empirical risk of the dataset the
-current model induces, by full-batch gradient descent. The tolerances and
-pass limits are the module constants ``TOL``, ``MAX_OUTER`` and
-``MAX_INNER``. The response data are one-trial batches, the layout the
+The performative stable point is the model that minimizes the risk under
+the very distribution it induces: the root of the mean field
+``G(theta) = mean_grad(loss, theta, D(theta))``, where ``D(theta)`` is the
+exact response dataset. For the scalar Gaussian environment it is closed
+form; for agent pools ``theta_ps_fixed_point`` finds it by Newton's method
+on ``G``, with the Jacobian ``stable_jacobian`` by central differences at
+step ``H``. Newton needs only a nonsingular Jacobian near the root, not the
+contraction (sensitivity below mu / L) that repeated risk minimization
+needs. The tolerance and step limit are the module constants ``TOL`` and
+``MAX_OUTER``. The response data are one-trial batches, the layout the
 learner's losses take (see :mod:`perfsim.losses`).
 """
 from __future__ import annotations
@@ -20,26 +21,21 @@ from .losses import LossModel, mean_grad
 
 __all__ = [
     "ConvergenceError",
-    "NonContractionError",
-    "minimize_empirical_risk",
     "theta_ps_gaussian",
+    "stable_jacobian",
     "theta_ps_fixed_point",
     "fit_rate",
 ]
 
-# Stop test of the stable-point passes and of each inner minimization, and
-# their pass limits.
+# Newton's stop test ||G|| <= TOL, its step limit, and the central-difference
+# step of the Jacobian.
 TOL = 1e-10
 MAX_OUTER = 500
-MAX_INNER = 200_000
+H = 1e-6
 
 
 class ConvergenceError(RuntimeError):
-    """A minimization or the stable-point iteration failed to reach its tolerance."""
-
-
-class NonContractionError(RuntimeError):
-    """Fixed-point iteration expanded repeatedly; sensitivity looks too large."""
+    """The stable-point solve failed to reach its tolerance."""
 
 
 def theta_ps_gaussian(env) -> float:
@@ -50,61 +46,57 @@ def theta_ps_gaussian(env) -> float:
     return env.z_bar / (1.0 - env.epsilon)
 
 
-def minimize_empirical_risk(loss: LossModel, dataset, theta0: np.ndarray) -> np.ndarray:
-    """Full-batch gradient descent on the one-trial batch ``dataset`` to
-    gradient norm <= ``TOL``, within ``MAX_INNER`` steps.
+def _mean_field(loss: LossModel, problem, theta: np.ndarray) -> np.ndarray:
+    """``G(theta)``: the mean gradient on the dataset that ``theta`` induces."""
+    return mean_grad(loss, theta, problem.response_dataset(theta))
 
-    The step is the inverse of the dataset-averaged smoothness constant, so
-    descent is monotone for both loss models.
+
+def stable_jacobian(loss: LossModel, problem, theta) -> np.ndarray:
+    """The (d, d) Jacobian of the mean field ``G`` at ``theta``.
+
+    Column j is the central difference
+    ``(G(theta + H e_j) - G(theta - H e_j)) / (2 H)``, from 2 d response
+    datasets. ``problem`` is as for :func:`theta_ps_fixed_point`.
     """
-    theta = as_param(theta0).copy()
-    step = 1.0 / loss.smoothness(dataset)
-    for _ in range(MAX_INNER):
-        g = loss.grad(theta[None], dataset)[0]
-        if float(np.sqrt(g @ g)) <= TOL:
-            return theta
-        theta -= step * g
-    raise ConvergenceError(f"empirical risk minimization of {loss!r} did not reach "
-                           f"tol={TOL} in {MAX_INNER} steps")
+    theta = as_param(theta)
+    columns = [_mean_field(loss, problem, theta + e) - _mean_field(loss, problem, theta - e)
+               for e in H * np.eye(theta.size)]
+    return np.stack(columns, axis=1) / (2.0 * H)
 
 
 def theta_ps_fixed_point(loss: LossModel, problem, theta0=None) -> np.ndarray:
-    """Stable point via repeated risk minimization on exact response data.
+    """Stable point: the root of the mean field ``G`` by undamped Newton.
 
     ``problem`` must expose the model dimension ``dim`` and
     ``response_dataset(theta)``, the one-trial batch that materializes the
     distribution induced by ``theta`` (a :class:`GaussianEnv` or an
-    :class:`AgentPool`). Each pass minimizes the empirical risk of the
-    dataset the current model induces, until consecutive models are within
-    ``TOL``; the result additionally satisfies the self-consistency residual
-    ``||mean_grad(theta*, D(theta*))|| <= 10 * TOL``.
+    :class:`AgentPool`). Starting from ``theta0`` (zeros by default), each
+    step evaluates ``G`` on one response dataset and solves with
+    :func:`stable_jacobian`; the result satisfies ``||G(theta*)|| <= TOL``.
 
-    Raises :class:`NonContractionError` when the movement grows for five
-    consecutive passes, which signals the contraction condition fails, and
-    :class:`ConvergenceError` when ``MAX_OUTER`` passes do not converge.
+    Raises :class:`ConvergenceError`, naming the loss and the last ``||G||``,
+    on a singular Jacobian, a non-finite step, or ``MAX_OUTER`` steps
+    without convergence.
     """
     theta = as_param(np.zeros(problem.dim) if theta0 is None else theta0)
-    prev_move = np.inf
-    expansions = 0
     for _ in range(MAX_OUTER):
-        theta_next = minimize_empirical_risk(loss, problem.response_dataset(theta), theta)
-        move = float(np.linalg.norm(theta_next - theta))
-        theta = theta_next
-        if move <= TOL:
+        g = _mean_field(loss, problem, theta)
+        residual = float(np.linalg.norm(g))
+        if residual <= TOL:
+            return theta
+        try:
+            step = np.linalg.solve(stable_jacobian(loss, problem, theta), g)
+        except np.linalg.LinAlgError:
+            failure = "the Jacobian is singular"
             break
-        expansions = expansions + 1 if move > prev_move else 0
-        if expansions >= 5:
-            raise NonContractionError(
-                "outer movement grew for 5 consecutive steps; "
-                "the problem appears outside the contraction regime")
-        prev_move = move
+        if not np.all(np.isfinite(step)):
+            failure = "the Newton step is not finite"
+            break
+        theta = theta - step
     else:
-        raise ConvergenceError(f"no fixed point within {MAX_OUTER} outer iterations")
-    residual = float(np.linalg.norm(mean_grad(loss, theta, problem.response_dataset(theta))))
-    if residual > 10.0 * TOL:
-        raise ConvergenceError(
-            f"self-consistency residual {residual:.3e} exceeds {10 * TOL:.1e}")
-    return theta
+        failure = f"no convergence in {MAX_OUTER} Newton steps"
+    raise ConvergenceError(f"stable point of {loss!r}: {failure} "
+                           f"(||G|| = {residual:.3e}, tol {TOL:.0e})")
 
 
 def fit_rate(iterations, mean_errors, k_lo: int, k_hi: int) -> dict:

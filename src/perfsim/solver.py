@@ -8,8 +8,8 @@ deployment (several learner updates per agent round). It advances a block
 of trials together as arrays with a leading trial axis; each trial keeps
 its own random streams, so its trace does not depend on the block it runs
 in. ``one_step_contraction_probe`` checks the one-step error bound of a
-single update by Monte Carlo. Repeated risk minimization, which computes
-the stable point itself, lives in :mod:`perfsim.oracle`.
+single update by Monte Carlo. The stable point itself, the root of the
+mean field that the learner follows, comes from :mod:`perfsim.oracle`.
 """
 from __future__ import annotations
 

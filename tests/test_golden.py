@@ -13,7 +13,12 @@ the pools stopped drawing distinct agents with one ``Generator.choice`` call
 per trial and step and began drawing them in per-trial blocks by rank-select:
 the adapting agents and every minibatch of distinct agents changed, so their
 ``trace.csv`` bytes moved; no ``theta_ps`` bit moved, and the three Gaussian
-pins passed unchanged. ``gaussian_ar_z0`` was pinned from the code in which
+pins passed unchanged. The four pool pins were retaken a third time when
+the stable-point oracle became Newton's method on the mean field instead of
+repeated risk minimization: each ``theta_ps`` moved by at most 9.8e-12
+(``pool_linear_batch``), and with it the error columns of their
+``trace.csv`` by at most 8.3e-9 relative; the Gaussian pins, whose
+``theta_ps`` is closed form, passed unchanged. ``gaussian_ar_z0`` was pinned from the code in which
 the AR chain's start ``z0`` was a kernel argument, before it became a
 ``GaussianEnv`` field; its chains of two starts and two values of rho run
 in one block. The cases cover greedy runs with several agent
@@ -74,17 +79,17 @@ CASES = {
 # name -> (SHA-256 of trace.csv, float.hex of every theta_ps entry per point)
 GOLDEN = {
     "exact_br_batch": (
-        "ad27691f576b35e8f986c22d054289f589d9600e045406bca9616c3375670495",
+        "dbf8a5d62a3955e8d717051e5b8791afe44d7f2b6ba0511e2821cb739cf1701d",
         [
-            ["0x1.0eb69af5b1be7p-4", "0x1.128d3c39b41cap-4", "0x1.164945c1ce621p-4"],
-            ["0x1.0eb69af5b1be7p-4", "0x1.128d3c39b41cap-4", "0x1.164945c1ce621p-4"],
+            ["0x1.0eb69af591e30p-4", "0x1.128d3c39b5b20p-4", "0x1.164945c1ca469p-4"],
+            ["0x1.0eb69af591e30p-4", "0x1.128d3c39b5b20p-4", "0x1.164945c1ca469p-4"],
         ],
     ),
     "exact_br_batch_linear": (
-        "e0be073173f5170f3f0a897f0d1502f363fc79577733f10e90e3351dc4bb32d2",
+        "e755d8b2e1c919917a65ea7b3c5413537f086f4dc9ba4202039178cfd1ba4f43",
         [
-            ["0x1.2bdc447d517c5p-6", "0x1.3306532f9f11ap-6", "0x1.170e228443bafp-6"],
-            ["0x1.2bdc447d517c5p-6", "0x1.3306532f9f11ap-6", "0x1.170e228443bafp-6"],
+            ["0x1.2bdc447d2a129p-6", "0x1.3306532f9ea7dp-6", "0x1.170e2284340d7p-6"],
+            ["0x1.2bdc447d2a129p-6", "0x1.3306532f9ea7dp-6", "0x1.170e2284340d7p-6"],
         ],
     ),
     "gaussian_ar_rho_br": (
@@ -120,17 +125,17 @@ GOLDEN = {
         ],
     ),
     "pool_linear_batch": (
-        "045cac288226dbdf3fd8a11684cabc848424d2ad7c81d557417a3d4684e39d67",
+        "7ac1524392e1dcecbcb1bc02a798e3ca8017e31786880c3edd8d78c83d7c9e8f",
         [
-            ["0x1.0e9dc4fc26190p-4", "0x1.1273e2ab83aefp-4", "0x1.162f9758e2087p-4"],
-            ["0x1.0e9dc4fc26190p-4", "0x1.1273e2ab83aefp-4", "0x1.162f9758e2087p-4"],
+            ["0x1.0e9dc4fb7b2b1p-4", "0x1.1273e2ab247cep-4", "0x1.162f975835835p-4"],
+            ["0x1.0e9dc4fb7b2b1p-4", "0x1.1273e2ab247cep-4", "0x1.162f975835835p-4"],
         ],
     ),
     "pool_logistic_lazy": (
-        "2a664a3373c4391960fe03cc3cca291f66861139d76f042be4d04cb67caef98c",
+        "531887a0b04dc527ea9f59d05fcf1d2c15240f5d1198f051dd94a37793b19431",
         [
-            ["0x1.0eb69af5b1be7p-4", "0x1.128d3c39b41cap-4", "0x1.164945c1ce621p-4"],
-            ["0x1.0eb69af5b1be7p-4", "0x1.128d3c39b41cap-4", "0x1.164945c1ce621p-4"],
+            ["0x1.0eb69af591e30p-4", "0x1.128d3c39b5b20p-4", "0x1.164945c1ca469p-4"],
+            ["0x1.0eb69af591e30p-4", "0x1.128d3c39b5b20p-4", "0x1.164945c1ca469p-4"],
         ],
     ),
 }

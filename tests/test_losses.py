@@ -234,17 +234,6 @@ class TestMeanGrad:
         avg = sum(loss1(loss, theta, sample(x=x, y=y)) for x, y in zip(xs, ys)) / 30
         assert loss1(loss, theta, dataset(xs, ys)) == pytest.approx(avg, rel=1e-14)
 
-    def test_smoothness_matches_per_sample_average_bit_for_bit(self):
-        # reference: the per-sample constants beta + x.x / 4 (1-D dot),
-        # summed left to right from 0 and divided by n
-        rng = np.random.default_rng(38)
-        loss = LogisticLoss(beta=0.37)
-        for n in (1, 2, 7, 200):
-            xs = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
-            reference = sum(loss.beta + float(x @ x) / 4.0 for x in xs) / n
-            assert loss.smoothness(dataset(xs, rng.integers(2, size=n))) == reference
-            assert QuadraticLoss().smoothness(rng.normal(size=(1, n))) == 1.0
-
     def test_empty_dataset_rejected(self):
         empty_scalars = np.zeros((1, 0))
         empty_pairs = np.zeros((1, 0, 2)), np.zeros((1, 0))
@@ -254,8 +243,6 @@ class TestMeanGrad:
                 mean_grad(loss, theta, empty)
             with pytest.raises(ValueError):
                 loss.loss(theta[None], empty)
-            with pytest.raises(ValueError):
-                loss.smoothness(empty)
 
 
 class TestLogisticConstants:

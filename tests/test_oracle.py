@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from perfsim.agents import AgentPool, ArGaussianKernel, GaussianEnv, IidGaussianKernel, QuadraticUtility
+from perfsim.agents import (AgentPool, ArGaussianKernel, GaussianEnv, IidGaussianKernel,
+                            LogisticUtility, QuadraticUtility)
 from perfsim.core import InverseSchedule
 from perfsim.harness import generate_synthetic
-from perfsim.losses import LogisticLoss, QuadraticLoss, mean_grad
-from perfsim.oracle import (ConvergenceError, NonContractionError, fit_rate,
-                            minimize_empirical_risk, theta_ps_fixed_point, theta_ps_gaussian)
+from perfsim.losses import LogisticLoss, QuadraticLoss, mean_grad, sigmoid
+from perfsim.oracle import (TOL, ConvergenceError, fit_rate, stable_jacobian,
+                            theta_ps_fixed_point, theta_ps_gaussian)
 from perfsim.solver import RunConfig, sa_run
 
 
@@ -22,6 +25,56 @@ class TestGaussianStablePoint:
         assert theta_ps_gaussian(GaussianEnv(z_bar=0.0, epsilon=0.7, sigma=1.0)) == 0.0
 
 
+class Static:
+    """A problem that does not respond: every model induces the same dataset."""
+
+    def __init__(self, features, labels):
+        self.dim = features.shape[1]
+        self.dataset = features[None], labels[None]
+
+    def response_dataset(self, theta):
+        return self.dataset
+
+
+class Shifted:
+    """A scalar problem whose response dataset is the single sample ``mean(theta)``,
+    so that the quadratic loss's mean field is ``theta - mean(theta)``."""
+
+    dim = 1
+
+    def __init__(self, mean):
+        self.mean = mean
+
+    def response_dataset(self, theta):
+        return np.array([[self.mean(float(theta[0]))]])
+
+
+def logistic_erm(loss, features, labels):
+    """Test-side reference minimizer: Newton with the exact logistic Hessian."""
+    m, d = features.shape
+    theta = np.zeros(d)
+    for _ in range(50):
+        s = sigmoid(features @ theta)
+        g = loss.beta * theta + features.T @ (s - labels) / m
+        hess = loss.beta * np.eye(d) + (features.T * (s * (1.0 - s))) @ features / m
+        theta = theta - np.linalg.solve(hess, g)
+    return theta
+
+
+# (utility, epsilon, beta) on the presets' data (d = 3, m = 200, data seed 7):
+# the two presets, then three points with mu_tilde_est < 0, where repeated
+# risk minimization is slow or expands.
+POINTS = [(QuadraticUtility, 0.01, 5.0), (LogisticUtility, 0.01, 5.0),
+          (LogisticUtility, 5.0, 5.0), (QuadraticUtility, 5.0, 0.5),
+          (LogisticUtility, 5.0, 0.5)]
+
+
+def preset_pool(utility, epsilon):
+    features, labels = generate_synthetic(d=3, m=200, seed=7)
+    return AgentPool(features, labels, utility(epsilon=epsilon), alpha=0.5 * epsilon,
+                     participation=5)
+
+
 class TestFixedPoint:
     def test_matches_gaussian_closed_form(self):
         env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=50.0)
@@ -31,19 +84,11 @@ class TestFixedPoint:
     def test_no_shift_equals_plain_erm(self):
         features, labels = generate_synthetic(d=3, m=60, seed=3)
         loss = LogisticLoss(beta=1000.0 / 60)
-
-        class NoShift:
-            dim = 3
-
-            def response_dataset(self, theta):
-                return features[None], labels[None].astype(float)
-
-        problem = NoShift()
+        problem = Static(features, labels)
         theta = theta_ps_fixed_point(loss, problem)
-        erm = minimize_empirical_risk(loss, problem.response_dataset(theta), np.zeros(3))
-        assert np.linalg.norm(theta - erm) <= 1e-8
+        assert np.linalg.norm(theta - logistic_erm(loss, features, labels)) <= 1e-8
         residual = np.linalg.norm(mean_grad(loss, theta, problem.response_dataset(theta)))
-        assert residual <= 1e-9
+        assert residual <= TOL
 
     def test_pool_self_consistency_residual(self):
         features, labels = generate_synthetic(d=3, m=200, seed=7)
@@ -63,78 +108,79 @@ class TestFixedPoint:
         b = theta_ps_fixed_point(loss, pool, theta0=np.array([7.0, -7.0, 7.0]))
         assert np.linalg.norm(a - b) <= 1e-8
 
+    @pytest.mark.parametrize("utility, epsilon, beta", POINTS)
+    def test_starts_reach_one_root(self, utility, epsilon, beta):
+        pool = preset_pool(utility, epsilon)
+        loss = LogisticLoss(beta=beta)
+        features, labels = pool.response_dataset(np.zeros(3))
+        theta_static = theta_ps_fixed_point(loss, Static(features[0], labels[0]))
+        rng = np.random.default_rng(0)
+        starts = [2.0 * theta_static, -3.0 * theta_static]
+        starts += [scale * rng.standard_normal(3) for scale in (1.0, 1.0, 3.0, 3.0, 10.0, 10.0)]
+        roots = [theta_ps_fixed_point(loss, pool, theta0=start) for start in starts]
+        for root in roots[1:]:
+            assert np.max(np.abs(root - roots[0])) <= 1e-9
+
+    def test_solves_where_rrm_does_not_contract(self):
+        # linear utility, epsilon = 5, beta = 0.5: mu_tilde_est = -5.75, and
+        # repeated risk minimization expands, but J is positive definite
+        pool = preset_pool(QuadraticUtility, 5.0)
+        loss = LogisticLoss(beta=0.5)
+        theta = theta_ps_fixed_point(loss, pool)
+        assert np.linalg.norm(mean_grad(loss, theta, pool.response_dataset(theta))) <= TOL
+
     def test_non_contraction_detected(self):
-        class Expanding:
-            dim = 1
-
-            def response_dataset(self, theta):
-                # induced mean moves 1.5x as fast as the model: no fixed point
-                return np.array([[1.0 + 1.5 * float(theta[0])]])
-
-        with pytest.raises(NonContractionError):
-            theta_ps_fixed_point(QuadraticLoss(), Expanding())
+        # induced mean 1 + 1.5 theta: G = -1 - 0.5 theta expands under repeated
+        # risk minimization, but its root -2 is Newton's; |G| <= TOL within TOL / 0.5
+        theta = theta_ps_fixed_point(QuadraticLoss(), Shifted(lambda t: 1.0 + 1.5 * t))
+        assert theta[0] == pytest.approx(-2.0, abs=TOL / 0.5)
 
     def test_cycle_does_not_converge(self):
-        class Flipping:
-            dim = 1
+        # induced mean 1 - theta: repeated risk minimization cycles 0, 1, 0, ...,
+        # Newton finds the root 0.5 of G = 2 theta - 1
+        theta = theta_ps_fixed_point(QuadraticLoss(), Shifted(lambda t: 1.0 - t))
+        assert theta[0] == pytest.approx(0.5, abs=TOL / 2.0)
 
-            def response_dataset(self, theta):
-                # induced mean 1 - theta: the iterates cycle 0, 1, 0, ... with
-                # constant moves, so they neither settle nor expand
-                return np.array([[1.0 - float(theta[0])]])
-
-        with pytest.raises(ConvergenceError, match="no fixed point"):
-            theta_ps_fixed_point(QuadraticLoss(), Flipping())
-
-
-class Recording:
-    """Wraps a problem and keeps every model it is asked to respond to."""
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.dim = problem.dim
-        self.path = []
-
-    def response_dataset(self, theta):
-        self.path.append(np.array(theta, copy=True))
-        return self.problem.response_dataset(theta)
+    @pytest.mark.parametrize("mean, theta0, failure", [
+        (lambda t: t + 1.0, 0.0, "the Jacobian is singular"),  # G = -1
+        (lambda t: t + 1.0, -2.0, "the Jacobian is singular"),
+        (lambda t: t - t * t - 1.0, 0.3, "no convergence in 500 Newton steps"),  # G = theta^2 + 1
+        (lambda t: t - t * t - 1.0, -2.0, "no convergence in 500 Newton steps"),
+        (lambda t: 1.0 if t == 0.0 else math.nan, 0.0, "the Newton step is not finite"),
+    ], ids=["G=-1", "G=-1,theta0=-2", "G=theta^2+1", "G=theta^2+1,theta0=-2", "nan-response"])
+    def test_no_root_is_a_convergence_error(self, mean, theta0, failure):
+        with pytest.raises(ConvergenceError) as info:
+            theta_ps_fixed_point(QuadraticLoss(), Shifted(mean), theta0=np.array([theta0]))
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.startswith(f"stable point of QuadraticLoss(): {failure} (||G|| = ")
 
 
-class TestRrm:
-    """The repeated-risk-minimization path: every pass, then the residual check."""
+class TestJacobian:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.7])
+    def test_gaussian_is_one_minus_epsilon(self, epsilon):
+        env = GaussianEnv(z_bar=10.0, epsilon=epsilon, sigma=1.0)
+        theta = theta_ps_gaussian(env)
+        [[jac]] = stable_jacobian(QuadraticLoss(), env, np.array([theta]))
+        # G(theta +/- H) subtracts numbers of size |theta|: each difference is
+        # off by at most a few ulps of theta, over 2 H
+        h = 1e-6
+        assert abs(jac - (1.0 - epsilon)) <= 4.0 * np.spacing(theta) / (2.0 * h)
 
-    def test_gaussian_affine_fixed_point_path(self):
-        # theta_{t+1} = z_bar + eps * theta_t, contraction ratio eps
-        env = GaussianEnv(z_bar=10.0, epsilon=0.1, sigma=3.0)
-        tps = theta_ps_gaussian(env)
-        rec = Recording(env)
-        theta_ps_fixed_point(QuadraticLoss(), rec, theta0=np.zeros(1))
-        path = rec.path
-        theta = 0.0
-        for t in range(1, len(path)):
-            theta = 10.0 + 0.1 * theta
-            assert path[t][0] == pytest.approx(theta, abs=1e-9)
-        gaps = [abs(p[0] - tps) for p in path]
-        for t in range(1, 10):
-            assert gaps[t] == pytest.approx(0.1 * gaps[t - 1], rel=1e-6)
+    @pytest.mark.parametrize("utility", [QuadraticUtility, LogisticUtility])
+    def test_pool_matches_a_wider_central_difference(self, utility):
+        pool = preset_pool(utility, 0.01)
+        loss = LogisticLoss(beta=5.0)
+        theta = theta_ps_fixed_point(loss, pool)
 
-    def test_no_shift_converges_in_one_outer_step(self):
-        env = GaussianEnv(z_bar=4.0, epsilon=0.0, sigma=1.0)
-        rec = Recording(env)
-        theta_ps_fixed_point(QuadraticLoss(), rec, theta0=np.array([2.0]))
-        assert rec.path[1][0] == pytest.approx(4.0, abs=1e-10)
-        assert len(rec.path) <= 3
+        def field(t):
+            return mean_grad(loss, t, pool.response_dataset(t))
 
-    def test_strategic_iterates_contract(self):
-        features, labels = generate_synthetic(d=3, m=30, seed=5)
-        pool = AgentPool(features, labels, QuadraticUtility(epsilon=0.05),
-                         alpha=0.025, participation=4)
-        rec = Recording(pool)
-        theta_ps_fixed_point(LogisticLoss(beta=1000.0 / 30), rec, theta0=np.zeros(3))
-        path = rec.path
-        moves = [float(np.linalg.norm(path[t + 1] - path[t])) for t in range(len(path) - 1)]
-        moves = [m for m in moves if m > 1e-13]
-        assert all(moves[i + 1] <= moves[i] for i in range(len(moves) - 1))
+        h = 1e-5
+        reference = np.stack([(field(theta + e) - field(theta - e)) / (2.0 * h)
+                              for e in h * np.eye(3)], axis=1)
+        jac = stable_jacobian(loss, pool, theta)
+        assert np.max(np.abs(jac - reference)) <= 1e-6 * np.max(np.abs(reference))
 
 
 class TestKernelAgreement:
