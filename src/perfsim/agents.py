@@ -13,10 +13,9 @@ An exact best response is the argmax of the agent's utility: ``x + epsilon
 theta`` for the linear gain, ``x + epsilon (y - sigmoid(u)) theta`` for the
 logistic gain, where u is the unique root of a strictly increasing scalar
 function, solved to rounding level (no tolerance, no failure kind) by one
-Newton step from one fixed-point step past the base score. With c = epsilon
-||theta||^2, an a priori bound puts that step within K c^5 / 16, K = 1 / (12
-sqrt 3), of the root, which is at rounding level for every c <= C = (64 eps /
-K)^(1/4) ~ 7.37e-4; a row with a larger c (or a NaN or inf one) is solved by
+Newton step from one fixed-point step past the base score. The step is
+certified a priori for c = epsilon ||theta||^2 <= 7.37e-4 (see
+``_logistic_root``); a row with a larger c (or a NaN or inf one) is solved by
 bracketed Newton instead.
 
 Every kernel advances a block of T trials together, each with its own
@@ -81,11 +80,10 @@ BLOCK = 1024
 
 # A logistic best-response root is solved to this multiple of |a| + c.
 _ROUNDING = 4.0 * np.finfo(float).eps
-# Newton on the logistic root leaves an error of at most _NEWTON_K c e^2 after a
-# step from error e (see _logistic_root).
+# The constant K of Newton's error bound on the logistic root (see _logistic_root).
 _NEWTON_K = 1.0 / (12.0 * np.sqrt(3.0))
-# Up to this c one Newton step from the warm start is certified before it is
-# taken: _NEWTON_K c^5 / 16 <= _ROUNDING c (see _logistic_root), ~7.37e-4.
+# Up to this c, ~7.37e-4, one Newton step from the warm start is certified (see
+# _logistic_root).
 _ONE_STEP_C = (16.0 * _ROUNDING / _NEWTON_K) ** 0.25
 
 
@@ -167,8 +165,8 @@ class LogisticUtility:
     level, with no tolerance, for agents (..., d) with labels (...) and a theta
     that broadcasts against them, e.g. (T, 1, d) for (T, n, d): one Newton
     step from the warm start ``a + c (y - sigmoid(a))``, certified a priori
-    for ``c <= C = (64 eps / K)^(1/4) ~ 7.37e-4``, ``K = 1 / (12 sqrt 3)``, and
-    bracketed Newton for the rows with a larger c (see ``_logistic_root``).
+    for ``c <= 7.37e-4``, and bracketed Newton for the rows with a larger c
+    (see ``_logistic_root``).
     """
 
     epsilon: float

@@ -48,7 +48,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 FLOAT_FORMAT = "%.17g"
-TRACE_CHUNK = 256  # trace.csv rows formatted per np.savetxt call; bounds the memory of a write
 
 
 class ConfigError(ValueError):
@@ -514,9 +513,8 @@ def run_experiment(spec: ExperimentSpec):
     fmt = ["%d" if values.dtype.kind in "iu" else FLOAT_FORMAT for _, values in columns]
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")
-        for start in range(0, grid.shape[0], TRACE_CHUNK):
-            np.savetxt(fh, np.column_stack([values[start:start + TRACE_CHUNK]
-                                            for _, values in columns]), fmt=fmt, delimiter=",")
+        np.savetxt(fh, np.column_stack([values for _, values in columns]), fmt=fmt,
+                   delimiter=",")
 
     summary = {
         "schema": SCHEMA_VERSION,

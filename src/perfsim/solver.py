@@ -13,7 +13,6 @@ mean field that the learner follows, comes from :mod:`perfsim.oracle`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,6 @@ SAMPLE_STREAM = 1
 
 # Squared-error guard corresponding to an iterate norm around 1e12.
 DIVERGENCE_CAP = 1e24
-
-# Share of sqrt(DIVERGENCE_CAP) kept by sa_run's guard as a margin for rounding.
-GUARD_SLACK = 1e-6
 
 # Failure kind of a trial whose iterate left the finite range; the step size
 # is too aggressive.
@@ -145,7 +141,8 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     A trial fails when its squared error exceeds ``DIVERGENCE_CAP`` or is
     not a number (kind ``DIVERGENCE``), or when the kernel's ``advance``
     reports its agents failed (the kernel's ``failure`` kind, a string).
-    A failed trial keeps its row; its later errors and ``final_theta`` are
+    The error at iteration 0 is recorded but not checked against the cap. A
+    failed trial keeps its row; its later errors and ``final_theta`` are
     NaN. Rows never interact, so the other trials go on unchanged; the block
     ends early only when every trial has failed.
 
@@ -174,17 +171,13 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     agent_rngs = [agent for agent, _ in streams]
     sample_rngs = [sample for _, sample in streams]
 
-    # No row can fail a step on which vdot(theta, theta) <= limit, with limit =
-    # (r (1 - GUARD_SLACK) - max_r ||t_r||)^2 and r = sqrt(DIVERGENCE_CAP): exactly,
-    # ||theta_r - t_r|| <= ||theta_r|| + ||t_r|| <= ||theta||_F + max_r ||t_r||. The
-    # margin GUARD_SLACK r absorbs rounding: the T d-term vdot moves the norm by at most
-    # T d eps / 2 of itself, the d-term dots of max ||t_r|| and of a row's error by d eps
-    # of r, the other operations by a few eps of r; so 1e-6 holds up to T d ~ 3e9 terms
-    # (a 24 GB theta). NaN or inf compares false and takes the exact path, as does every
-    # step when the root is <= 0 (limit -1).
-    reach = math.sqrt(float(np.maximum.reduce(dot(target, target), initial=0.0)))
-    root = math.sqrt(DIVERGENCE_CAP) * (1.0 - GUARD_SLACK) - reach
-    limit = root * root if root > 0.0 else -1.0
+    # No row can fail a step on which vdot(theta, theta) <= limit = DIVERGENCE_CAP / 9 if
+    # every ||t_r||^2 <= limit: by the triangle inequality a row's squared error is then at
+    # most (2 sqrt(limit))^2 = 4 DIVERGENCE_CAP / 9, a margin no rounding closes. Otherwise
+    # limit is -1 and every step takes the exact path, as does one with a NaN or inf theta.
+    limit = DIVERGENCE_CAP / 9
+    if not np.maximum.reduce(dot(target, target), initial=0.0) <= limit:
+        limit = -1.0
 
     theta = np.tile(config.theta0, (T, 1))
     errors = np.full((T, record.shape[0]), np.nan)
@@ -205,10 +198,6 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
 
     slots = record.tolist() + [-1]
     slot = 0
-    if slots[0] == 0:
-        gap = theta - target
-        errors[:, 0] = dot(gap, gap)
-        slot = 1
     br = config.br_per_iter
     transitions = range(br)
     batch = config.batch
@@ -217,8 +206,13 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     emit = kernel.emit
     grad = loss.grad
     vdot = np.vdot
-    # a failed row's values may overflow: they are discarded, so are their warnings
+    # a failed row's values may overflow: they are discarded, so are their warnings; so
+    # may a start's error, which is recorded but not checked
     with np.errstate(all="ignore"):
+        if slots[0] == 0:
+            gap = theta - target
+            errors[:, 0] = dot(gap, gap)
+            slot = 1
         try:
             for k, gamma in _steps(config.schedule, K):
                 if k % inner == 0:

@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -703,6 +705,21 @@ class TestCli:
         })
         assert cli_main(["run", "--config", cfg]) == 2
         assert "diverged at iteration 2 (DivergenceError)" in capsys.readouterr().err
+
+    def test_start_beyond_the_finite_range_exit_code(self, tmp_path):
+        # a fresh interpreter shows numpy's warnings as a user would see them
+        cfg = self.write_config(tmp_path, {"preset": "gaussian_ar", "theta0": [1e300],
+                                           "horizon": 10, "trials": 1,
+                                           "out": str(tmp_path / "res")})
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        result = subprocess.run([sys.executable, "-m", "perfsim.cli", "run", "--config", cfg],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "warning: trial 0 of (base) diverged at iteration 1 (DivergenceError)",
+            "error: all trials diverged for: (base)"]
 
     def test_dead_worker_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "_run_group", _exit_worker)

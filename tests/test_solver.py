@@ -237,6 +237,58 @@ class TestSaRun:
         assert dense.failures == {r: {"trial": r, "iteration": 1, "kind": "DivergenceError"}
                                   for r in range(3)}
 
+    @staticmethod
+    def count_exact_checks(monkeypatch, loss, kernel, cfg, target):
+        """The ``dot`` calls of a ``record=[0, K]`` run: one for max ||theta_ps||,
+        one per exact error check (iteration 0 included)."""
+        calls = []
+        dot = solver.dot
+        with monkeypatch.context() as m:
+            m.setattr(solver, "dot", lambda a, b: calls.append(1) or dot(a, b))
+            sa_run(loss, kernel, cfg, target, record=[0, cfg.horizon])
+        return len(calls)
+
+    @pytest.mark.parametrize("scale,guarded", [(1 - 1e-9, True), (1 + 1e-9, False)])
+    def test_sparse_record_target_at_the_guard_edge(self, monkeypatch, scale, guarded):
+        # a step multiplies the iterate by about -1.2, so it first leaves the cap on
+        # the negative side, with ||theta|| in [2/3, 1] sqrt(cap); the guard rules a
+        # step out only while every target row has ||t_r|| <= sqrt(cap) / 3, and
+        # then reads ||theta||_F <= sqrt(cap) / 3
+        env, _ = gaussian_setup(sigma=1.0, epsilon=0.0)
+        target = np.array([scale * np.sqrt(solver.DIVERGENCE_CAP) / 3])
+        cfg = RunConfig(theta0=np.zeros(1), schedule=ConstantSchedule(2.2), horizon=300, seed=3)
+        dense, _, _ = self.assert_sparse_record_matches_dense(
+            QuadraticLoss(), lambda: IidGaussianKernel(env), cfg, target)
+        ((_, failure),) = dense.failures.items()
+        checks = self.count_exact_checks(monkeypatch, QuadraticLoss(), IidGaussianKernel(env),
+                                         cfg, target)
+        assert (checks < failure["iteration"]) if guarded else (checks == 2 + failure["iteration"])
+
+    def test_sparse_record_block_norm_past_the_guard(self, monkeypatch):
+        # 16 rows at 1e11: each squared error is 1e22, far below the cap, but
+        # ||theta||_F^2 = 1.6e23 > cap / 9, so every step takes the exact path
+        env, _ = gaussian_setup()
+        cfg = RunConfig(theta0=np.array([1e11]), schedule=ZeroSchedule(), horizon=40, seed=3)
+        dense, _, _ = self.assert_sparse_record_matches_dense(
+            QuadraticLoss(), lambda: ArGaussianKernel(env, trials=16), cfg, np.zeros(1))
+        assert dense.failures == {}
+        assert np.all(dense.errors == 1e22)
+        checks = self.count_exact_checks(monkeypatch, QuadraticLoss(),
+                                         ArGaussianKernel(env, trials=16), cfg, np.zeros(1))
+        assert checks == 2 + cfg.horizon
+
+    def test_start_beyond_the_finite_range(self):
+        # the start's error overflows to inf, recorded unchecked and with no
+        # warning; the first step's error fails the trial
+        env, tps = gaussian_setup()
+        cfg = RunConfig(theta0=np.array([1e300]), schedule=ConstantSchedule(0.1), horizon=10,
+                        seed=0)
+        for record in (None, [0, 10]):
+            trace = sa_run(QuadraticLoss(), ArGaussianKernel(env), cfg, tps, record=record)
+            assert trace.failures == {0: {"trial": 0, "iteration": 1, "kind": "DivergenceError"}}
+            assert trace.errors[0, 0] == np.inf
+            assert np.isnan(trace.errors[0, 1:]).all()
+
     def test_step_sizes_by_chunk(self):
         # the chunks give the bits of one evaluation over the horizon, and the
         # memory of a run with a sparse record does not grow with the horizon
