@@ -8,10 +8,11 @@ when every trial of some sweep point diverged.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
-from .harness import PRESETS, ConfigError, ExperimentSpec, resolve_points, run_experiment
+from .harness import FLOAT_FORMAT, PRESETS, ExperimentSpec, resolve_points, run_experiment
 from .oracle import ConvergenceError
 
 
@@ -42,15 +43,10 @@ def _build_parser() -> _Parser:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    spec = ExperimentSpec.from_json(args.config)
-    for name in ("seed", "trials", "horizon"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(spec, name, value)
-    if getattr(args, "out", None) is not None:
-        spec.out = args.out
-    spec.validate()
-    return spec
+    """The config at ``args.config`` with the flags given, checked again."""
+    flags = {name: getattr(args, name, None) for name in ("seed", "trials", "horizon", "out")}
+    edits = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(ExperimentSpec.from_json(args.config), **edits)
 
 
 def main(argv=None) -> int:
@@ -63,7 +59,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             spec = _load_spec(args)
             for point in resolve_points(spec):
-                values = " ".join("%.17g" % v for v in point.theta_ps)
+                values = " ".join(FLOAT_FORMAT % v for v in point.theta_ps)
                 print(f"{point.label + ' ' if point.label else ''}{values}")
             return 0
         # run
@@ -80,7 +76,7 @@ def main(argv=None) -> int:
             print(f"error: all trials diverged for: {', '.join(all_dead)}", file=sys.stderr)
             return 2
         return 0
-    except (ConfigError, ValueError, OSError, OverflowError, ConvergenceError) as exc:
+    except (ValueError, OSError, OverflowError, ConvergenceError) as exc:
         print(f"perfsim: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # no size field has an upper bound

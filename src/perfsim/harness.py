@@ -130,7 +130,8 @@ class ExperimentSpec:
     ``problem`` holds preset-specific parameter overrides; ``sweep`` is a
     list of ``(param, values)`` pairs expanded as a cartesian product, where
     each param must name a problem parameter or one of
-    ``batch / br_per_iter / learner_iters_per_agent_round / trials``.
+    ``batch / br_per_iter / learner_iters_per_agent_round / trials``. The
+    spec checks itself when it is built, ``dataclasses.replace`` included.
     """
 
     preset: str
@@ -155,9 +156,7 @@ class ExperimentSpec:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         if "preset" not in raw:
             raise ConfigError("config must name a preset")
-        spec = cls(**raw)
-        spec.validate()
-        return spec
+        return cls(**raw)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -169,6 +168,9 @@ class ExperimentSpec:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         return cls.from_dict(raw)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         _check("preset", self.preset, tuple(PRESETS))
@@ -335,10 +337,8 @@ def _resolve_pool(params: dict) -> tuple:
     return loss, pool, schedule, theta_ps, desc
 
 
-def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> ResolvedPoint:
-    """The point of ``spec`` with ``overrides``; ``problems`` caches the
-    resolved problem by its parameters, so points that differ only in run
-    fields share one dataset and one stable-point solve."""
+def _resolve_point(spec: ExperimentSpec, overrides: dict) -> ResolvedPoint:
+    """The point of ``spec`` with ``overrides``."""
     _, family, utility = PRESETS[spec.preset]
     params = {"utility": utility}
     params.update((name, default) for name, (default, _) in _FAMILIES[family].items())
@@ -346,14 +346,13 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> Res
     run_fields = {name: getattr(spec, name) for name in _RUN_FIELD_SWEEPS}
     for key, value in overrides.items():
         (run_fields if key in _RUN_FIELD_SWEEPS else params)[key] = value
-    key = tuple(sorted(params.items()))
-    if key not in problems:
-        resolve = _resolve_gaussian if family == "gaussian" else _resolve_pool
-        problems[key] = resolve(params)
-    loss, problem, schedule, theta_ps, desc = problems[key]
+    resolve = _resolve_gaussian if family == "gaussian" else _resolve_pool
+    loss, problem, schedule, theta_ps, desc = resolve(params)
     if family == "pool" and run_fields["batch"] > desc["m"]:
         raise ConfigError(f"batch = {run_fields['batch']} exceeds the pool's m = {desc['m']} agents")
     d = theta_ps.shape[0]
+    if spec.theta0 is not None and len(spec.theta0) != d:
+        raise ConfigError(f"theta0 has length {len(spec.theta0)}, but the point's d is {d}")
     theta0 = as_param(spec.theta0 if spec.theta0 is not None else np.zeros(d), d=d)
     trials = run_fields.pop("trials")
     config = RunConfig(theta0=theta0, schedule=schedule, horizon=spec.horizon,
@@ -365,10 +364,9 @@ def _resolve_point(spec: ExperimentSpec, overrides: dict, problems: dict) -> Res
 
 def resolve_points(spec: ExperimentSpec) -> list:
     """Expand the sweep into fully resolved run descriptions."""
-    spec.validate()
+    spec.validate()  # its fields, problem and sweep may have been edited since it was built
     names = [param for param, _ in spec.sweep]
-    problems = {}
-    return [_resolve_point(spec, dict(zip(names, combo)), problems)
+    return [_resolve_point(spec, dict(zip(names, combo)))
             for combo in itertools.product(*(values for _, values in spec.sweep))]
 
 
@@ -389,7 +387,7 @@ def record_grid(horizon: int) -> np.ndarray:
 def _group_key(point: ResolvedPoint) -> tuple:
     """Points with equal keys run their trials in one block: they share their
     ``RunConfig``, and a kernel class that stacks the rows of several
-    problems (a pool kernel's point is a group of its own). Every
+    points' environments (a pool kernel's point is a group of its own). Every
     ``RunConfig`` field is in the key, ``theta0`` as its bytes."""
     run = [getattr(point.config, f.name) for f in dataclasses.fields(RunConfig)]
     return (point.kernel if hasattr(point.kernel, "stack") else point.label,
@@ -421,7 +419,7 @@ def _execute_points(points: list, grid: np.ndarray, workers: int) -> list:
 
     Each group (see ``_group_key``) runs as one block in ``_run_group``. The
     groups run in-process when ``workers`` is 1, else on a fork process pool
-    of at most ``workers`` processes, one per group and CPU.
+    of at most ``workers`` processes (8 when it is 0), one per group and CPU.
     """
     groups = {}
     for i, point in enumerate(points):
@@ -433,7 +431,7 @@ def _execute_points(points: list, grid: np.ndarray, workers: int) -> list:
         # A single job forks too: run in-process, gauss_ar_sweep peaked at
         # 43.0 MiB RSS against 35.4 MiB forked (+21 %), because the parent
         # then imports numpy.random itself (+5.8 MiB).
-        processes = min(workers, len(jobs), os.cpu_count() or 1)
+        processes = min(workers or 8, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
             traces = list(pool.map(_run_group, jobs))
     placed = dict(zip(itertools.chain(*groups.values()), itertools.chain(*traces)))
@@ -449,14 +447,13 @@ def run_experiment(spec: ExperimentSpec):
     """
     points = resolve_points(spec)
     grid = record_grid(spec.horizon)
-    workers = spec.workers if spec.workers > 0 else min(os.cpu_count() or 1, 8)
 
     out_dir = Path(spec.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     columns = [("k", grid)]
     summary_points = []
-    for point, trace in zip(points, _execute_points(points, grid, workers)):
+    for point, trace in zip(points, _execute_points(points, grid, spec.workers)):
         # agent-side failures happen when the learner iterate blows up too; the
         # trial is recorded as divergent rather than aborting the experiment
         diverged = [trace.failures[trial] for trial in sorted(trace.failures)]

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,25 @@ class TestRunExperiment:
         summary = run_experiment(spec)
         assert [len(p["diverged"]) for p in summary["points"]] == [0, 0, 0]
         assert sizes == [min(3, os.cpu_count() or 1)]
+
+    def test_default_workers_fork_a_pool_on_one_cpu(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def inline_pool(max_workers, mp_context=None):
+            """Records the pool size asked for and runs the jobs in-process."""
+            sizes.append(max_workers)
+            return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", inline_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        spec = ExperimentSpec.from_dict({
+            "preset": "strat_class_linear", "seed": 3, "trials": 2, "horizon": 8,
+            "out": str(tmp_path), "problem": {"m": 20, "data_seed": 2},
+            "sweep": [["batch", [1, 2, 3]]],
+        })
+        summary = run_experiment(spec)
+        assert [len(p["diverged"]) for p in summary["points"]] == [0, 0, 0]
+        assert sizes == [1]
 
     def test_mixed_failure_leaves_other_trials_unchanged(self):
         class PoisonedPool(AdaptedBestResponseKernel):
@@ -377,25 +397,15 @@ class TestRunExperiment:
         assert int(rows[-1]["agent_updates[br_per_iter=1]"]) == 8
         assert int(rows[-1]["agent_updates[br_per_iter=3]"]) == 24
 
-    def test_run_field_sweep_resolves_its_problem_once(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return theta_ps_fixed_point(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "theta_ps_fixed_point", counted)
+    def test_pool_sweep_points_run_as_groups_of_their_own(self, tmp_path):
         spec = ExperimentSpec.from_dict({
             "preset": "strat_class_linear", "seed": 3, "trials": 2, "horizon": 8,
             "workers": 1, "out": str(tmp_path), "problem": {"m": 20, "data_seed": 2},
             "sweep": [["batch", [1, 4]]],
         })
         points = resolve_points(spec)
-        assert len(calls) == 1
-        assert points[0].theta_ps is points[1].theta_ps
         spec.sweep = [["trials", [1, 2]], ["epsilon", [0.01, 0.02]]]
         points = resolve_points(spec)
-        assert len(calls) == 3
         # each pool point still runs as a group of its own
         assert len({_group_key(point) for point in points}) == 4
         summary = run_experiment(spec)
@@ -545,6 +555,13 @@ class TestConfigValidation:
     def test_bad_rate_window(self):
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict({"preset": "gaussian_ar", "rate_window": [50, 10]})
+
+    def test_spec_checks_itself_when_built(self):
+        with pytest.raises(ConfigError, match="trials"):
+            ExperimentSpec(preset="gaussian_ar", trials=0)
+        spec = ExperimentSpec(preset="gaussian_ar")
+        with pytest.raises(ConfigError, match="trials"):
+            dataclasses.replace(spec, trials=0)
 
 
 def _exit_worker(job):
@@ -758,6 +775,18 @@ class TestCli:
         assert cli_main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "batch" in err[0] and "m = 10" in err[0]
+        assert not out_dir.exists()
+
+    def test_theta0_of_the_wrong_length_named_before_any_trial(self, tmp_path, capsys):
+        out_dir = tmp_path / "res"
+        cfg = self.write_config(tmp_path, {
+            "preset": "strat_class_linear", "trials": 2, "horizon": 50, "workers": 1,
+            "sweep": [["d", [2, 3]]], "theta0": [0, 0, 0], "out": str(out_dir),
+        })
+        assert cli_main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "theta0" in err[0], err
+        assert "length 3" in err[0] and "d is 2" in err[0], err[0]
         assert not out_dir.exists()
 
     def test_lazy_minibatch_rejected_before_any_trial(self, tmp_path, capsys):

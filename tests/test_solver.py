@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
-                            GaussianEnv, IidGaussianKernel, QuadraticUtility)
+                            ExactBestResponseKernel, GaussianEnv, IidGaussianKernel,
+                            QuadraticUtility)
 from perfsim.core import ConstantSchedule, InverseSchedule
 from perfsim.harness import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss
@@ -519,6 +520,32 @@ class TestContractionProbe:
             one_step_contraction_probe(QuadraticLoss(), IidGaussianKernel(env), tps, tps,
                                        0.01, 100, np.random.default_rng(23),
                                        mu_tilde=mu_tilde, lipschitz=1.0, sigma=env.sigma)
+
+    def test_pool_kernel_batches(self):
+        # a pool kernel emits (features, labels); each of the n_mc draws is one agent
+        features, labels = generate_synthetic(d=3, m=50, seed=4)
+        pool = AgentPool(features, labels, QuadraticUtility(epsilon=0.5), alpha=0.25,
+                         participation=1)
+        loss, gamma = LogisticLoss(beta=2.0), 0.1
+        theta, tps = np.array([0.5, -1.0, 2.0]), np.array([0.25, 0.0, 1.0])
+        constants = dict(mu_tilde=1.5, lipschitz=3.0, sigma=2.0)
+        lhs, rhs, stderr = one_step_contraction_probe(
+            loss, ExactBestResponseKernel(pool), theta, tps, gamma, 50,
+            np.random.default_rng(24), **constants)
+        X, y = ExactBestResponseKernel(pool).emit(theta[None], [np.random.default_rng(24)], 50)
+        errors = []
+        for i in range(50):
+            g = loss.grad(theta[None], (X[:, i:i + 1], y[:, i:i + 1]))[0]
+            gap = theta - gamma * g - tps
+            errors.append(gap @ gap)
+        assert lhs == np.mean(errors)
+        assert stderr == np.std(errors, ddof=1) / np.sqrt(50)
+        dist2 = (theta - tps) @ (theta - tps)
+        assert rhs == pytest.approx((1 - 2 * gamma * 1.5 + 2 * 3.0 ** 2 * gamma ** 2) * dist2
+                                    + 2 * 2.0 ** 2 * gamma ** 2, rel=1e-15)
+        with pytest.raises(ValueError, match="cannot draw 51 distinct agents from a pool of 50"):
+            one_step_contraction_probe(loss, ExactBestResponseKernel(pool), theta, tps, gamma, 51,
+                                       np.random.default_rng(24), **constants)
 
 
 class TestOneStepBoundUnrolled:
