@@ -24,8 +24,8 @@ __all__ = [
     "check_schedule",
 ]
 
-# Steps whose step sizes are evaluated at once, by check_schedule and by the
-# solver: a list over the whole horizon would take 38 MiB at K = 1e6.
+# Steps whose step sizes check_schedule evaluates at once: a list over the
+# whole horizon would take 38 MiB at K = 1e6.
 GAMMA_CHUNK = 4096
 
 
@@ -76,10 +76,9 @@ class InverseSchedule:
             raise ValueError("inverse schedule requires finite c0 > 0 and c1 >= 0")
 
     def gamma(self, k):
-        k = np.asarray(k, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = self.c0 / (self.c1 + k)
-        return out if out.ndim else float(out)
+        """gamma_k for an int k >= 1 or an integer array; gamma_0 (c0/0 when
+        c1 = 0) is evaluated only by check_schedule."""
+        return self.c0 / (self.c1 + k)
 
     def describe(self) -> dict:
         return {"kind": "inverse", "c0": self.c0, "c1": self.c1}
@@ -108,7 +107,8 @@ def check_schedule(schedule: StepSchedule, mu_tilde: float, horizon: int) -> Opt
 
     for start in range(0, horizon, GAMMA_CHUNK):
         stop = min(start + GAMMA_CHUNK, horizon)
-        gammas = np.asarray(schedule.gamma(np.arange(start, stop + 1)), dtype=float)
+        with np.errstate(divide="ignore"):
+            gammas = schedule.gamma(np.arange(start, stop + 1))
         steps = gammas[1:]  # gamma_k for k = start + 1, ...
         rising = np.flatnonzero(steps > gammas[:-1]) + start + 1
         rising = rising[rising > 1]  # gamma_0 is not a step

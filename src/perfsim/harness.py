@@ -280,20 +280,14 @@ def _resolve_gaussian(params: dict) -> tuple:
     return loss, env, schedule, theta_ps, desc
 
 
-def _standardize(X: np.ndarray) -> np.ndarray:
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std[std == 0.0] = 1.0
-    return (X - mean) / std
-
-
 def generate_synthetic(d: int, m: int, seed: int, separation: float = 1.0) -> tuple:
     """A balanced two-class Gaussian dataset, standardized per feature: the
     pair of the (m, d) features and the m labels, 0.0 or 1.0.
 
     It stands in for real credit-scoring data. Class-conditional means sit
     at +/- ``separation`` per coordinate with unit covariance; label counts
-    differ by at most one. Reproducible from ``seed``.
+    differ by at most one. Reproducible from ``seed``. ``ValueError`` when
+    a feature's standard deviation is not a finite number.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -308,7 +302,14 @@ def generate_synthetic(d: int, m: int, seed: int, separation: float = 1.0) -> tu
     X[n_pos:] -= separation
     order = rng.permutation(m)
     X, y = X[order], y[order]
-    return _standardize(X), y
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+    if not np.isfinite(std).all():
+        raise ValueError(f"separation = {separation!r} is too large: the features' "
+                         "standard deviation is not a finite number")
+    std[std == 0.0] = 1.0
+    return (X - mean) / std, y
 
 
 def _resolve_pool(params: dict) -> tuple:

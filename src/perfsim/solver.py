@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GAMMA_CHUNK, StepSchedule, as_param
+from .core import StepSchedule, as_param
 from .losses import LossModel, dot
 
 __all__ = [
@@ -104,15 +104,6 @@ def _trial_rngs(config: RunConfig, trial: int):
     ``SeedSequence(seed, spawn_key=(trial,))``, in spawn-key order."""
     agent, sample = np.random.SeedSequence(config.seed, spawn_key=(trial,)).spawn(2)
     return np.random.default_rng(agent), np.random.default_rng(sample)
-
-
-def _steps(schedule, K: int):
-    """The pairs (k, gamma_{k+1}) for k < K, as Python floats, which scale faster
-    than array elements; the schedule is evaluated ``GAMMA_CHUNK`` steps at a time."""
-    for start in range(0, K, GAMMA_CHUNK):
-        stop = min(start + GAMMA_CHUNK, K)
-        gam = np.asarray(schedule.gamma(np.arange(start + 1, stop + 1)), dtype=float)
-        yield from zip(range(start, stop), gam.tolist())
 
 
 class _BlockEmpty(Exception):
@@ -205,6 +196,7 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     advance = kernel.advance
     emit = kernel.emit
     grad = loss.grad
+    step = config.schedule.gamma
     vdot = np.vdot
     # a failed row's values may overflow: they are discarded, so are their warnings; so
     # may a start's error, which is recorded but not checked
@@ -214,13 +206,13 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
             errors[:, 0] = dot(gap, gap)
             slot = 1
         try:
-            for k, gamma in _steps(config.schedule, K):
+            for k in range(K):
                 if k % inner == 0:
                     for _ in transitions:
                         failed = advance(theta, agent_rngs)
                         if failed is not None:
                             fail(failed, k + 1, kernel.failure)
-                theta = theta - gamma * grad(theta, emit(theta, sample_rngs, batch))
+                theta = theta - step(k + 1) * grad(theta, emit(theta, sample_rngs, batch))
                 recorded = k + 1 == slots[slot]
                 # a failed row stays NaN or huge and would fail the guard on every step
                 rows = theta if live is None else theta.take(live, axis=0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from perfsim.agents import AgentPool, LogisticUtility, QuadraticUtility
 from perfsim.core import GAMMA_CHUNK, ConstantSchedule, InverseSchedule, as_param, check_schedule
-from perfsim.harness import ExperimentSpec, resolve_points
+from perfsim.harness import PRESETS, ExperimentSpec, resolve_points
 from perfsim.losses import LogisticLoss
 
 # mu = 1, L = 1, eps = 0.1
@@ -42,10 +42,17 @@ class TestStepAt:
         assert g2 <= g1
 
     def test_vectorized_matches_scalar(self):
-        for sched in (InverseSchedule(c0=3.0, c1=7.0), ConstantSchedule(0.25)):
-            ks = np.arange(1, 50)
-            gv = sched.gamma(ks)
-            assert np.array_equal(gv, np.array([sched.gamma(int(k)) for k in ks]))
+        # the solver reads scalar step sizes, check_schedule arrays: they agree bit
+        # for bit over a run's range, for each preset's schedule and for c1 = 0
+        presets = [resolve_points(ExperimentSpec(preset=name))[0].config.schedule
+                   for name in PRESETS]
+        assert all(isinstance(sched, InverseSchedule) for sched in presets)
+        windows = (range(1, 300_001), range(10**7 - 1000, 10**7 + 1000))
+        for sched in (InverseSchedule(c0=3.0, c1=7.0), InverseSchedule(c0=3.0, c1=0.0),
+                      ConstantSchedule(0.25), *presets):
+            for ks in windows:
+                gv = sched.gamma(np.arange(ks.start, ks.stop))
+                assert np.array_equal(gv, np.array([sched.gamma(k) for k in ks]))
 
 
 class TestScheduleValidation:

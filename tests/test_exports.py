@@ -1,8 +1,10 @@
 """Every name a module of the package exports exists: a deleted function
 or class whose name stayed in ``__all__`` fails no import, only a star
-import."""
+import. So does every console script that ``pyproject.toml`` declares."""
 import importlib
 import pkgutil
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +23,13 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"perfsim.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_console_scripts_resolve():
+    # only an install reads [project.scripts], and the tests run uninstalled
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

@@ -67,6 +67,13 @@ class TestSyntheticData:
         with pytest.raises(ValueError):
             generate_synthetic(3, 1, seed=0)
 
+    def test_large_separation(self):
+        # 1e150 still standardizes; from about 1e154 the squares in the std overflow
+        features, _ = generate_synthetic(3, 200, 7, separation=1e150)
+        assert np.isfinite(features).all()
+        with pytest.raises(ValueError, match="separation"):
+            generate_synthetic(3, 200, 7, separation=1e200)
+
 
 class TestRecordGrid:
     def test_horizon_zero(self):
@@ -671,6 +678,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "" and len(captured.out.split()) == 3
         assert len(calls) <= 25 * 7
+
+    def test_separation_beyond_standardizing_exit_code(self, tmp_path, capsys):
+        # the squares in the features' std overflow, so no feature can be standardized
+        out_dir = tmp_path / "res"
+        cfg = self.write_config(tmp_path, {"preset": "strat_class_logistic", "workers": 1,
+                                           "problem": {"separation": 1e200},
+                                           "out": str(out_dir)})
+        for command in ("run", "oracle"):
+            assert cli_main([command, "--config", cfg]) == 1
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert captured.out == ""
+            assert len(err) == 1 and err[0].startswith("perfsim: error: "), command
+            assert "separation" in err[0]
+        assert not out_dir.exists()
 
     def test_oversized_problem_exit_code(self, tmp_path, capsys):
         # a 1e8 x 1e8 feature matrix is 71 PiB: numpy refuses it before allocating

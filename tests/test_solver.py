@@ -6,13 +6,13 @@ import pytest
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                             ExactBestResponseKernel, GaussianEnv, IidGaussianKernel,
                             QuadraticUtility)
-from perfsim.core import ConstantSchedule, InverseSchedule
+from perfsim.core import GAMMA_CHUNK, ConstantSchedule, InverseSchedule
 from perfsim.harness import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss
 from perfsim.oracle import theta_ps_gaussian
 from perfsim import solver
-from perfsim.solver import (AGENT_STREAM, GAMMA_CHUNK, SAMPLE_STREAM, RunConfig, _steps,
-                            _trial_rngs, one_step_contraction_probe, sa_run)
+from perfsim.solver import (AGENT_STREAM, SAMPLE_STREAM, RunConfig, _trial_rngs,
+                            one_step_contraction_probe, sa_run)
 
 
 class ZeroSchedule:
@@ -290,16 +290,13 @@ class TestSaRun:
             assert trace.errors[0, 0] == np.inf
             assert np.isnan(trace.errors[0, 1:]).all()
 
-    def test_step_sizes_by_chunk(self):
-        # the chunks give the bits of one evaluation over the horizon, and the
-        # memory of a run with a sparse record does not grow with the horizon
+    def test_memory_flat_in_horizon(self):
+        # the memory of a run with a sparse record does not grow with the horizon
         sched = InverseSchedule(c0=3.0, c1=7.0)
-        K = 2 * GAMMA_CHUNK + 3
-        assert list(_steps(sched, K)) == list(enumerate(sched.gamma(np.arange(1, K + 1)).tolist()))
 
         class StoppingKernel(CountingKernel):
-            """Fails its trial at the first advance of the third chunk of steps,
-            which ends the run: tracing every allocation is slow."""
+            """Fails its trial at advance 2 * GAMMA_CHUNK + 1, which ends the
+            run: tracing every allocation is slow."""
 
             failure = "RuntimeError"
             stop = 2 * GAMMA_CHUNK + 1
