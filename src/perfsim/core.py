@@ -1,5 +1,9 @@
 """Shared numeric types: step-size schedules and their check.
 
+The O(1/k) theorem assumes gamma_{k-1}/gamma_k <= 1 + gamma_k * mu_tilde / 4.
+A constant schedule meets it at every k. For gamma_k = c0/(c1 + k) it reads
+(c1 + k)(c0 mu_tilde - 4) >= c0 mu_tilde, whose left side never falls in k.
+
 Conventions used throughout the package:
 
 * a decision vector ``theta`` is a 1-D float64 array of fixed length ``d``,
@@ -23,10 +27,6 @@ __all__ = [
     "StepSchedule",
     "check_schedule",
 ]
-
-# Steps whose step sizes check_schedule evaluates at once: a list over the
-# whole horizon would take 38 MiB at K = 1e6.
-GAMMA_CHUNK = 4096
 
 
 def as_param(values, d: Optional[int] = None) -> np.ndarray:
@@ -56,9 +56,7 @@ class ConstantSchedule:
             raise ValueError("constant step size must be finite and positive")
 
     def gamma(self, k):
-        if np.ndim(k) == 0:
-            return float(self.gamma_value)
-        return np.full(np.shape(k), float(self.gamma_value))
+        return float(self.gamma_value)
 
     def describe(self) -> dict:
         return {"kind": "constant", "gamma": self.gamma_value}
@@ -76,8 +74,7 @@ class InverseSchedule:
             raise ValueError("inverse schedule requires finite c0 > 0 and c1 >= 0")
 
     def gamma(self, k):
-        """gamma_k for an int k >= 1 or an integer array; gamma_0 (c0/0 when
-        c1 = 0) is evaluated only by check_schedule."""
+        """gamma_k for an int k >= 1 or an integer array."""
         return self.c0 / (self.c1 + k)
 
     def describe(self) -> dict:
@@ -91,32 +88,17 @@ def check_schedule(schedule: StepSchedule, mu_tilde: float, horizon: int) -> Opt
     """The first k in 1..horizon that breaks the ratio condition
     gamma_{k-1}/gamma_k <= 1 + gamma_k * mu_tilde / 4, or None.
 
-    ``gamma_0`` is evaluated from the schedule formula (infinite for an
-    inverse schedule with c1 = 0, which makes the k = 1 ratio check fail).
-    The schedule is evaluated ``GAMMA_CHUNK`` steps at a time, in windows
-    that share their end entries, and the check returns at the first window
-    with a violation.
+    The answer is 1 or None. A constant schedule's ratio is 1. For an inverse
+    schedule the condition's slack grows with k, so k = 1 decides: it holds
+    there, and so at every k, exactly when c1 (c0 mu_tilde - 4) >= 4.
 
-    Raises ``ValueError`` if ``mu_tilde`` is not positive, or if the
-    schedule increases anywhere in 1..K before that window ends.
+    Raises ``ValueError`` if the horizon is below 2 or ``mu_tilde`` is not
+    positive.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     if not mu_tilde > 0:
         raise ValueError(f"mu_tilde must be positive, got {mu_tilde!r}")
-
-    for start in range(0, horizon, GAMMA_CHUNK):
-        stop = min(start + GAMMA_CHUNK, horizon)
-        with np.errstate(divide="ignore"):
-            gammas = schedule.gamma(np.arange(start, stop + 1))
-        steps = gammas[1:]  # gamma_k for k = start + 1, ...
-        rising = np.flatnonzero(steps > gammas[:-1]) + start + 1
-        rising = rising[rising > 1]  # gamma_0 is not a step
-        if rising.size:
-            raise ValueError(f"schedule is increasing at k = {int(rising[0])}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = gammas[:-1] / steps
-        bad = np.flatnonzero(~(ratios <= 1.0 + steps * mu_tilde / 4.0))
-        if bad.size:
-            return int(bad[0]) + start + 1
-    return None
+    if isinstance(schedule, ConstantSchedule):
+        return None
+    return None if schedule.c1 * (schedule.c0 * mu_tilde - 4.0) >= 4.0 else 1

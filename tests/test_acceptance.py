@@ -201,6 +201,39 @@ def test_c5a_strat_class_error_drop(strat_study):
                               f"at k=100 (needs <1%)")
 
 
+def test_c5a_companion_follows_one_over_k():
+    """What C5a's learner meets: under E err_k ~ C/(c1 + k) the drop from
+    k = 100 to K is (c1 + 100)/(c1 + K), and (c1 + k) E err_k is flat."""
+    spec = ExperimentSpec.from_dict({"preset": "strat_class_linear", "seed": 5, "trials": 200,
+                                     "horizon": 20_000, "out": "unused"})
+    point = resolve_points(spec)[0]
+    K, c1 = spec.horizon, point.config.schedule.c1
+    (trace,) = _execute_points([point], np.array([0, 100, K]), WORKERS)
+    assert not trace.failures, "unexpected divergence"
+    errs = trace.errors[:, 1:]  # columns k = 100 and k = K
+    n = errs.shape[0]
+    mean = errs.mean(axis=0)
+    cov = np.cov(errs, rowvar=False) / n  # covariance of the two means
+    ratio = mean[1] / mean[0]
+    # delta method for mean[1]/mean[0]
+    ratio_se = ratio * math.sqrt(cov[1, 1] / mean[1] ** 2 + cov[0, 0] / mean[0] ** 2
+                                 - 2.0 * cov[0, 1] / (mean[0] * mean[1]))
+    expected = (c1 + 100) / (c1 + K)
+    z = (ratio - expected) / ratio_se
+    scale = np.array([c1 + 100, c1 + K])
+    products, products_se = scale * mean, scale * np.sqrt(np.diag(cov))
+    gap = abs(products[1] - products[0])
+    band = 3.0 * math.hypot(*products_se)
+    ok = abs(z) <= 3.0 and gap <= band
+    report("5a companion strat-class O(1/k)", ok,
+           f"err(K)/err(100)={ratio:.4f}+/-{ratio_se:.4f} vs (c1+100)/(c1+K)={expected:.4f}"
+           f" (z={z:+.2f}, |z|<=3), (c1+k)*err at k=100: {products[0]:.3f}"
+           f"+/-{products_se[0]:.3f}, at K: {products[1]:.3f}+/-{products_se[1]:.3f}"
+           f" (gap {gap:.3f} <= {band:.3f})")
+    assert abs(z) <= 3.0, f"ratio {ratio:.4f} is {z:+.2f} SE from {expected:.4f}"
+    assert gap <= band, f"(c1+k)*err moves by {gap:.3f} from k=100 to K (band {band:.3f})"
+
+
 def test_c5b_strat_class_monotone_trend(strat_study):
     outcomes = {}
     for preset in ("strat_class_linear", "strat_class_logistic"):

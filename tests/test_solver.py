@@ -6,7 +6,7 @@ import pytest
 from perfsim.agents import (AdaptedBestResponseKernel, AgentPool, ArGaussianKernel,
                             ExactBestResponseKernel, GaussianEnv, IidGaussianKernel,
                             QuadraticUtility)
-from perfsim.core import GAMMA_CHUNK, ConstantSchedule, InverseSchedule
+from perfsim.core import ConstantSchedule, InverseSchedule
 from perfsim.harness import generate_synthetic
 from perfsim.losses import LogisticLoss, QuadraticLoss
 from perfsim.oracle import theta_ps_gaussian
@@ -291,15 +291,16 @@ class TestSaRun:
             assert np.isnan(trace.errors[0, 1:]).all()
 
     def test_memory_flat_in_horizon(self):
-        # the memory of a run with a sparse record does not grow with the horizon
+        # the memory of a run with a sparse record does not grow with the horizon;
+        # a first, untraced run keeps first-call imports out of the peak
         sched = InverseSchedule(c0=3.0, c1=7.0)
 
         class StoppingKernel(CountingKernel):
-            """Fails its trial at advance 2 * GAMMA_CHUNK + 1, which ends the
-            run: tracing every allocation is slow."""
+            """Fails its trial at advance 8193, which ends the run: tracing
+            every allocation is slow."""
 
             failure = "RuntimeError"
-            stop = 2 * GAMMA_CHUNK + 1
+            stop = 8193
 
             def advance(self, theta, rngs):
                 super().advance(theta, rngs)
@@ -307,6 +308,7 @@ class TestSaRun:
 
         K = 200_000
         cfg = RunConfig(theta0=np.zeros(1), schedule=sched, horizon=K, seed=3)
+        sa_run(QuadraticLoss(), StoppingKernel(), cfg, np.zeros(1), record=[0, K])
         tracemalloc.start()
         try:
             trace = sa_run(QuadraticLoss(), StoppingKernel(), cfg, np.zeros(1), record=[0, K])
