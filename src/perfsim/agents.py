@@ -63,18 +63,6 @@ import numpy as np
 
 from .losses import dot, log1pexp, sigmoid
 
-__all__ = [
-    "GaussianEnv",
-    "QuadraticUtility",
-    "LogisticUtility",
-    "Utility",
-    "AgentPool",
-    "IidGaussianKernel",
-    "ArGaussianKernel",
-    "ExactBestResponseKernel",
-    "AdaptedBestResponseKernel",
-]
-
 # Steps of draws taken from one stream at a time.
 BLOCK = 1024
 
@@ -183,8 +171,7 @@ class LogisticUtility:
         return gain - np.sum(move * move, axis=-1) / (2.0 * self.epsilon)
 
     def grad(self, xp, base_x, y, theta):
-        # theta is (d,), or (T, 1, d) for a trial batch of agents (T, p, d)
-        u = xp @ theta if theta.ndim == 1 else (xp @ theta.swapaxes(-1, -2))[..., 0]
+        u = dot(xp, theta)
         coef = (y - sigmoid(u))[..., None]
         return coef * theta - (np.asarray(xp) - np.asarray(base_x)) / self.epsilon
 

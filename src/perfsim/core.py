@@ -20,14 +20,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-__all__ = [
-    "as_param",
-    "ConstantSchedule",
-    "InverseSchedule",
-    "StepSchedule",
-    "check_schedule",
-]
-
 
 def as_param(values, d: Optional[int] = None) -> np.ndarray:
     """Coerce ``values`` to a finite 1-D float64 decision vector.

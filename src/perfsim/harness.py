@@ -36,16 +36,6 @@ from .losses import LogisticLoss, QuadraticLoss, logistic_constants
 from .oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
 from .solver import RunConfig, RunTrace, sa_run
 
-__all__ = [
-    "ConfigError",
-    "ExperimentSpec",
-    "PRESETS",
-    "generate_synthetic",
-    "record_grid",
-    "resolve_points",
-    "run_experiment",
-]
-
 SCHEMA_VERSION = 1
 FLOAT_FORMAT = "%.17g"
 

@@ -22,14 +22,6 @@ from typing import Union
 
 import numpy as np
 
-__all__ = [
-    "QuadraticLoss",
-    "LogisticLoss",
-    "LossModel",
-    "mean_grad",
-    "logistic_constants",
-]
-
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products along the last axis, broadcast over the leading axes.

@@ -19,14 +19,6 @@ import numpy as np
 from .core import as_param
 from .losses import LossModel, mean_grad
 
-__all__ = [
-    "ConvergenceError",
-    "theta_ps_gaussian",
-    "stable_jacobian",
-    "theta_ps_fixed_point",
-    "fit_rate",
-]
-
 # Newton's stop test ||G|| <= TOL, its step limit, and the central-difference
 # step of the Jacobian.
 TOL = 1e-10

@@ -20,13 +20,6 @@ import numpy as np
 from .core import StepSchedule, as_param
 from .losses import LossModel, dot
 
-__all__ = [
-    "RunConfig",
-    "RunTrace",
-    "sa_run",
-    "one_step_contraction_probe",
-]
-
 # Last spawn-key entries of a trial's two streams, (trial, AGENT_STREAM) and
 # (trial, SAMPLE_STREAM): agent-state transitions and learner-side sample
 # draws use separate streams so variants sharing dynamics share randomness.
@@ -100,10 +93,10 @@ class RunTrace:
 
 
 def _trial_rngs(config: RunConfig, trial: int):
-    """A trial's (agent, sample) generators: the children of
-    ``SeedSequence(seed, spawn_key=(trial,))``, in spawn-key order."""
-    agent, sample = np.random.SeedSequence(config.seed, spawn_key=(trial,)).spawn(2)
-    return np.random.default_rng(agent), np.random.default_rng(sample)
+    """A trial's (agent, sample) generators, from the spawn keys
+    ``(trial, AGENT_STREAM)`` and ``(trial, SAMPLE_STREAM)`` under the seed."""
+    return tuple(np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(trial, s)))
+                 for s in (AGENT_STREAM, SAMPLE_STREAM))
 
 
 class _BlockEmpty(Exception):

@@ -203,6 +203,20 @@ class TestUtilities:
                          - util.value(xp - e, base, y, theta)) / 2e-6
             assert np.max(np.abs(g - fd)) <= 1e-5 * (1.0 + np.max(np.abs(g)))
 
+    @pytest.mark.parametrize("d", [3, 50])
+    def test_logistic_gradient_block_equals_rows(self, d):
+        # the adapted pool passes agents (T, p, d) with theta as (T, 1, d)
+        util = LogisticUtility(epsilon=0.05)
+        rng = np.random.default_rng(12)
+        T, p = 7, 5
+        base = rng.normal(size=(T, p, d))
+        xp = base + 0.1 * rng.normal(size=(T, p, d))
+        y = rng.integers(2, size=(T, p)).astype(float)
+        theta = rng.normal(size=(T, 1, d))
+        rows = [[util.grad(xp[t, i], base[t, i], y[t, i], theta[t, 0]) for i in range(p)]
+                for t in range(T)]
+        assert np.array_equal(util.grad(xp, base, y, theta), np.array(rows))
+
     def test_quadratic_best_response_at_zero_theta(self):
         util = QuadraticUtility(epsilon=0.01)
         base = np.array([1.0, 1.0])
