@@ -95,7 +95,8 @@ def fit_rate(iterations, mean_errors, k_lo: int, k_hi: int) -> dict:
     """Fit the decay exponent of trial-averaged errors over a window.
 
     ``iterations`` and ``mean_errors`` are parallel arrays; the fit uses the
-    entries with ``k_lo <= k <= k_hi``, which must be strictly positive.
+    entries with ``k_lo <= k <= k_hi``, which must be strictly positive and
+    finite.
     Returns the least-squares fit of log(mean error) against log(iteration)
     as ``{"slope", "intercept", "r2", "k_lo", "k_hi"}``, the ``rate_fit`` of
     a point in ``summary.json``.
@@ -111,12 +112,19 @@ def fit_rate(iterations, mean_errors, k_lo: int, k_hi: int) -> dict:
         raise ValueError("fewer than two trace points in the fit window")
     if np.any(err[mask] <= 0):
         raise ValueError("mean errors must be strictly positive in the fit window")
+    if not np.all(np.isfinite(err[mask])):
+        raise ValueError("mean errors must be finite in the fit window")
     logk = np.log(k[mask])
     loge = np.log(err[mask])
-    slope, intercept = np.polyfit(logk, loge, 1)
+    # the least-squares line in closed form on centred logs (np.polyfit would
+    # load LAPACK's lstsq, +1.1 MiB of RSS)
+    x = logk - np.mean(logk)
+    y = loge - np.mean(loge)
+    slope = np.dot(x, y) / np.dot(x, x)
+    intercept = np.mean(loge) - slope * np.mean(logk)
     pred = slope * logk + intercept
     ss_res = float(np.sum((loge - pred) ** 2))
-    ss_tot = float(np.sum((loge - np.mean(loge)) ** 2))
+    ss_tot = float(np.sum(y ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2,
             "k_lo": int(k_lo), "k_hi": int(k_hi)}

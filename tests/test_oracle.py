@@ -221,8 +221,27 @@ class TestRateFit:
 
     def test_rejects_nonpositive_errors(self):
         k = np.arange(1, 11)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly positive"):
             fit_rate(k, np.zeros(10), 1, 10)
+        for bad in (np.nan, np.inf):  # neither fails the > 0 test; either would give NaN
+            err = 1.0 / k
+            err[4] = bad
+            with pytest.raises(ValueError, match="mean errors must be finite in the fit window"):
+                fit_rate(k, err, 1, 10)
+
+    def test_agrees_with_polyfit(self):
+        # the least-squares line of np.polyfit(log k, log err, 1), on seeded series
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            k = np.unique(rng.integers(1, 100_000, size=int(rng.integers(2, 300))))
+            if k.size < 2:
+                continue
+            err = (np.exp(rng.normal(0.0, 3.0)) * k ** rng.uniform(-2.0, 1.0)
+                   * np.exp(rng.normal(0.0, 0.3, size=k.size)))
+            fit = fit_rate(k, err, 1, 100_000)
+            slope, intercept = np.polyfit(np.log(k), np.log(err), 1)
+            assert abs(fit["slope"] - slope) <= 1e-12
+            assert abs(fit["intercept"] - intercept) <= 1e-12
 
     def test_rejects_bad_window(self):
         k = np.arange(1, 11)
