@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
-from .harness import FLOAT_FORMAT, PRESETS, ExperimentSpec, resolve_points, run_experiment
+from .harness import (FLOAT_FORMAT, PRESETS, ExperimentSpec, WorkerDied, resolve_points,
+                      run_experiment)
 from .oracle import ConvergenceError
 
 
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # no size field has an upper bound
         print(f"perfsim: error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except BrokenProcessPool as exc:  # a killed worker, say one out of memory
+    except WorkerDied as exc:  # a killed worker, say one out of memory
         print(f"perfsim: error: a worker process died: {exc}", file=sys.stderr)
         return 1
 

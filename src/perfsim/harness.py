@@ -6,7 +6,7 @@ an ``AgentPool``), its stable point from the oracle, and its kernel class,
 built as ``kernel(problem, trials=n)``. Points that differ only in Gaussian
 problem parameters that leave the step schedule alone form one group, and
 each group runs as one trial-batched ``sa_run`` over all its trials; the
-groups run on a fork process pool, or in-process with ``workers: 1``. Each
+groups run in forked child processes, or in-process with ``workers: 1``. Each
 point gets a trace of its own trials, from which the harness aggregates
 mean and 5th/95th percentile error per recorded iteration; it writes
 plot-ready ``trace.csv`` plus a ``summary.json`` that makes the figures
@@ -18,10 +18,10 @@ import dataclasses
 import itertools
 import json
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -42,6 +42,10 @@ FLOAT_FORMAT = "%.17g"
 
 class ConfigError(ValueError):
     """The experiment description is invalid."""
+
+
+class WorkerDied(RuntimeError):
+    """A forked worker process ended without sending its result."""
 
 
 # The problem fields of each family: name -> (default, kind). A kind is
@@ -405,12 +409,82 @@ def _run_group(job) -> list:
     return traces
 
 
+def _flush_std_streams():
+    """Flush ``sys.stdout`` and ``sys.stderr``; either is None when its file
+    descriptor was closed at start-up."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _child(fn, jobs: list, write: int):
+    """The life of a forked child: send down the pipe end ``write`` the
+    pickled list of ``fn(job)`` over ``jobs``, or the exception that raised,
+    and leave through ``os._exit``; it never returns."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps([fn(job) for job in jobs])
+        except BaseException as exc:  # the parent raises it again
+            payload = pickle.dumps(exc)
+        with open(write, "wb") as fh:
+            fh.write(payload)
+        code = 0
+        _flush_std_streams()  # what the jobs printed; the parent flushed its own before the fork
+    finally:
+        os._exit(code)  # no atexit handler, and no unwinding into the parent's code
+
+
+def _fork_map(fn, jobs: list, processes: int) -> list:
+    """``[fn(job) for job in jobs]``, computed in ``processes`` forked children.
+
+    Child i runs jobs i, i + processes, ... and pickles back its list of
+    results, or the exception it raised, which the parent raises again. A
+    child that ends without sending a result raises ``WorkerDied``. Every
+    child is reaped on every path: when the parent raises, it kills the
+    children still running and waits for them.
+    """
+    _flush_std_streams()  # else a child that flushes would write the parent's buffer again
+    readers, running = [], []  # child i's pipe at index i; the pids not yet reaped
+    try:
+        for i in range(processes):
+            read, write = os.pipe()
+            readers.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, jobs[i::processes], write)
+            finally:
+                os.close(write)  # then EOF on ``read`` means that its child has ended
+            running.append(pid)
+        results = [None] * len(jobs)
+        for i, (pid, reader) in enumerate(zip(list(running), readers)):
+            payload = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code or not payload:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise WorkerDied(f"child {pid} {how} without sending its result")
+            part = pickle.loads(payload)  # bytes that this function's own child wrote
+            if isinstance(part, BaseException):
+                raise part
+            results[i::processes] = part
+        return results
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+
+
 def _execute_points(points: list, grid: np.ndarray, workers: int) -> list:
     """Run every trial of ``points``; one ``RunTrace`` per point, in point order.
 
     Each group (see ``_group_key``) runs as one block in ``_run_group``. The
-    groups run in-process when ``workers`` is 1, else on a fork process pool
-    of at most ``workers`` processes (8 when it is 0), one per group and CPU.
+    groups run in-process when ``workers`` is 1, else in P forked children
+    (``_fork_map``), where P is the least of ``workers`` (8 when it is 0),
+    the number of groups and the usable CPUs; child i runs groups i, i + P, ...
     """
     groups = {}
     for i, point in enumerate(points):
@@ -419,12 +493,14 @@ def _execute_points(points: list, grid: np.ndarray, workers: int) -> list:
     if workers == 1:
         traces = [_run_group(job) for job in jobs]
     else:
+        # the CPUs this process may run on: taskset and cpusets narrow the mask
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
         # A single job forks too: run in-process, gauss_ar_sweep peaked at
-        # 39.4 MiB RSS against 34.7 MiB forked (+14 %), because the parent
-        # then imports numpy.random itself (+5.6 MiB).
-        processes = min(workers or 8, len(jobs), os.cpu_count() or 1)
-        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
-            traces = list(pool.map(_run_group, jobs))
+        # 38.6 MiB RSS against 33.5-34.1 MiB forked (+13-15 %), because the
+        # parent then imports numpy.random itself (+6.2 MiB).
+        processes = min(workers or 8, len(jobs), cpus)
+        traces = _fork_map(_run_group, jobs, processes)
     placed = dict(zip(itertools.chain(*groups.values()), itertools.chain(*traces)))
     return [placed[i] for i in range(len(points))]
 

@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
-import types
+import time
 from pathlib import Path
 
 import numpy as np
@@ -155,52 +155,66 @@ class TestRunExperiment:
                     outs.append((out / "trace.csv").read_bytes())
                 assert outs[0] == outs[1] == outs[2] == outs[3], (preset, extra, swept)
 
-    def test_pool_processes_are_capped_at_the_cpus(self, tmp_path, monkeypatch):
+    @staticmethod
+    def inline_fork_map(monkeypatch, sizes):
+        """Patches ``harness._fork_map`` to record the process count asked for
+        and run the jobs in-process."""
+        def fork_map(fn, jobs, processes):
+            sizes.append(processes)
+            return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(harness, "_fork_map", fork_map)
+
+    def run_three_pool_groups(self, tmp_path, monkeypatch, affinity, cpu_count,
+                              workers=10_000) -> list:
+        """The process counts asked of ``_fork_map`` by a 3-group run under
+        the patched CPU affinity mask (None: the platform has none) and CPU
+        count."""
         sizes = []
-
-        class InlinePool:
-            """Records the pool size asked for and runs the jobs in-process."""
-
-            def __init__(self, max_workers, mp_context=None):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        self.inline_fork_map(monkeypatch, sizes)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         spec = ExperimentSpec.from_dict({
             "preset": "strat_class_linear", "seed": 3, "trials": 2, "horizon": 8,
-            "workers": 10_000, "out": str(tmp_path), "problem": {"m": 20, "data_seed": 2},
+            "workers": workers, "out": str(tmp_path), "problem": {"m": 20, "data_seed": 2},
             "sweep": [["batch", [1, 2, 3]]],
         })
         summary = run_experiment(spec)
         assert [len(p["diverged"]) for p in summary["points"]] == [0, 0, 0]
-        assert sizes == [min(3, os.cpu_count() or 1)]
+        return sizes
+
+    def test_pool_processes_are_capped_at_the_cpus(self, tmp_path, monkeypatch):
+        assert self.run_three_pool_groups(tmp_path, monkeypatch, {0, 1}, 2) == [2]
+
+    @pytest.mark.parametrize("affinity,cpu_count,size", [
+        ({0, 1}, 64, 2),   # taskset or a cpuset: the mask, not the host's count
+        ({5}, 2, 1),
+        (None, 2, 2),      # no affinity mask on the platform: every CPU
+    ])
+    def test_pool_processes_count_the_usable_cpus(self, tmp_path, monkeypatch,
+                                                  affinity, cpu_count, size):
+        assert self.run_three_pool_groups(tmp_path, monkeypatch, affinity, cpu_count) == [size]
 
     def test_default_workers_fork_a_pool_on_one_cpu(self, tmp_path, monkeypatch):
-        sizes = []
+        # workers: 0 is the default
+        assert self.run_three_pool_groups(tmp_path, monkeypatch, {0}, 1, workers=0) == [1]
 
-        def inline_pool(max_workers, mp_context=None):
-            """Records the pool size asked for and runs the jobs in-process."""
-            sizes.append(max_workers)
-            return contextlib.nullcontext(types.SimpleNamespace(map=map))
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", inline_pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        spec = ExperimentSpec.from_dict({
-            "preset": "strat_class_linear", "seed": 3, "trials": 2, "horizon": 8,
-            "out": str(tmp_path), "problem": {"m": 20, "data_seed": 2},
-            "sweep": [["batch", [1, 2, 3]]],
-        })
-        summary = run_experiment(spec)
-        assert [len(p["diverged"]) for p in summary["points"]] == [0, 0, 0]
-        assert sizes == [1]
+    def test_two_children_on_three_pool_groups_match_in_process(self, tmp_path, monkeypatch):
+        # child 0 runs groups 0 and 2, child 1 group 1, on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            run_experiment(ExperimentSpec.from_dict({
+                "preset": "strat_class_logistic", "seed": 4, "trials": 3, "horizon": 120,
+                "workers": workers, "out": str(out), "problem": {"m": 30, "data_seed": 3},
+                "sweep": [["batch", [1, 2, 3]]],
+            }))
+            outs.append((out / "trace.csv").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_mixed_failure_leaves_other_trials_unchanged(self):
         class PoisonedPool(AdaptedBestResponseKernel):
@@ -600,6 +614,16 @@ def _exit_worker(job):
     os._exit(1)
 
 
+def _out_of_memory_worker(job):
+    """Stands in for ``harness._run_group``: the worker's allocation fails."""
+    raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestCli:
     def write_config(self, tmp_path, payload):
         p = tmp_path / "cfg.json"
@@ -817,6 +841,48 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
 
+    def test_run_and_oracle_leave_the_process_pool_modules_unloaded(self, tmp_path):
+        # multiprocessing and concurrent.futures cost about 2 MiB of RSS,
+        # and bring logging, socket and subprocess with them
+        cfg = self.write_config(tmp_path, {"preset": "strat_class_logistic", "trials": 2,
+                                           "horizon": 300, "workers": 2,
+                                           "problem": {"m": 40},
+                                           "sweep": [["learner_iters_per_agent_round", [1, 2]]],
+                                           "out": str(tmp_path / "res")})
+        code = ("import sys; from perfsim.cli import main; code = main(sys.argv[1:]); "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules))); "
+                "sys.exit(code)")
+        for command in ("run", "oracle"):
+            result = self.fresh_python("-c", code, command, "--config", cfg)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.splitlines()[-1] == "[]", command
+
+    def test_parent_output_is_written_once_across_the_fork(self, tmp_path, monkeypatch):
+        # a piped stdout is block-buffered, so the line is still in the
+        # buffer when the children fork, and each child flushes its stdout
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        cfg = self.write_config(tmp_path, {"preset": "gaussian_ar", "trials": 2,
+                                           "horizon": 50, "workers": 2,
+                                           "sweep": [["batch", [1, 2]]],
+                                           "out": str(tmp_path / "res")})
+        code = ("import sys; from perfsim.cli import main; print('before the fork'); "
+                "sys.exit(main(sys.argv[1:]))")
+        result = self.fresh_python("-c", code, "run", "--config", cfg)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines().count("before the fork") == 1, result.stdout
+
+    def test_pooled_run_with_stdout_closed(self, tmp_path):
+        # sys.stdout is None when file descriptor 1 is closed at start-up
+        cfg = self.write_config(tmp_path, {"preset": "gaussian_ar", "trials": 2,
+                                           "horizon": 50, "workers": 2,
+                                           "sweep": [["batch", [1, 2]]],
+                                           "out": str(tmp_path / "res")})
+        code = ("import sys; sys.stdout = None; from perfsim.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        result = self.fresh_python("-c", code, "run", "--config", cfg)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "res" / "trace.csv").is_file()
+
     def test_dead_worker_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(harness, "_run_group", _exit_worker)
         cfg = self.write_config(tmp_path, {
@@ -829,6 +895,34 @@ class TestCli:
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("perfsim: error: a worker process died")
         assert "Traceback" not in captured.err
+        assert_no_child_left()
+
+    def test_worker_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "_run_group", _out_of_memory_worker)
+        cfg = self.write_config(tmp_path, {
+            "preset": "gaussian_ar", "trials": 2, "horizon": 50, "workers": 2,
+            "sweep": [["batch", [1, 2]]], "out": str(tmp_path / "res"),
+        })
+        assert cli_main(["run", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines() == [
+            "perfsim: error: out of memory: Unable to allocate 8.00 EiB for an array"]
+        assert_no_child_left()
+
+    def test_failed_child_kills_and_reaps_the_others(self):
+        # child 0 fails at once while child 1 would sleep a minute; the
+        # parent raises child 0's exception, its own type, without waiting
+        def job(i):
+            if i:
+                time.sleep(60)
+            raise KeyError(i)
+
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="0"):
+            harness._fork_map(job, [0, 1], 2)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
     @pytest.mark.parametrize("config,words", STEP_SIZE_CONFIGS)
     def test_unusable_step_size_exit_code(self, tmp_path, capsys, config, words):
