@@ -12,11 +12,11 @@ Three sampling regimes are covered:
 An exact best response is the argmax of the agent's utility: ``x + epsilon
 theta`` for the linear gain, ``x + epsilon (y - sigmoid(u)) theta`` for the
 logistic gain, where u is the unique root of a strictly increasing scalar
-function, solved to rounding level (no tolerance, no failure kind) by one
-Newton step from one fixed-point step past the base score. The step is
-certified a priori for c = epsilon ||theta||^2 <= 7.37e-4 (see
-``_logistic_root``); a row with a larger c (or a NaN or inf one) is solved by
-bracketed Newton instead.
+function, solved to rounding level (no tolerance, no failure kind) by
+bracketed Newton from one fixed-point step past the base score. Its first
+pass is certified a priori for c = epsilon ||theta||^2 <= 7.37e-4 (see
+``_logistic_root``), and a block whose every row has such a c exits there;
+the rows with a larger c (or a NaN or inf one) go on in the loop.
 
 Every kernel advances a block of T trials together, each with its own
 random stream, through the same two-phase interface. ``theta`` has shape
@@ -132,7 +132,7 @@ class QuadraticUtility:
 
     def value(self, xp, base_x, y, theta):
         move = np.asarray(xp) - np.asarray(base_x)
-        return xp @ theta - np.sum(move * move, axis=-1) / (2.0 * self.epsilon)
+        return dot(xp, theta) - np.sum(move * move, axis=-1) / (2.0 * self.epsilon)
 
     def grad(self, xp, base_x, y, theta):
         return theta - (np.asarray(xp) - np.asarray(base_x)) / self.epsilon
@@ -151,10 +151,10 @@ class LogisticUtility:
     a - c (y - sigmoid(u)) = 0``, ``a = x . theta``, ``c = epsilon ||theta||^2``.
     As ``g' >= 1`` the root is unique. ``best_response`` solves it to rounding
     level, with no tolerance, for agents (..., d) with labels (...) and a theta
-    that broadcasts against them, e.g. (T, 1, d) for (T, n, d): one Newton
-    step from the warm start ``a + c (y - sigmoid(a))``, certified a priori
-    for ``c <= 7.37e-4``, and bracketed Newton for the rows with a larger c
-    (see ``_logistic_root``).
+    that broadcasts against them, e.g. (T, 1, d) for (T, n, d): bracketed
+    Newton from the warm start ``a + c (y - sigmoid(a))``, whose first pass is
+    certified a priori for ``c <= 7.37e-4`` and ends the solve when every row
+    has such a c (see ``_logistic_root``).
     """
 
     epsilon: float
@@ -164,7 +164,7 @@ class LogisticUtility:
             raise ValueError("epsilon must be finite and positive")
 
     def value(self, xp, base_x, y, theta):
-        u = xp @ theta
+        u = dot(xp, theta)
         move = np.asarray(xp) - np.asarray(base_x)
         # y u - log(1 + exp(u)) for y in {0, 1}, without subtracting terms of size |u|
         gain = -log1pexp((1.0 - 2.0 * y) * u)
@@ -188,62 +188,55 @@ class LogisticUtility:
 def _logistic_root(a, c, y):
     """The root u of ``g(u) = u - a - c (y - sigmoid(u))``, row by row.
 
-    One Newton step from one fixed-point step ``u0 = a + c (y - sigmoid(a))``,
-    certified before it is taken. The root lies within c of a, as ``|y -
-    sigmoid| < 1``, and ``u -> a + c (y - sigmoid(u))`` is c/4-Lipschitz, so
-    ``|u0 - u*| <= c^2 / 4``. As ``g' >= 1`` and ``|g''| <= c / (6 sqrt 3)``, a
-    Newton step from error e leaves at most ``K c e^2``, ``K = 1 / (12 sqrt
-    3)``, so at most ``K c^5 / 16``. That is within the rounding floor ``4 eps
-    (|a| + c)`` for every ``c <= C = (64 eps / K)^(1/4) ~ 7.37e-4``
-    (``_ONE_STEP_C``); the bound is for exact arithmetic, and evaluating the
-    step adds rounding of the floor's order. A row with ``c > C``, or a NaN or
-    inf c, takes ``_bracketed_root``'s value instead, which runs only when the
-    block has such a row; the step is skipped when no row takes it. The
-    step's ops and their order are the bracketed loop's first pass, so where
-    that pass accepts its Newton step and stops, both give the same bits.
-    Rows never interact. The caller enters ``np.errstate(over="ignore",
-    invalid="ignore")``, as ``LogisticUtility.best_response`` does.
-    """
-    one_step = c <= _ONE_STEP_C  # False for NaN
-    every = one_step.all()
-    if not (every or one_step.any()):
-        return _bracketed_root(a, c, y)
-    u = a + c * (y - sigmoid(a))
-    s = sigmoid(u)
-    g = u - a - c * (y - s)
-    u = u - g / (1.0 + c * s * (1.0 - s))
-    return u if every else np.where(one_step, u, _bracketed_root(a, c, y))
+    Newton from one fixed-point step ``u0 = a + c (y - sigmoid(a))`` past the
+    base score. The root lies within c of a, as ``|y - sigmoid| < 1``: in the
+    bracket ``[a + c (y - 1), a + c y]``, which holds u0 too. As ``u -> a + c
+    (y - sigmoid(u))`` is c/4-Lipschitz, ``|u0 - u*| <= c^2 / 4``. As ``g' >=
+    1`` and ``|g''| <= c / (6 sqrt 3)``, a Newton step from error e leaves at
+    most ``K c e^2``, ``K = 1 / (12 sqrt 3)``, so the first one at most ``K c^5
+    / 16``. That is within the rounding floor ``floor = 4 eps (|a| + c)`` for
+    every ``c <= C = (64 eps / K)^(1/4) ~ 7.37e-4`` (``_ONE_STEP_C``); the
+    bound is for exact arithmetic, and evaluating the step adds rounding of
+    the floor's order. So when every row has ``c <= C`` the first Newton pass
+    is the root, certified before it is taken.
 
-
-def _bracketed_root(a, c, y):
-    """The root of ``_logistic_root``'s g by bracketed Newton, for any c.
-
-    Newton from the same warm start, which lies in the bracket ``[a + c (y -
-    1), a + c y]`` as sigmoid is in (0, 1). A step that leaves the bracket or
+    Otherwise the loop goes on from that pass as bracketed Newton. A row
+    with ``c <= C`` keeps its first Newton step, in the bracket or not, and
+    is frozen. On the other rows (a NaN or inf c among them) a step that leaves the bracket or
     does not halve the previous one becomes a bisection. A row freezes once
-    its step moves at most ``floor = 4 eps (|a| + c)``, or once an accepted
-    Newton step delta certifies it: ``g' <= 1 + c/4`` gives ``e <= (1 + c/4)
-    |delta|``, so with the error ``K c e^2`` left by a step the row stops when
-    ``K c (1 + c/4)^2 delta^2 <= floor``. Past c ~ 1e100 the certificate
-    overflows, and a NaN row freezes; the caller enters ``np.errstate`` as for
-    ``_logistic_root``.
+    its step moves at most ``floor``, or once an accepted Newton step delta
+    certifies it: ``g' <= 1 + c/4`` gives ``e <= (1 + c/4) |delta|``, so with
+    the error ``K c e^2`` left by a step the row stops when ``K c (1 +
+    c/4)^2 delta^2 <= floor``. Past c ~ 1e100 the certificate overflows, and
+    a NaN row freezes. Rows never interact. The caller enters
+    ``np.errstate(over="ignore", invalid="ignore")``, as
+    ``LogisticUtility.best_response`` does.
     """
-    lo, hi = a + c * (y - 1.0), a + c * y
-    u, half_last = a + c * (y - sigmoid(a)), c  # the first step is bounded by the bracket alone
-    floor = _ROUNDING * (np.abs(a) + c)
-    active = np.ones(np.shape(hi), dtype=bool)
-    bound = _NEWTON_K * c * (1.0 + 0.25 * c) ** 2  # error left per squared Newton step
-    while active.any():
+    u, active = a + c * (y - sigmoid(a)), None
+    while True:
         s = sigmoid(u)
         g = u - a - c * (y - s)
-        lo, hi = np.where(g < 0.0, u, lo), np.where(g > 0.0, u, hi)
         newton = u - g / (1.0 + c * s * (1.0 - s))
+        if active is None:  # the first pass
+            one_step = c <= _ONE_STEP_C  # False for NaN
+            if one_step.all():
+                return newton
+            lo, hi = a + c * (y - 1.0), a + c * y
+            half_last = c  # the first step is bounded by the bracket alone
+            floor = _ROUNDING * (np.abs(a) + c)
+            bound = _NEWTON_K * c * (1.0 + 0.25 * c) ** 2  # error left per squared Newton step
+            active = np.ones(np.shape(newton), dtype=bool)
+            if one_step.any():  # these rows keep their first Newton step
+                u = np.where(one_step, newton, u)
+                active &= ~one_step
+        lo, hi = np.where(g < 0.0, u, lo), np.where(g > 0.0, u, hi)
         ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - u) <= half_last)
         nxt = np.where(ok, newton, 0.5 * (lo + hi))
         moved = np.abs(nxt - u)
         u, half_last = np.where(active, nxt, u), 0.5 * moved
         active &= (moved > floor) & ~(ok & (bound * moved * moved <= floor))  # NaN freezes too
-    return u
+        if not active.any():
+            return u
 
 
 Utility = Union[QuadraticUtility, LogisticUtility]

@@ -8,7 +8,7 @@ from perfsim import agents
 from perfsim.agents import (BLOCK, _ONE_STEP_C, AdaptedBestResponseKernel, AgentPool,
                             ArGaussianKernel, ExactBestResponseKernel, GaussianEnv,
                             IidGaussianKernel, LogisticUtility, QuadraticUtility,
-                            _bracketed_root, _distinct_agents, _logistic_root)
+                            _distinct_agents, _logistic_root)
 from perfsim.harness import generate_synthetic
 from perfsim.harness import ExperimentSpec, resolve_points, run_experiment
 from perfsim.losses import dot, sigmoid
@@ -239,6 +239,23 @@ class TestUtilities:
             assert np.linalg.norm(g) <= 1e-8
             assert util.value(x, base, y, theta) >= util.value(base, base, y, theta)
 
+    @pytest.mark.parametrize("util", [QuadraticUtility(epsilon=0.05),
+                                      LogisticUtility(epsilon=0.05)],
+                             ids=["quadratic", "logistic"])
+    def test_value_block_equals_rows(self, util):
+        # agents (T, n, d) against theta as (T, 1, d), the layout grad and
+        # best_response take
+        rng = np.random.default_rng(13)
+        T, n, d = 6, 4, 3
+        base = rng.normal(size=(T, n, d))
+        xp = base + 0.1 * rng.normal(size=(T, n, d))
+        y = rng.integers(2, size=(T, n)).astype(float)
+        theta = rng.normal(size=(T, 1, d))
+        rows = [[util.value(xp[t, i], base[t, i], y[t, i], theta[t, 0]) for i in range(n)]
+                for t in range(T)]
+        got = util.value(xp, base, y, theta)
+        assert np.array_equal(got.view(np.int64), np.array(rows).view(np.int64))
+
 
 def ascent_best_response(util, base_x, y, theta, tol, max_steps=10_000):
     """Reference: fixed-step gradient ascent on the utility (step epsilon / 2)
@@ -392,8 +409,8 @@ class TestLogisticBestResponseRoot:
             assert lo - floor <= u <= hi + floor, (a, y, c)
 
     def test_one_step_equals_one_pass_of_the_loop(self, monkeypatch):
-        # at every grid point the bracketed loop stops after one pass, and the
-        # one-step root has its bits; a pass is a sigmoid call after the warm start
+        # at every grid point the root is the first pass: a pass is a sigmoid
+        # call after the warm start's
         calls = []
 
         def counting(u):
@@ -402,31 +419,36 @@ class TestLogisticBestResponseRoot:
 
         monkeypatch.setattr(agents, "sigmoid", counting)
         for a, y, c in self.GRID:
-            a, y, c = np.float64(a), np.float64(y), np.float64(c)
-            one_step = _logistic_root(a, c, y)
             calls.clear()
-            looped = _bracketed_root(a, c, y)
+            _logistic_root(np.float64(a), np.float64(c), np.float64(y))
             assert len(calls) == 2, (a, y, c)
-            assert one_step.view(np.int64) == looped.view(np.int64), (a, y, c)
 
     @pytest.mark.parametrize("epsilon, loops", [(0.01, False), (0.5, True)])
     def test_exact_best_response_run_enters_the_loop_only_past_c(self, tmp_path, monkeypatch,
                                                                  epsilon, loops):
         # at the preset every root of the run and of its oracle is below C;
         # at epsilon = 0.5 (c ~ 7e-3) the loop runs, which shows the count works
-        calls = []
+        calls, looped = [], []
 
-        def counting(a, c, y):
+        def counting(u):
             calls.append(1)
-            return _bracketed_root(a, c, y)
+            return sigmoid(u)
 
-        monkeypatch.setattr(agents, "_bracketed_root", counting)
+        def counting_root(a, c, y):
+            before = len(calls)
+            u = _logistic_root(a, c, y)
+            if len(calls) - before > 2:  # more than the warm start and one pass
+                looped.append(1)
+            return u
+
+        monkeypatch.setattr(agents, "sigmoid", counting)
+        monkeypatch.setattr(agents, "_logistic_root", counting_root)
         spec = ExperimentSpec.from_dict({
             "preset": "strat_class_logistic", "trials": 2, "horizon": 500, "workers": 1,
             "problem": {"kernel": "iid", "epsilon": epsilon}, "sweep": [["batch", [1, 4]]],
             "out": str(tmp_path)})
         run_experiment(spec)
-        assert (len(calls) > 0) is loops, len(calls)
+        assert (len(looped) > 0) is loops, len(looped)
 
     def test_bracket_ends_cycle_of_plain_newton(self):
         # negative control: at y = 1, a = -c/2, c = 100 undamped Newton from the

@@ -26,6 +26,11 @@ transitions per update, lazy deployment with a horizon that is not a
 multiple of the inner count, the adapted agent pool, exact best responses
 with minibatches, and minibatches drawn from the i.i.d. Gaussian kernel and
 from the adapted pool (blocked normal draws and draws of distinct agents).
+``exact_br_loop`` runs exact logistic best responses at epsilon = 0.5, where
+c = epsilon ||theta||^2 exceeds the one-step bound, so its roots take the
+bracketed Newton loop past the first pass; it was pinned from the code in
+which that loop was a second root solver, before the one-step root and the
+loop became one function.
 
 Regenerate the pins only for a deliberate, documented output change::
 
@@ -54,6 +59,11 @@ CASES = {
     "exact_br_batch": {
         "preset": "strat_class_logistic", "seed": 14, "trials": 2, "horizon": 150,
         "problem": {"kernel": "iid"},
+        "sweep": [["batch", [1, 4]]],
+    },
+    "exact_br_loop": {
+        "preset": "strat_class_logistic", "seed": 19, "trials": 2, "horizon": 300,
+        "problem": {"kernel": "iid", "epsilon": 0.5},
         "sweep": [["batch", [1, 4]]],
     },
     "exact_br_batch_linear": {
@@ -90,6 +100,13 @@ GOLDEN = {
         [
             ["0x1.2bdc447d2a129p-6", "0x1.3306532f9ea7dp-6", "0x1.170e2284340d7p-6"],
             ["0x1.2bdc447d2a129p-6", "0x1.3306532f9ea7dp-6", "0x1.170e2284340d7p-6"],
+        ],
+    ),
+    "exact_br_loop": (
+        "900141a61352ab8a0d9f2b548f02b1e4e198089213f44bae25411b4bb87b8089",
+        [
+            ["0x1.1383852f16a53p-4", "0x1.1773de88ea768p-4", "0x1.1b40212012a7cp-4"],
+            ["0x1.1383852f16a53p-4", "0x1.1773de88ea768p-4", "0x1.1b40212012a7cp-4"],
         ],
     ),
     "gaussian_ar_rho_br": (

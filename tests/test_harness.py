@@ -795,11 +795,12 @@ class TestCli:
 
     def fresh_python(self, *args):
         """``python *args`` in a fresh interpreter that imports this checkout's
-        perfsim; it shows numpy's warnings and lazy imports as a user would
-        meet them."""
+        perfsim; it shows numpy's warnings, lazy imports and a piped stdout's
+        buffering (``PYTHONUNBUFFERED`` is left out) as a user would meet them."""
         src = str(Path(harness.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                               text=True, timeout=120)
 
@@ -857,10 +858,9 @@ class TestCli:
             assert result.returncode == 0, result.stderr
             assert result.stdout.splitlines()[-1] == "[]", command
 
-    def test_parent_output_is_written_once_across_the_fork(self, tmp_path, monkeypatch):
+    def test_parent_output_is_written_once_across_the_fork(self, tmp_path):
         # a piped stdout is block-buffered, so the line is still in the
         # buffer when the children fork, and each child flushes its stdout
-        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
         cfg = self.write_config(tmp_path, {"preset": "gaussian_ar", "trials": 2,
                                            "horizon": 50, "workers": 2,
                                            "sweep": [["batch", [1, 2]]],

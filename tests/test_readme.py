@@ -28,10 +28,11 @@ def test_readme_has_examples():
 
 @pytest.mark.parametrize("code", blocks("python"), ids=lambda _: "python")
 def test_python_example_runs(code):
-    # run as a fresh interpreter on the package under test, as a user would
+    # run as a fresh interpreter on the package under test, as a user would,
+    # with a piped stdout buffered (PYTHONUNBUFFERED left out)
     src = str(Path(perfsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
