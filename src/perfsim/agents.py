@@ -275,6 +275,11 @@ class AgentPool:
         self.alpha = float(alpha)
         self.participation = int(participation)
 
+    def __reduce__(self):
+        # a pickled copy is built, checked and frozen by the constructor
+        return AgentPool, (self.base_features, self.labels, self.utility, self.alpha,
+                           self.participation)
+
     @property
     def size(self) -> int:
         return self.base_features.shape[0]

@@ -6,11 +6,14 @@ an ``AgentPool``), its stable point from the oracle, and its kernel class,
 built as ``kernel(problem, trials=n)``. Points that differ only in Gaussian
 problem parameters that leave the step schedule alone form one group, and
 each group runs as one trial-batched ``sa_run`` over all its trials; the
-groups run in forked child processes, or in-process with ``workers: 1``. Each
-point gets a trace of its own trials, from which the harness aggregates
-mean and 5th/95th percentile error per recorded iteration; it writes
-plot-ready ``trace.csv`` plus a ``summary.json`` that makes the figures
-reproducible from the file alone.
+groups run in forked child processes, or in-process with ``workers: 1``. A
+forked run of a pool preset resolves its points in one child first, so
+``numpy.random`` loads only in the children, which draw the trials and the
+pool's data, or in the one process of a ``workers: 1`` run or of ``perfsim
+oracle``. Each point gets a trace of its own trials, from which the harness
+aggregates mean and 5th/95th percentile error per recorded iteration; it
+writes plot-ready ``trace.csv`` plus a ``summary.json`` that makes the
+figures reproducible from the file alone.
 """
 from __future__ import annotations
 
@@ -496,9 +499,9 @@ def _execute_points(points: list, grid: np.ndarray, workers: int) -> list:
         # the CPUs this process may run on: taskset and cpusets narrow the mask
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-        # A single job forks too: run in-process, gauss_ar_sweep peaked at
-        # 38.6 MiB RSS against 33.5-34.1 MiB forked (+13-15 %), because the
-        # parent then imports numpy.random itself (+6.2 MiB).
+        # A single job forks too, because only the processes that draw
+        # trials import numpy.random (+6.2 MiB): run in-process,
+        # gauss_ar_sweep peaked at 38.6 MiB RSS against 33.5-34.1 MiB forked.
         processes = min(workers or 8, len(jobs), cpus)
         traces = _fork_map(_run_group, jobs, processes)
     placed = dict(zip(itertools.chain(*groups.values()), itertools.chain(*traces)))
@@ -536,7 +539,14 @@ def run_experiment(spec: ExperimentSpec):
     are recorded per point and excluded from aggregation; a point with no
     surviving trial yields NaN columns.
     """
-    points = resolve_points(spec)
+    if spec.workers != 1 and PRESETS[spec.preset][1] == "pool":
+        # Resolve in a short-lived child: drawing the pool's synthetic data
+        # is all that would import numpy.random (+6.2 MiB RSS) into this
+        # process, which would then hold the peak. A resolve error is raised
+        # again here, before the output directory exists.
+        [points] = _fork_map(resolve_points, [spec], 1)
+    else:
+        points = resolve_points(spec)
     grid = record_grid(spec.horizon)
 
     out_dir = Path(spec.out)

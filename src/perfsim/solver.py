@@ -13,7 +13,7 @@ mean field that the learner follows, comes from :mod:`perfsim.oracle`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -67,6 +67,10 @@ class RunConfig:
         if self.batch > 1 and self.learner_iters_per_agent_round > 1:
             raise ValueError("lazy runs draw one sample per learner update; "
                              "batch and learner_iters_per_agent_round cannot both exceed 1")
+
+    def __reduce__(self):
+        # a pickled copy is built, checked and frozen by the constructor
+        return RunConfig, tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass

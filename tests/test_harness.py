@@ -169,7 +169,7 @@ class TestRunExperiment:
                               workers=10_000) -> list:
         """The process counts asked of ``_fork_map`` by a 3-group run under
         the patched CPU affinity mask (None: the platform has none) and CPU
-        count."""
+        count: the resolve's one child, then the groups' pool."""
         sizes = []
         self.inline_fork_map(monkeypatch, sizes)
         if affinity is None:
@@ -187,7 +187,7 @@ class TestRunExperiment:
         return sizes
 
     def test_pool_processes_are_capped_at_the_cpus(self, tmp_path, monkeypatch):
-        assert self.run_three_pool_groups(tmp_path, monkeypatch, {0, 1}, 2) == [2]
+        assert self.run_three_pool_groups(tmp_path, monkeypatch, {0, 1}, 2) == [1, 2]
 
     @pytest.mark.parametrize("affinity,cpu_count,size", [
         ({0, 1}, 64, 2),   # taskset or a cpuset: the mask, not the host's count
@@ -196,11 +196,30 @@ class TestRunExperiment:
     ])
     def test_pool_processes_count_the_usable_cpus(self, tmp_path, monkeypatch,
                                                   affinity, cpu_count, size):
-        assert self.run_three_pool_groups(tmp_path, monkeypatch, affinity, cpu_count) == [size]
+        assert self.run_three_pool_groups(tmp_path, monkeypatch, affinity,
+                                          cpu_count) == [1, size]
 
     def test_default_workers_fork_a_pool_on_one_cpu(self, tmp_path, monkeypatch):
         # workers: 0 is the default
-        assert self.run_three_pool_groups(tmp_path, monkeypatch, {0}, 1, workers=0) == [1]
+        assert self.run_three_pool_groups(tmp_path, monkeypatch, {0}, 1, workers=0) == [1, 1]
+
+    def test_points_resolved_in_a_child_are_the_same_frozen_points(self):
+        # a forked pool run takes its points pickled back from the resolve's child
+        spec = gaussian_spec(preset="strat_class_logistic", problem={"m": 40},
+                             sweep=[["learner_iters_per_agent_round", [1, 2]]])
+        [forked] = harness._fork_map(resolve_points, [spec], 1)
+        here = resolve_points(spec)
+        assert len(forked) == len(here) == 2
+        for a, b in zip(here, forked):
+            for x, y in ((a.theta_ps, b.theta_ps), (a.config.theta0, b.config.theta0),
+                         (a.problem.base_features, b.problem.base_features),
+                         (a.problem.labels, b.problem.labels)):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            # a float's repr round-trips, so equal reprs are equal bits
+            assert repr(b.config.schedule) == repr(a.config.schedule)
+            assert repr(b.problem_desc) == repr(a.problem_desc)
+            frozen = (b.problem.base_features, b.problem.labels, b.config.theta0)
+            assert not any(x.flags.writeable for x in frozen)
 
     def test_two_children_on_three_pool_groups_match_in_process(self, tmp_path, monkeypatch):
         # child 0 runs groups 0 and 2, child 1 group 1, on any machine
@@ -838,6 +857,21 @@ class TestCli:
                                            "out": str(tmp_path / "res")})
         code = ("import sys; from perfsim.cli import main; code = main(sys.argv[1:]); "
                 "print('numpy.ma' in sys.modules); sys.exit(code)")
+        result = self.fresh_python("-c", code, "run", "--config", cfg)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("preset,problem", [("gaussian_ar", {}),
+                                                ("strat_class_linear", {"m": 40}),
+                                                ("strat_class_logistic", {"m": 40})])
+    def test_forked_run_leaves_numpy_random_out_of_the_parent(self, tmp_path, preset, problem):
+        # numpy.random costs about 6.2 MiB of RSS; the children import it,
+        # where they draw the trials and the pool's data
+        cfg = self.write_config(tmp_path, {"preset": preset, "trials": 2, "horizon": 50,
+                                           "workers": 2, "problem": problem,
+                                           "out": str(tmp_path / "res")})
+        code = ("import sys; from perfsim.cli import main; code = main(sys.argv[1:]); "
+                "print('numpy.random' in sys.modules); sys.exit(code)")
         result = self.fresh_python("-c", code, "run", "--config", cfg)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
