@@ -14,6 +14,6 @@ from .core import ConstantSchedule, InverseSchedule, check_schedule
 from .harness import ExperimentSpec, generate_synthetic, run_experiment
 from .losses import LogisticLoss, QuadraticLoss, logistic_constants, mean_grad
 from .oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
-from .solver import RunConfig, RunTrace, one_step_contraction_probe, sa_run
+from .solver import RunConfig, RunTrace, sa_run
 
 __version__ = "0.1.0"

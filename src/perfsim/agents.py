@@ -61,7 +61,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .losses import dot, log1pexp, sigmoid
+from .losses import dot, sigmoid
 
 # Steps of draws taken from one stream at a time.
 BLOCK = 1024
@@ -106,10 +106,6 @@ class GaussianEnv:
     def shifted_mean(self, theta: np.ndarray) -> float:
         return self.z_bar + self.epsilon * float(theta[0])
 
-    def stationary_variance(self) -> float:
-        """Variance of the chain's stationary law at any fixed model."""
-        return self.sigma ** 2 * self.rho / (2.0 - self.rho)
-
     def response_dataset(self, theta: np.ndarray) -> np.ndarray:
         """Exact representation of the induced law for risk minimization.
 
@@ -129,10 +125,6 @@ class QuadraticUtility:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-
-    def value(self, xp, base_x, y, theta):
-        move = np.asarray(xp) - np.asarray(base_x)
-        return dot(xp, theta) - np.sum(move * move, axis=-1) / (2.0 * self.epsilon)
 
     def grad(self, xp, base_x, y, theta):
         return theta - (np.asarray(xp) - np.asarray(base_x)) / self.epsilon
@@ -162,13 +154,6 @@ class LogisticUtility:
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-
-    def value(self, xp, base_x, y, theta):
-        u = dot(xp, theta)
-        move = np.asarray(xp) - np.asarray(base_x)
-        # y u - log(1 + exp(u)) for y in {0, 1}, without subtracting terms of size |u|
-        gain = -log1pexp((1.0 - 2.0 * y) * u)
-        return gain - np.sum(move * move, axis=-1) / (2.0 * self.epsilon)
 
     def grad(self, xp, base_x, y, theta):
         u = dot(xp, theta)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .harness import (FLOAT_FORMAT, PRESETS, ExperimentSpec, WorkerDied, resolve_points,
@@ -71,7 +72,8 @@ def main(argv=None) -> int:
             for d in point["diverged"]:
                 print(f"warning: trial {d['trial']} of {point['label'] or '(base)'} "
                       f"diverged at iteration {d['iteration']} ({d['kind']})", file=sys.stderr)
-        print(f"wrote {spec.out}/trace.csv and {spec.out}/summary.json")
+        print(f"wrote {os.path.join(spec.out, 'trace.csv')} and "
+              f"{os.path.join(spec.out, 'summary.json')}")
         if all_dead:
             print(f"error: all trials diverged for: {', '.join(all_dead)}", file=sys.stderr)
             return 2

@@ -10,9 +10,10 @@ trial. The quadratic loss takes the scalars as a (T, n) array; the logistic
 loss takes a ``(features, labels)`` pair of shapes (T, n, d) and (T, n). The
 stable-point oracle's datasets are one-trial batches (T = 1).
 
-``grad`` returns each trial's minibatch gradient, shape (T, d), and ``loss``
-each trial's mean loss, shape (T,): the per-sample values summed left to
-right and divided by n. Dot products go through :func:`dot`, one
+``grad`` returns each trial's minibatch gradient, shape (T, d): the
+per-sample gradients summed left to right and divided by n. No run needs
+the losses' values; the tests take them from ``tests/reference.py``. Dot
+products go through :func:`dot`, one
 ``np.vecdot`` call (numpy >= 2.0), which gives the same bits as the 1-D
 ``a @ b`` of each row.
 """
@@ -40,21 +41,9 @@ def _batch_mean(g: np.ndarray) -> np.ndarray:
     return np.add.accumulate(g, axis=1)[:, -1] / n
 
 
-def _require_samples(batch):
-    """Raise ``ValueError`` on a batch with no samples per trial."""
-    per_trial = batch[1] if isinstance(batch, tuple) else batch
-    if per_trial.shape[1] == 0:
-        raise ValueError("empty dataset")
-
-
 def sigmoid(u):
     """Overflow-safe logistic function, elementwise."""
     return np.exp(-np.logaddexp(0.0, -u))
-
-
-def log1pexp(u):
-    """Overflow-safe ``log(1 + exp(u))``, elementwise."""
-    return np.logaddexp(0.0, u)
 
 
 class QuadraticLoss:
@@ -62,13 +51,6 @@ class QuadraticLoss:
 
     mu = 1.0
     lipschitz = 1.0
-
-    def loss(self, theta: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-        if isinstance(scalars, tuple):
-            raise ValueError("quadratic loss expects scalar samples")
-        _require_samples(scalars)
-        r = scalars - theta[:, :1]
-        return _batch_mean(0.5 * r * r)
 
     def grad(self, theta: np.ndarray, scalars: np.ndarray) -> np.ndarray:
         if scalars.shape[1] == 1:
@@ -82,7 +64,7 @@ class QuadraticLoss:
 class LogisticLoss:
     """L2-regularized logistic loss on feature/label samples.
 
-    ``loss(theta; (x, y)) = beta/2 ||theta||^2 + log(1 + exp(<theta, x>)) - y <theta, x>``
+    ``l(theta; (x, y)) = beta/2 ||theta||^2 + log(1 + exp(<theta, x>)) - y <theta, x>``
 
     The model is ``beta``-strongly convex in theta, and its per-sample
     gradient is ``(beta + ||x||^2 / 4)``-Lipschitz.
@@ -96,13 +78,6 @@ class LogisticLoss:
     @property
     def mu(self) -> float:
         return self.beta
-
-    def loss(self, theta: np.ndarray, batch) -> np.ndarray:
-        _require_samples(batch)
-        x, y = batch
-        u = dot(x, theta[:, None, :])
-        reg = 0.5 * self.beta * dot(theta, theta)
-        return _batch_mean(reg[:, None] + log1pexp(u) - y * u)
 
     def grad(self, theta: np.ndarray, batch) -> np.ndarray:
         x, y = batch
@@ -118,7 +93,9 @@ LossModel = Union[QuadraticLoss, LogisticLoss]
 
 def mean_grad(model: LossModel, theta: np.ndarray, batch) -> np.ndarray:
     """Arithmetic mean of the per-sample gradient over the one-trial dataset ``batch``."""
-    _require_samples(batch)
+    per_trial = batch[1] if isinstance(batch, tuple) else batch
+    if per_trial.shape[1] == 0:
+        raise ValueError("empty dataset")
     return model.grad(theta[None], batch)[0]
 
 

@@ -1,4 +1,4 @@
-"""The state-dependent stochastic-approximation engine and its one-step check.
+"""The state-dependent stochastic-approximation engine.
 
 ``sa_run`` is the learner: per iteration the learner draws the emitted
 sample(s) from the agent chain and takes one stochastic gradient step, and
@@ -7,9 +7,8 @@ transition per update), several transitions per update, minibatches, or lazy
 deployment (several learner updates per agent round). It advances a block
 of trials together as arrays with a leading trial axis; each trial keeps
 its own random streams, so its trace does not depend on the block it runs
-in. ``one_step_contraction_probe`` checks the one-step error bound of a
-single update by Monte Carlo. The stable point itself, the root of the
-mean field that the learner follows, comes from :mod:`perfsim.oracle`.
+in. The stable point itself, the root of the mean field that the learner
+follows, comes from :mod:`perfsim.oracle`.
 """
 from __future__ import annotations
 
@@ -91,9 +90,6 @@ class RunTrace:
     agent_updates: np.ndarray
     final_theta: np.ndarray
     failures: dict
-
-    def __len__(self):
-        return self.iterations.shape[0]
 
 
 def _trial_rngs(config: RunConfig, trial: int):
@@ -233,39 +229,3 @@ def sa_run(loss: LossModel, kernel, config: RunConfig, theta_ps, trials=None,
     rounds = (record + inner - 1) // inner
     return RunTrace(iterations=record, errors=errors, samples_drawn=batch * record,
                     agent_updates=br * rounds, final_theta=final_theta, failures=failures)
-
-
-def one_step_contraction_probe(loss: LossModel, kernel, theta, theta_ps, gamma: float,
-                               n_mc: int, rng, *, mu_tilde: float, lipschitz: float,
-                               sigma: float) -> tuple:
-    """Estimate the expected post-step squared error and its one-step bound.
-
-    Requires a memoryless (i.i.d.) kernel so the stochastic gradient is
-    conditionally unbiased; the ``n_mc`` samples are one emission from it. Returns the tuple
-    ``(lhs, rhs, stderr)``: the Monte Carlo estimate of E||theta' -
-    theta_ps||^2 over ``n_mc`` fresh samples, the bound ``(1 - 2 gamma
-    mu_tilde + 2 L^2 gamma^2) ||theta - theta_ps||^2 + 2 sigma^2 gamma^2``,
-    with ``L = lipschitz`` and the sample noise level ``sigma``, and the Monte
-    Carlo standard error for the assertion ``lhs <= rhs + 3 stderr``. Raises ``ValueError`` unless
-    ``mu_tilde`` is positive.
-    """
-    if not mu_tilde > 0:
-        raise ValueError(f"mu_tilde must be positive, got {mu_tilde!r}")
-    theta = as_param(theta)
-    target = as_param(theta_ps, d=theta.shape[0])
-    samples = kernel.emit(theta[None], [rng], n_mc)
-    # one single-sample step from theta per draw: the draws become n_mc trials
-    if isinstance(samples, tuple):
-        one_each = tuple(a.swapaxes(0, 1) for a in samples)
-    else:
-        one_each = samples.swapaxes(0, 1)
-    g = loss.grad(np.tile(theta, (n_mc, 1)), one_each)
-    gap = theta - gamma * g - target
-    sq = dot(gap, gap)
-    lhs = float(np.mean(sq))
-    stderr = float(np.std(sq, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
-    dist = theta - target
-    dist2 = float(dist @ dist)
-    rhs = ((1.0 - 2.0 * gamma * mu_tilde + 2.0 * lipschitz ** 2 * gamma ** 2) * dist2
-           + 2.0 * sigma ** 2 * gamma ** 2)
-    return lhs, rhs, stderr

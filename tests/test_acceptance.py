@@ -20,9 +20,10 @@ from perfsim.harness import (ExperimentSpec, _execute_points, record_grid,
                              resolve_points, run_experiment)
 from perfsim.losses import LogisticLoss, QuadraticLoss, mean_grad
 from perfsim.oracle import fit_rate, theta_ps_fixed_point, theta_ps_gaussian
-from perfsim.solver import RunConfig, one_step_contraction_probe, sa_run
+from perfsim.solver import RunConfig, sa_run
 
-from draw_reference import distinct_agent_draws
+from reference import (distinct_agent_draws, loss_value, one_step_contraction_probe,
+                       stationary_variance, utility_value)
 
 WORKERS = min(os.cpu_count() or 1, 8)
 
@@ -135,7 +136,7 @@ def test_c3_ar_stationary_law():
             kernel.advance(theta, rngs)
             zs[i] = kernel.z[0]
         mean_err = abs(zs.mean() - env.shifted_mean(theta[0])) / abs(env.shifted_mean(theta[0]))
-        var_err = abs(zs.var() - env.stationary_variance()) / env.stationary_variance()
+        var_err = abs(zs.var() - stationary_variance(env)) / stationary_variance(env)
         checks.append((rho, mean_err, var_err))
     elapsed = perf_counter() - start
     ok = all(m <= 0.01 and v <= 0.05 for _, m, v in checks) and elapsed <= 5.0
@@ -364,7 +365,7 @@ def test_c9_property_suites(tmp_path):
         return x[None, None], np.array([[float(y)]])
 
     def loss1(theta, s):
-        return float(loss.loss(theta[None], s)[0])
+        return float(loss_value(loss, theta[None], s)[0])
 
     fd_ok = True
     for _ in range(10):
@@ -381,8 +382,8 @@ def test_c9_property_suites(tmp_path):
         xp = x + 0.05 * rng.normal(size=3)
         gu = util.grad(xp, x, float(y), theta)
         fdu = np.array([
-            (util.value(xp + h, x, float(y), theta)
-             - util.value(xp - h, x, float(y), theta)) / 2e-6
+            (utility_value(util, xp + h, x, float(y), theta)
+             - utility_value(util, xp - h, x, float(y), theta)) / 2e-6
             for h in (1e-6 * np.eye(3))[:]
         ])
         fd_ok &= np.max(np.abs(gu - fdu)) <= 1e-5 * (1.0 + np.max(np.abs(gu)))

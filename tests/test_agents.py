@@ -13,7 +13,7 @@ from perfsim.harness import generate_synthetic
 from perfsim.harness import ExperimentSpec, resolve_points, run_experiment
 from perfsim.losses import dot, sigmoid
 
-from draw_reference import distinct_agent_draws
+from reference import distinct_agent_draws, stationary_variance, utility_value
 
 
 def advance_then_emit(kern, theta, rng):
@@ -58,7 +58,7 @@ class TestGaussianEnv:
 
     def test_stationary_variance_formula(self):
         env = GaussianEnv(z_bar=0.0, epsilon=0.1, sigma=3.0, rho=0.5)
-        assert env.stationary_variance() == pytest.approx(9.0 * 0.5 / 1.5)
+        assert stationary_variance(env) == pytest.approx(9.0 * 0.5 / 1.5)
 
 
 class TestIidKernels:
@@ -159,7 +159,7 @@ class TestArKernel:
                 kern.advance(thetas, rngs)
             mean_gap = abs(np.mean(kern.z) - target)
             predicted = gap0 * (1.0 - env.rho) ** (stage * half_steps)
-            stderr = math.sqrt(env.stationary_variance() / n_chains)
+            stderr = math.sqrt(stationary_variance(env) / n_chains)
             assert mean_gap <= predicted + 3.0 * stderr
 
     def test_stationary_law(self):
@@ -174,7 +174,7 @@ class TestArKernel:
             kern.advance(theta[None], [rng])
             zs[i] = kern.z[0]
         assert zs.mean() == pytest.approx(env.shifted_mean(theta), rel=0.02)
-        assert zs.var() == pytest.approx(env.stationary_variance(), rel=0.10)
+        assert zs.var() == pytest.approx(stationary_variance(env), rel=0.10)
 
 
 class TestUtilities:
@@ -199,8 +199,8 @@ class TestUtilities:
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = 1e-6
-                fd[i] = (util.value(xp + e, base, y, theta)
-                         - util.value(xp - e, base, y, theta)) / 2e-6
+                fd[i] = (utility_value(util, xp + e, base, y, theta)
+                         - utility_value(util, xp - e, base, y, theta)) / 2e-6
             assert np.max(np.abs(g - fd)) <= 1e-5 * (1.0 + np.max(np.abs(g)))
 
     @pytest.mark.parametrize("d", [3, 50])
@@ -237,7 +237,8 @@ class TestUtilities:
             x = util.best_response(base, y, theta)
             g = util.grad(x, base, y, theta)
             assert np.linalg.norm(g) <= 1e-8
-            assert util.value(x, base, y, theta) >= util.value(base, base, y, theta)
+            assert (utility_value(util, x, base, y, theta)
+                    >= utility_value(util, base, base, y, theta))
 
     @pytest.mark.parametrize("util", [QuadraticUtility(epsilon=0.05),
                                       LogisticUtility(epsilon=0.05)],
@@ -251,9 +252,9 @@ class TestUtilities:
         xp = base + 0.1 * rng.normal(size=(T, n, d))
         y = rng.integers(2, size=(T, n)).astype(float)
         theta = rng.normal(size=(T, 1, d))
-        rows = [[util.value(xp[t, i], base[t, i], y[t, i], theta[t, 0]) for i in range(n)]
+        rows = [[utility_value(util, xp[t, i], base[t, i], y[t, i], theta[t, 0]) for i in range(n)]
                 for t in range(T)]
-        got = util.value(xp, base, y, theta)
+        got = utility_value(util, xp, base, y, theta)
         assert np.array_equal(got.view(np.int64), np.array(rows).view(np.int64))
 
 
@@ -330,7 +331,8 @@ class TestLogisticBestResponseRoot:
             rounding = self.eps * ((np.abs(a) + c) * np.linalg.norm(theta)
                                    + np.linalg.norm(X, axis=1) / self.util.epsilon)
             assert np.all(residual <= 4.0 * rounding)
-            gain = self.util.value(x, X, y, theta) - self.util.value(X, X, y, theta)
+            gain = (utility_value(self.util, x, X, y, theta)
+                    - utility_value(self.util, X, X, y, theta))
             assert np.all(gain >= -self.eps * (1.0 + np.abs(a) + c))
 
     def test_stack_equals_rows_bit_for_bit(self):

@@ -674,6 +674,18 @@ class TestCli:
         assert summary["horizon"] == 60
         assert summary["points"][0]["trials"] == 2
 
+    @pytest.mark.parametrize("out", ["", "results/"], ids=["empty", "trailing-slash"])
+    def test_run_prints_the_paths_it_wrote(self, tmp_path, capsys, monkeypatch, out):
+        # an empty out writes into the working directory; no path gets a doubled "/"
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write_config(tmp_path, {"preset": "gaussian_ar", "trials": 2, "horizon": 60,
+                                           "workers": 1, "out": out})
+        assert cli_main(["run", "--config", cfg]) == 0
+        printed = capsys.readouterr().out
+        assert printed == f"wrote {out}trace.csv and {out}summary.json\n"
+        for path in printed.split()[1::2]:
+            assert (tmp_path / path).is_file(), path
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {"preset": "nope"})
         assert cli_main(["run", "--config", cfg]) == 1
